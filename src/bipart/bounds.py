@@ -21,6 +21,7 @@ term, so the combined bound takes their maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .subproblem import Subproblem
@@ -66,14 +67,15 @@ def basic_bound(sp: Subproblem) -> int:
 def rebalance_value(sp: Subproblem) -> int:
     """Rebalancing contribution alone (no completion); O(f log f)."""
     d0, d1 = sp.d0, sp.d1
-    deltas = sorted(d1[v] - d0[v] for v in sp.free_list)
+    deltas = [d1[v] - d0[v] for v in sp.free_list]
+    deltas.sort()
     f0 = sp.f0
     total = 0
-    for i, d in enumerate(deltas):
-        if i < f0:
-            if d > 0:
-                total += d
-        elif d < 0:
+    for d in deltas[:f0]:
+        if d > 0:
+            total += d
+    for d in deltas[f0:]:
+        if d < 0:
             total -= d
     return total
 
@@ -217,16 +219,34 @@ def component_bound(sp: Subproblem) -> int:
     return result
 
 
-def lower_bound(sp: Subproblem, cfg: BoundConfig) -> int:
-    """Combined lower bound on any completion of the subproblem."""
+def lower_bound(
+    sp: Subproblem, cfg: BoundConfig, cutoff: float | None = None
+) -> int:
+    """Combined lower bound on any completion of the subproblem.
+
+    Terms are added cheapest first: fixed cut and basic, rebalancing,
+    high-degree, component.  With a cutoff, the partial sum is returned as
+    soon as it reaches the cutoff; it is then only a certificate that the
+    full bound is >= cutoff, and the deferred high-degree upkeep and the
+    later terms are skipped.  Below the cutoff, or without one, the result
+    is the full bound.
+    """
+    if cutoff is None:
+        cutoff = math.inf
     lb = sp.fixed_cut + basic_bound(sp)
-    if cfg.enable_rebalance:
+    if cfg.enable_rebalance and lb < cutoff:
         lb += rebalance_value(sp)
+    if lb >= cutoff:
+        return lb
     extra = 0
     if cfg.enable_high_degree:
+        sp.finish_assign()
         half = high_degree_bound(sp, cfg.enable_hd_doubling)
-        half += high_degree_rebalance(sp)
+        if lb + (half + 1) // 2 < cutoff:
+            half += high_degree_rebalance(sp)
         extra = (half + 1) // 2
+        if lb + extra >= cutoff:
+            return lb + extra
     if cfg.enable_component:
         c = component_bound(sp)
         if c > extra:

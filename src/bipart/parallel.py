@@ -90,7 +90,6 @@ class _Worker(threading.Thread):
         pool = self.pool
         incumbent = pool.incumbent
         cfg = self.cfg
-        strategy = self.strategy
         while True:
             task = pool.pop(self)
             if task is None:
@@ -101,13 +100,17 @@ class _Worker(threading.Thread):
                     self.irrelevant += 1
                     continue
                 self.explored += 1
-                sol, children = expand(task, cfg, strategy)
+                # The incumbent only decreases, so a child whose bound
+                # reaches the value read here can never be needed.
+                sol, children = expand(task, cfg, incumbent.value)
                 if sol is not None:
                     incumbent.update(
                         sol, stamp=time.perf_counter() - self.t_start
                     )
                     continue
-                for child in children:
+                # Side-0 child pushed last: later pushes win priority ties,
+                # so dfs explores it first, as the sequential loop does.
+                for child in reversed(children):
                     if child.lb < incumbent.value:
                         pool.push(self, child)
             finally:
@@ -201,8 +204,9 @@ def solve_parallel(
 ) -> SolveResult:
     """Exact optimum using a pool of worker threads.
 
-    Returns the same optimum as solve_sequential; exploration counts vary
-    from run to run with scheduling.
+    Returns the same optimum as solve_sequential.  With one thread, dfs
+    explores exactly the sequential tree; with more, exploration counts
+    vary from run to run with scheduling.
     """
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")

@@ -4,8 +4,10 @@ The search loop pops a subproblem according to the selected strategy,
 drops it when its stored lower bound no longer beats the incumbent
 (counted separately as an irrelevant task), otherwise tries the completion
 rules and, failing those, branches on the free vertex with the largest
-guaranteed bound increase.  Child bounds are computed once at creation and
-stored with the child.
+guaranteed bound increase.  Child bounds are computed once at creation,
+cheapest term first against the incumbent, and stored with the child; a
+child whose bound reaches the incumbent is dropped on the spot, before its
+high-degree upkeep, component BFS or gap estimate is built.
 """
 
 from __future__ import annotations
@@ -80,11 +82,14 @@ def priority(sp: Subproblem, strategy: SearchStrategy) -> float:
     return -(sp.ub_est - sp.lb)
 
 
-def expand(sp, cfg, strategy):
+def expand(sp, cfg, cutoff):
     """Completion-or-branch step shared by the sequential and parallel loops.
 
     Returns (solution, None) when a completion rule fired, otherwise
-    (None, children) with each child's lower bound stored on it.
+    (None, children) with each child's lower bound stored on it.  `cutoff`
+    is the incumbent value: a child whose stored bound is >= cutoff holds
+    only that certificate, since the bound terms after the one that reached
+    the cutoff were skipped.
     """
     sol = try_complete(sp)
     if sol is not None:
@@ -93,9 +98,7 @@ def expand(sp, cfg, strategy):
     children = []
     for side in (0, 1):
         child = sp.assign(v, side)
-        child.lb = lower_bound(child, cfg)
-        if strategy is SearchStrategy.GAP:
-            child.ub_est = rebalancing_completion_value(child)
+        child.lb = lower_bound(child, cfg, cutoff)
         children.append(child)
     return None, children
 
@@ -159,7 +162,7 @@ def solve_sequential(
             irrelevant += 1
             continue
         explored += 1
-        sol, children = expand(sp, cfg, strategy)
+        sol, children = expand(sp, cfg, best_value)
         if sol is not None:
             if sol.value < best_value:
                 best_value = sol.value

@@ -16,7 +16,9 @@ the counters well-defined when a side becomes full; they are never read in
 that situation because no vertex can then be high-degree for the bound.
 
 Children are fresh O(n) copies of the parent; a subproblem is owned by one
-worker at a time and never mutated concurrently.
+worker at a time and never mutated concurrently.  A child's seen-counter
+upkeep is deferred until it is first needed (see Subproblem.assign), so a
+child that the search discards on its cheap bound terms never pays for it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ class Subproblem:
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "f0", "f1",
         "free_degree", "zero_free_degree_count",
-        "scan", "seen_cnt", "seen_w",
-        "approx_max_free_degree", "approx_max_component", "max_adj_degree",
-        "maintain_hd", "depth", "lb", "ub_est",
+        "_scan", "_seen_cnt", "_seen_w",
+        "approx_max_free_degree", "approx_max_component", "_max_adj_degree",
+        "maintain_hd", "deferred_upkeep", "depth", "lb", "ub_est",
     )
 
     # Instances are produced by root_subproblem, recompute_from_scratch
@@ -62,10 +64,13 @@ class Subproblem:
     def assign(self, v: int, side: int) -> "Subproblem":
         """Child subproblem with free vertex v fixed to the given side.
 
-        The parent is not modified.  All derived state is repaired
-        incrementally: D arrays and fixed cut in O(deg(v)), the per-side
-        seen counters with one forward and at most one backward scan per
-        touched adjacency array.
+        The parent is not modified.  The free-set state (D arrays, fixed
+        cut, free degrees, free list, masks) is repaired here in O(deg(v))
+        plus the O(n) copies.  The high-degree counter upkeep is deferred
+        to finish_assign(), which the first read of a counter array runs if
+        nothing called it before, so the child is fully maintained to every
+        reader.  The search calls it only for children whose cheap bound
+        terms stay below the incumbent.
         """
         if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
@@ -82,105 +87,37 @@ class Subproblem:
         child.graph = g
         child.s0, child.s1 = self.s0, self.s1
         child.a0, child.a1 = self.a0, self.a1
-        child.free_mask = self.free_mask
         child.free_list = self.free_list.copy()
-        child.d0 = self.d0.copy()
-        child.d1 = self.d1.copy()
-        child.fixed_cut = self.fixed_cut
-        child.f0, child.f1 = self.f0, self.f1
-        child.free_degree = self.free_degree.copy()
-        child.zero_free_degree_count = self.zero_free_degree_count
+        d0 = child.d0 = self.d0.copy()
+        d1 = child.d1 = self.d1.copy()
         child.approx_max_free_degree = self.approx_max_free_degree
         child.approx_max_component = self.approx_max_component
         child.maintain_hd = self.maintain_hd
         child.depth = self.depth + 1
-
-        maintain = self.maintain_hd
-        if maintain:
-            child.scan = (self.scan[0].copy(), self.scan[1].copy())
-            child.seen_cnt = (self.seen_cnt[0].copy(), self.seen_cnt[1].copy())
-            child.seen_w = (self.seen_w[0].copy(), self.seen_w[1].copy())
-            child.max_adj_degree = self.max_adj_degree.copy()
+        if self.maintain_hd:
+            child.deferred_upkeep = (self, v, side)
         else:
             # Stale but never read while maintenance is off; sharing the
             # parent's arrays keeps assign cheap.
-            child.scan = self.scan
-            child.seen_cnt = self.seen_cnt
-            child.seen_w = self.seen_w
-            child.max_adj_degree = self.max_adj_degree
+            child.deferred_upkeep = None
+            child._scan = self._scan
+            child._seen_cnt = self._seen_cnt
+            child._seen_w = self._seen_w
+            child._max_adj_degree = self._max_adj_degree
 
-        d_own = child.d1 if side == 1 else child.d0
-        d_other = child.d0 if side == 1 else child.d1
-        child.fixed_cut += d_other[v]
-
-        nbrs = g.adj_nbr[v]
-        wts = g.adj_w[v]
-        crosses = g.adj_cross[v]
-        free_mask = child.free_mask  # v's bit still set during the scans
-        deg = child.free_degree
-
-        if maintain:
-            # Forward phase: side `side` now needs one vertex fewer, so
-            # every free vertex may have to see one more free edge.  v is
-            # still flagged free here so the scans below stay consistent
-            # with the removal fix-up that follows.
-            fs_new = (child.f0 if side == 0 else child.f1) - 1
-            if fs_new >= 1:
-                scan_s = child.scan[side]
-                cnt_s = child.seen_cnt[side]
-                w_s = child.seen_w[side]
-                limit = fs_new - 1
-                for u in child.free_list:
-                    if u == v or deg[u] <= limit:
-                        continue
-                    a_n = g.adj_nbr[u]
-                    a_w = g.adj_w[u]
-                    t = scan_s[u]
-                    while not (free_mask >> a_n[t]) & 1:
-                        t += 1
-                    w_s[u] += a_w[t]
-                    cnt_s[u] += 1
-                    scan_s[u] = t + 1
-
-            # Removal phase: each free neighbor u loses the free edge
-            # (u, v); on every side with a positive seen count, un-see one
-            # edge (either (u, v) itself if already scanned, or the
-            # heaviest seen edge via a backward scan).
-            f_new = (child.f0 - 1, child.f1) if side == 0 else (child.f0, child.f1 - 1)
-            for i in range(len(nbrs)):
-                u = nbrs[i]
-                if not (free_mask >> u) & 1 or u == v:
-                    continue
-                pos = crosses[i]
-                w_uv = wts[i]
-                du = deg[u]
-                for t in (0, 1):
-                    ft = f_new[t]
-                    if ft < 1:
-                        ft = 1
-                    if du - ft + 1 <= 0:
-                        continue
-                    scan_t = child.scan[t]
-                    if pos < scan_t[u]:
-                        child.seen_w[t][u] -= w_uv
-                    else:
-                        a_n = g.adj_nbr[u]
-                        a_w = g.adj_w[u]
-                        q = scan_t[u] - 1
-                        while not (free_mask >> a_n[q]) & 1:
-                            q -= 1
-                        child.seen_w[t][u] -= a_w[q]
-                        scan_t[u] = q
-                    child.seen_cnt[t][u] -= 1
+        d_own = d1 if side == 1 else d0
+        d_other = d0 if side == 1 else d1
+        child.fixed_cut = self.fixed_cut + d_other[v]
 
         # D arrays, free degrees, zero-degree count.
-        zero_cnt = child.zero_free_degree_count
+        free_mask = self.free_mask
+        deg = child.free_degree = self.free_degree.copy()
+        zero_cnt = self.zero_free_degree_count
         if deg[v] == 0:
             zero_cnt -= 1
-        for i in range(len(nbrs)):
-            u = nbrs[i]
-            if (free_mask >> u) & 1 and u != v:
-                d_own[u] += wts[i]
+        for u, w in zip(g.adj_nbr[v], g.adj_w[v]):
+            if (free_mask >> u) & 1:
+                d_own[u] += w
                 deg[u] -= 1
                 if deg[u] == 0:
                     zero_cnt += 1
@@ -188,7 +125,8 @@ class Subproblem:
 
         # Finally move v out of the free set.
         bit = 1 << v
-        child.free_mask &= ~bit
+        child.free_mask = free_mask & ~bit
+        child.f0, child.f1 = self.f0, self.f1
         if side == 0:
             child.a0 |= bit
             child.f0 -= 1
@@ -196,15 +134,121 @@ class Subproblem:
             child.a1 |= bit
             child.f1 -= 1
         child.free_list.remove(v)
-        child.d0[v] = 0
-        child.d1[v] = 0
+        d0[v] = 0
+        d1[v] = 0
         deg[v] = 0
-        if maintain:
-            for t in (0, 1):
-                child.scan[t][v] = 0
-                child.seen_cnt[t][v] = 0
-                child.seen_w[t][v] = 0
         return child
+
+    def finish_assign(self) -> None:
+        """Run the high-degree counter upkeep that assign() deferred, if any.
+
+        Repairs the per-side seen counters with one forward and at most one
+        backward scan per touched adjacency array.  Reads only the parent's
+        state from before the assignment (its free mask, free degrees, free
+        list and counter arrays), which nothing modifies once it has
+        children.
+        """
+        if self.deferred_upkeep is None:
+            return
+        parent, v, side = self.deferred_upkeep
+        g = self.graph
+        # Reading the parent's arrays finishes its own upkeep first.
+        scan = (parent.scan[0].copy(), parent.scan[1].copy())
+        seen_cnt = (parent.seen_cnt[0].copy(), parent.seen_cnt[1].copy())
+        seen_w = (parent.seen_w[0].copy(), parent.seen_w[1].copy())
+        self._max_adj_degree = parent.max_adj_degree.copy()
+        free_mask = parent.free_mask  # v's bit still set during the scans
+        deg = parent.free_degree
+
+        # Forward phase: side `side` now needs one vertex fewer, so every
+        # free vertex may have to see one more free edge.  v is still
+        # flagged free here so the scans below stay consistent with the
+        # removal fix-up that follows.
+        fs_new = self.f0 if side == 0 else self.f1
+        if fs_new >= 1:
+            scan_s = scan[side]
+            cnt_s = seen_cnt[side]
+            w_s = seen_w[side]
+            limit = fs_new - 1
+            for u in parent.free_list:
+                if u == v or deg[u] <= limit:
+                    continue
+                a_n = g.adj_nbr[u]
+                a_w = g.adj_w[u]
+                t = scan_s[u]
+                while not (free_mask >> a_n[t]) & 1:
+                    t += 1
+                w_s[u] += a_w[t]
+                cnt_s[u] += 1
+                scan_s[u] = t + 1
+
+        # Removal phase: each free neighbor u loses the free edge (u, v);
+        # on every side with a positive seen count, un-see one edge (either
+        # (u, v) itself if already scanned, or the heaviest seen edge via a
+        # backward scan).
+        f_new = (self.f0, self.f1)
+        nbrs = g.adj_nbr[v]
+        wts = g.adj_w[v]
+        crosses = g.adj_cross[v]
+        for i in range(len(nbrs)):
+            u = nbrs[i]
+            if not (free_mask >> u) & 1:
+                continue
+            pos = crosses[i]
+            w_uv = wts[i]
+            du = deg[u]
+            for t in (0, 1):
+                ft = f_new[t]
+                if ft < 1:
+                    ft = 1
+                if du - ft + 1 <= 0:
+                    continue
+                scan_t = scan[t]
+                if pos < scan_t[u]:
+                    seen_w[t][u] -= w_uv
+                else:
+                    a_n = g.adj_nbr[u]
+                    a_w = g.adj_w[u]
+                    q = scan_t[u] - 1
+                    while not (free_mask >> a_n[q]) & 1:
+                        q -= 1
+                    seen_w[t][u] -= a_w[q]
+                    scan_t[u] = q
+                seen_cnt[t][u] -= 1
+
+        for t in (0, 1):
+            scan[t][v] = 0
+            seen_cnt[t][v] = 0
+            seen_w[t][v] = 0
+        self._scan, self._seen_cnt, self._seen_w = scan, seen_cnt, seen_w
+        self.deferred_upkeep = None
+
+    # The counter arrays and per-vertex estimates run the deferred upkeep
+    # on first read.
+
+    @property
+    def scan(self) -> tuple[list[int], list[int]]:
+        if self.deferred_upkeep is not None:
+            self.finish_assign()
+        return self._scan
+
+    @property
+    def seen_cnt(self) -> tuple[list[int], list[int]]:
+        if self.deferred_upkeep is not None:
+            self.finish_assign()
+        return self._seen_cnt
+
+    @property
+    def seen_w(self) -> tuple[list[int], list[int]]:
+        if self.deferred_upkeep is not None:
+            self.finish_assign()
+        return self._seen_w
+
+    @property
+    def max_adj_degree(self) -> list[int]:
+        if self.deferred_upkeep is not None:
+            self.finish_assign()
+        return self._max_adj_degree
 
 
 def root_subproblem(
@@ -245,6 +289,7 @@ def _empty_state(graph, s0, s1, maintain_hd):
     sp.free_degree = list(graph.degrees)
     sp.zero_free_degree_count = sum(1 for d in graph.degrees if d == 0)
     sp.maintain_hd = maintain_hd
+    sp.deferred_upkeep = None
     sp.depth = 0
     sp.approx_max_free_degree = max(graph.degrees, default=0)
     sp.approx_max_component = n
@@ -262,14 +307,14 @@ def _empty_state(graph, s0, s1, maintain_hd):
                 scan[v] = k
                 cnt[v] = k
                 wsum[v] = sum(ws[:k])
-    sp.scan = (scan0, scan1)
-    sp.seen_cnt = (cnt0, cnt1)
-    sp.seen_w = (w0, w1)
+    sp._scan = (scan0, scan1)
+    sp._seen_cnt = (cnt0, cnt1)
+    sp._seen_w = (w0, w1)
     est = [0] * n
     for v in range(n):
         if graph.degrees[v]:
             est[v] = max(graph.degrees[u] for u in graph.adj_nbr[v])
-    sp.max_adj_degree = est
+    sp._max_adj_degree = est
     return sp
 
 
@@ -312,6 +357,7 @@ def recompute_from_scratch(
     sp.f0 = s0 - len(set0)
     sp.f1 = s1 - len(set1)
     sp.maintain_hd = maintain_hd
+    sp.deferred_upkeep = None
     sp.depth = len(set0) + len(set1)
 
     d0 = [0] * n
@@ -360,9 +406,9 @@ def recompute_from_scratch(
             scan[v] = t
             cnt[v] = k
             wsum[v] = total
-    sp.scan = (scan0, scan1)
-    sp.seen_cnt = (cnt0, cnt1)
-    sp.seen_w = (w0, w1)
+    sp._scan = (scan0, scan1)
+    sp._seen_cnt = (cnt0, cnt1)
+    sp._seen_w = (w0, w1)
 
     sp.approx_max_free_degree = max(
         (free_degree[v] for v in sp.free_list), default=0
@@ -375,7 +421,7 @@ def recompute_from_scratch(
             if (free_mask >> u) & 1 and free_degree[u] > best:
                 best = free_degree[u]
         est[v] = best
-    sp.max_adj_degree = est
+    sp._max_adj_degree = est
     return sp
 
 

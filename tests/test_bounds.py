@@ -242,6 +242,27 @@ class TestLowerBound:
             for cfg in CONFIG_PRESETS.values():
                 assert lower_bound(sp, cfg) <= best
 
+    def test_cutoff_contract(self):
+        # Bounds refresh the subproblem's estimates, so each call gets a
+        # fresh copy of the same partial assignment.
+        rng = random.Random(1121)
+        for _ in range(300):
+            sp = random_subproblem(rng)
+            u0 = [v for v in range(sp.graph.n) if sp.side_of(v) == 0]
+            u1 = [v for v in range(sp.graph.n) if sp.side_of(v) == 1]
+
+            def fresh():
+                return recompute_from_scratch(sp.graph, u0, u1, sp.s0, sp.s1)
+
+            for cfg in CONFIG_PRESETS.values():
+                full = lower_bound(fresh(), cfg)
+                for cutoff in (full - 1, full, full + 1, rng.randint(0, 2 * full + 1)):
+                    got = lower_bound(fresh(), cfg, cutoff)
+                    if full < cutoff:
+                        assert got == full
+                    else:
+                        assert cutoff <= got <= full
+
     def test_integer_bounds(self):
         rng = random.Random(1020)
         for _ in range(50):

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from bipart.bounds import FULL_CONFIG, lower_bound
+from checks import random_partial_assignment
+
+from bipart.bounds import FULL_CONFIG, lower_bound, rebalance_bound
 from bipart.completion import (
     greedy_initial_solution,
     make_solution,
@@ -116,6 +118,22 @@ class TestRebalancingCompletionValue:
 
         value = rebalancing_completion_value(sp)
         assert value == sp.fixed_cut + basic_bound(sp) + rebalance_value(sp)
+
+    def test_matches_cut_of_implied_completion(self):
+        # The defining reference: place the free vertices by the rebalancing
+        # order and take the cut of the whole assignment.
+        rng = random.Random(3233)
+        for _ in range(1000):
+            n = rng.randint(2, 22)
+            g = generate_er(n, rng.choice([0.15, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            s0 = rng.randint(1, n - 1)
+            sp = random_partial_assignment(rng, g, s0, n - s0)
+            _, order = rebalance_bound(sp)
+            sides = [sp.side_of(v) for v in range(n)]
+            for i, v in enumerate(order):
+                sides[v] = 0 if i < sp.f0 else 1
+            assert rebalancing_completion_value(sp) == cut_value(g, sides)
 
     def test_upper_bounds_lower_bound(self):
         rng = random.Random(3033)

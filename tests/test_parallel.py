@@ -64,6 +64,17 @@ class TestSolveParallel:
         par = solve_parallel(g, 6, 6, CONFIG_PRESETS["rebalance"], threads=1)
         assert par.optimum == seq.optimum
 
+    @pytest.mark.parametrize("preset", list(CONFIG_PRESETS))
+    def test_single_thread_dfs_explores_the_sequential_tree(self, preset):
+        cfg = CONFIG_PRESETS[preset]
+        for seed in range(3):
+            g = generate_er(18, 0.5, 1, 1000, seed)
+            seq = solve_sequential(g, 9, 9, cfg)
+            par = solve_parallel(g, 9, 9, cfg, threads=1)
+            assert (par.subproblems_explored, par.popped, par.irrelevant_tasks) == (
+                seq.subproblems_explored, seq.popped, seq.irrelevant_tasks
+            )
+
     @pytest.mark.parametrize("threads", [2, 4, 8])
     def test_matches_oracle_across_threads(self, threads):
         rng = random.Random(100 + threads)

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from bipart.bounds import CONFIG_PRESETS
-from bipart.completion import make_solution
+from checks import assert_equivalent
+
+from bipart.bounds import CONFIG_PRESETS, lower_bound
+from bipart.completion import greedy_initial_solution, make_solution
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.solver import (
     SearchStrategy,
     branch_vertex,
+    expand,
     priority,
     solve_sequential,
 )
@@ -161,3 +164,98 @@ class TestSolveSequential:
             solve_sequential(example_graph(), 0, 4)
         with pytest.raises(ValueError):
             solve_sequential(example_graph(), 3, 2)
+
+
+# (optimum, subproblems_explored, popped, irrelevant_tasks) of
+# solve_sequential on G(n, p, 1..1000, seed), sides n//2 | n - n//2.  Any
+# change to a bound, a pruning test or the exploration order moves these.
+PINNED_COUNTS = {
+    (18, 0.5, 0): {
+        "trivial": {"dfs": (13889, 911, 911, 0), "lb": (13889, 909, 909, 0), "gap": (13889, 1435, 1436, 1)},
+        "rebalance": {"dfs": (13889, 425, 426, 1), "lb": (13889, 422, 552, 130), "gap": (13889, 549, 551, 2)},
+        "highdegree": {"dfs": (13889, 346, 347, 1), "lb": (13889, 343, 437, 94), "gap": (13889, 713, 718, 5)},
+        "component": {"dfs": (13889, 341, 342, 1), "lb": (13889, 338, 435, 97), "gap": (13889, 697, 699, 2)},
+    },
+    (18, 0.5, 1): {
+        "trivial": {"dfs": (11442, 850, 850, 0), "lb": (11442, 829, 829, 0), "gap": (11442, 1024, 1027, 3)},
+        "rebalance": {"dfs": (11442, 468, 468, 0), "lb": (11442, 460, 489, 29), "gap": (11442, 477, 477, 0)},
+        "highdegree": {"dfs": (11442, 403, 403, 0), "lb": (11442, 396, 417, 21), "gap": (11442, 412, 412, 0)},
+        "component": {"dfs": (11442, 393, 393, 0), "lb": (11442, 385, 410, 25), "gap": (11442, 401, 401, 0)},
+    },
+    (18, 0.5, 2): {
+        "trivial": {"dfs": (12629, 754, 754, 0), "lb": (12629, 743, 743, 0), "gap": (12629, 1157, 1158, 1)},
+        "rebalance": {"dfs": (12629, 397, 397, 0), "lb": (12629, 385, 458, 73), "gap": (12629, 562, 562, 0)},
+        "highdegree": {"dfs": (12629, 331, 331, 0), "lb": (12629, 316, 387, 71), "gap": (12629, 438, 439, 1)},
+        "component": {"dfs": (12629, 327, 327, 0), "lb": (12629, 316, 388, 72), "gap": (12629, 437, 438, 1)},
+    },
+    (22, 0.2, 0): {
+        "trivial": {"dfs": (4041, 560, 561, 1), "lb": (4041, 515, 519, 4), "gap": (4041, 646, 652, 6)},
+        "rebalance": {"dfs": (4041, 334, 335, 1), "lb": (4041, 305, 327, 22), "gap": (4041, 410, 416, 6)},
+        "highdegree": {"dfs": (4041, 334, 335, 1), "lb": (4041, 305, 327, 22), "gap": (4041, 408, 414, 6)},
+        "component": {"dfs": (4041, 309, 309, 0), "lb": (4041, 284, 339, 55), "gap": (4041, 381, 385, 4)},
+    },
+    (22, 0.2, 1): {
+        "trivial": {"dfs": (5667, 637, 637, 0), "lb": (5667, 637, 637, 0), "gap": (5667, 637, 637, 0)},
+        "rebalance": {"dfs": (5667, 268, 268, 0), "lb": (5667, 268, 268, 0), "gap": (5667, 268, 268, 0)},
+        "highdegree": {"dfs": (5667, 267, 267, 0), "lb": (5667, 267, 267, 0), "gap": (5667, 267, 267, 0)},
+        "component": {"dfs": (5667, 245, 245, 0), "lb": (5667, 245, 245, 0), "gap": (5667, 245, 245, 0)},
+    },
+    (22, 0.2, 2): {
+        "trivial": {"dfs": (3932, 1364, 1364, 0), "lb": (3932, 1096, 1096, 0), "gap": (3932, 1367, 1371, 4)},
+        "rebalance": {"dfs": (3932, 786, 787, 1), "lb": (3932, 590, 666, 76), "gap": (3932, 757, 762, 5)},
+        "highdegree": {"dfs": (3932, 783, 784, 1), "lb": (3932, 589, 665, 76), "gap": (3932, 756, 761, 5)},
+        "component": {"dfs": (3932, 706, 707, 1), "lb": (3932, 546, 626, 80), "gap": (3932, 672, 675, 3)},
+    },
+}
+
+
+@pytest.mark.parametrize("n,p,seed", sorted(PINNED_COUNTS))
+def test_pinned_node_counts(n, p, seed):
+    g = generate_er(n, p, 1, 1000, seed)
+    got = {}
+    for preset, cfg in CONFIG_PRESETS.items():
+        for strategy in SearchStrategy:
+            r = solve_sequential(g, n // 2, n - n // 2, cfg, strategy)
+            got.setdefault(preset, {})[strategy.value] = (
+                r.optimum, r.subproblems_explored, r.popped, r.irrelevant_tasks
+            )
+    assert got == PINNED_COUNTS[(n, p, seed)]
+
+
+@pytest.mark.parametrize("preset", ["highdegree", "component"])
+def test_search_keeps_only_fully_maintained_children(preset):
+    """A DFS through expand: every kept child has its upkeep done and
+    matches the from-scratch oracle."""
+    cfg = CONFIG_PRESETS[preset]
+    rng = random.Random(727)
+    for _ in range(25):
+        n = rng.randint(4, 16)
+        g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                        rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+        s0 = rng.randint(1, n - 1)
+        best = greedy_initial_solution(g, s0, n - s0).value
+        root = root_subproblem(g, s0, n - s0, maintain_hd=True)
+        root.lb = lower_bound(root, cfg)
+        stack = [root]
+        while stack:
+            sp = stack.pop()
+            if sp.lb >= best:
+                continue
+            sol, children = expand(sp, cfg, best)
+            if sol is not None:
+                best = min(best, sol.value)
+                continue
+            for child in reversed(children):
+                if child.lb >= best:
+                    continue
+                assert child.deferred_upkeep is None
+                rc = recompute_from_scratch(
+                    g,
+                    [v for v in range(n) if (child.a0 >> v) & 1],
+                    [v for v in range(n) if (child.a1 >> v) & 1],
+                    s0,
+                    n - s0,
+                )
+                assert_equivalent(child, rc)
+                stack.append(child)
+        assert best == brute_force_optimum(g, s0, n - s0).optimum

@@ -119,3 +119,31 @@ class TestRecompute:
                     s1,
                 )
                 assert_equivalent(sp, rc)
+
+
+class TestDeferredUpkeep:
+    def test_unread_ancestors_are_finished_on_demand(self):
+        # No counter is read along the trajectory, so every state's upkeep
+        # is still deferred; reading the last one must finish its whole
+        # chain of ancestors first.
+        rng = random.Random(131)
+        for _ in range(60):
+            n = rng.randint(2, 16)
+            g = generate_er(n, rng.choice([0.15, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            s0 = rng.randint(1, n - 1)
+            states = [root_subproblem(g, s0, n - s0)]
+            while states[-1].f:
+                sp = states[-1]
+                side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
+                states.append(sp.assign(rng.choice(sp.free_list), side))
+            for sp in reversed(states):
+                rc = recompute_from_scratch(
+                    g,
+                    [v for v in range(n) if (sp.a0 >> v) & 1],
+                    [v for v in range(n) if (sp.a1 >> v) & 1],
+                    s0,
+                    n - s0,
+                )
+                assert_equivalent(sp, rc)
+                assert sp.deferred_upkeep is None
