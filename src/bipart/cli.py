@@ -15,7 +15,7 @@ from itertools import product
 
 from .graph import GraphFormatError, generate_er, parse_graph, serialize_graph
 from .bounds import CONFIG_PRESETS, BoundConfig
-from .solver import SearchStrategy, solve_sequential
+from .solver import SearchStrategy
 from .parallel import solve_parallel
 
 THREADS_ENV_VAR = "BIPART_THREADS"
@@ -62,17 +62,6 @@ def _default_threads() -> int:
     if value < 1:
         raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
     return value
-
-
-def _run_solve(graph, s0, s1, cfg, strategy, threads, initial_value=None):
-    if threads == 1:
-        return solve_sequential(
-            graph, s0, s1, cfg, strategy, initial_value=initial_value
-        )
-    return solve_parallel(
-        graph, s0, s1, cfg, strategy, threads=threads,
-        initial_value=initial_value,
-    )
 
 
 def _result_row(result, *, n=None, p=None, wmax=None, seed=None,
@@ -151,11 +140,12 @@ def cmd_solve(args) -> int:
     name, cfg = _config_from_args(args)
     strategy = STRATEGIES[args.strategy]
     threads = args.threads if args.threads is not None else _default_threads()
-    result = _run_solve(graph, s0, s1, cfg, strategy, threads)
+    result = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
     with_optimal = None
     if args.initial is not None:
-        seeded = _run_solve(
-            graph, s0, s1, cfg, strategy, threads, initial_value=args.initial
+        seeded = solve_parallel(
+            graph, s0, s1, cfg, strategy, threads=threads,
+            initial_value=args.initial,
         )
         with_optimal = seeded.subproblems_explored
     _write_rows(
@@ -246,12 +236,14 @@ def run_campaign(campaign: dict, reps: int | None = None):
                 times = []
                 result = None
                 for _ in range(max(1, reps)):
-                    result = _run_solve(graph, s0, s1, cfg, strategy, threads)
+                    result = solve_parallel(
+                        graph, s0, s1, cfg, strategy, threads=threads
+                    )
                     times.append(result.time_total)
                 with_optimal = None
                 if campaign["with_optimal"]:
-                    seeded = _run_solve(
-                        graph, s0, s1, cfg, strategy, threads,
+                    seeded = solve_parallel(
+                        graph, s0, s1, cfg, strategy, threads=threads,
                         initial_value=result.optimum,
                     )
                     with_optimal = seeded.subproblems_explored

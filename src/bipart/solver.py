@@ -1,13 +1,16 @@
-"""Sequential branch-and-bound engine.
+"""Branch-and-bound engine: the prologue and expansion step shared by both
+entry points, and the sequential search loop.
 
-The search loop pops a subproblem according to the selected strategy,
-drops it when its stored lower bound no longer beats the incumbent
-(counted separately as an irrelevant task), otherwise tries the completion
-rules and, failing those, branches on the free vertex with the largest
-guaranteed bound increase.  Child bounds are computed once at creation,
-cheapest term first against the incumbent, and stored with the child; a
-child whose bound reaches the incumbent is dropped on the spot, before its
-high-degree upkeep, component BFS or gap estimate is built.
+The loop keeps a priority heap keyed by (-priority, push number), the key
+the thread pool uses too; dfs keeps a plain stack, which pops in the same
+order.  It pops the best subproblem, drops it when its stored lower bound
+no longer beats the incumbent (counted separately as an irrelevant task),
+otherwise tries the completion rules and, failing those, branches on the
+free vertex with the largest guaranteed bound increase.  Child bounds are
+computed once at creation, cheapest term first against the incumbent, and
+stored with the child; a child whose bound reaches the incumbent is dropped
+on the spot, before its high-degree upkeep, component BFS or gap estimate
+is built.
 """
 
 from __future__ import annotations
@@ -103,6 +106,31 @@ def expand(sp, cfg, cutoff):
     return None, children
 
 
+def prologue(graph, s0, s1, cfg, initial, initial_value):
+    """Checks, incumbent seed and root shared by both search entry points.
+
+    Returns (t_start, best, best_value, t_best, root): the incumbent is
+    `initial` when given, else the greedy heuristic; `initial_value` caps
+    its value without an assignment (best is then None).  `t_best` is the
+    seed's time stamp and `root` carries its full lower bound.
+    """
+    t_start = time.perf_counter()
+    if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
+        raise ValueError(f"invalid sizes ({s0},{s1}) for n={graph.n}")
+    if initial is not None and len(initial.assignment) != graph.n:
+        raise ValueError("initial solution does not match the graph")
+    best = initial if initial is not None else greedy_initial_solution(
+        graph, s0, s1
+    )
+    best_value = best.value
+    if initial_value is not None and initial_value < best_value:
+        best, best_value = None, initial_value
+    t_best = time.perf_counter() - t_start
+    root = root_subproblem(graph, s0, s1, maintain_hd=cfg.enable_high_degree)
+    root.lb = lower_bound(root, cfg)
+    return t_start, best, best_value, t_best, root
+
+
 def solve_sequential(
     graph: WeightedGraph,
     s0: int,
@@ -120,43 +148,22 @@ def solve_sequential(
     value: the returned best is then None unless something better was
     found).  Identical inputs give identical results and counts.
     """
-    t_start = time.perf_counter()
-    if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
-        raise ValueError(f"invalid sizes ({s0},{s1}) for n={graph.n}")
+    t_start, best_sol, best_value, t_best, root = prologue(
+        graph, s0, s1, cfg, initial, initial_value
+    )
+    solutions_found = 0 if best_sol is None else 1
 
-    if initial is not None:
-        if len(initial.assignment) != graph.n:
-            raise ValueError("initial solution does not match the graph")
-        best_sol: Solution | None = initial
-        best_value = initial.value
-        solutions_found = 1
-    else:
-        best_sol = greedy_initial_solution(graph, s0, s1)
-        best_value = best_sol.value
-        solutions_found = 1
-    if initial_value is not None and initial_value < best_value:
-        best_value = initial_value
-        best_sol = None
-        solutions_found = 0
-    t_best = time.perf_counter() - t_start
-
-    root = root_subproblem(graph, s0, s1, maintain_hd=cfg.enable_high_degree)
-    root.lb = lower_bound(root, cfg)
-
-    use_stack = strategy is SearchStrategy.DFS
-    stack: list[Subproblem] = []
-    heap: list[tuple[float, int, Subproblem]] = []
-    counter = 0
-    if use_stack:
-        stack.append(root)
-    else:
-        heapq.heappush(heap, (-priority(root, strategy), counter, root))
-
+    # dfs keeps a plain stack, side 0 on top.  The heap key (-depth, push
+    # number) pops in the same order, but made sequential dfs solves about
+    # 2-3% slower.
+    dfs = strategy is SearchStrategy.DFS
+    frontier = [root] if dfs else [(-priority(root, strategy), 0, root)]
+    pushes = 0
     explored = 0
     irrelevant = 0
     popped = 0
-    while stack or heap:
-        sp = stack.pop() if use_stack else heapq.heappop(heap)[2]
+    while frontier:
+        sp = frontier.pop() if dfs else heapq.heappop(frontier)[2]
         popped += 1
         if sp.lb >= best_value:
             irrelevant += 1
@@ -170,18 +177,17 @@ def solve_sequential(
                 solutions_found += 1
                 t_best = time.perf_counter() - t_start
             continue
-        if use_stack:
-            # Side-0 child pushed last so it is explored first.
+        if dfs:
             for child in reversed(children):
                 if child.lb < best_value:
-                    stack.append(child)
-        else:
-            for child in children:
-                if child.lb < best_value:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (-priority(child, strategy), counter, child)
-                    )
+                    frontier.append(child)
+            continue
+        for child in children:
+            if child.lb < best_value:
+                pushes += 1
+                heapq.heappush(
+                    frontier, (-priority(child, strategy), pushes, child)
+                )
 
     return SolveResult(
         best=best_sol,

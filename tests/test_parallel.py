@@ -1,11 +1,13 @@
 import random
+import sys
 import threading
 
 import pytest
 
+import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS
 from bipart.completion import Solution
-from bipart.graph import build_graph, generate_er
+from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import Incumbent, solve_parallel
 from bipart.solver import SearchStrategy, solve_sequential
@@ -66,14 +68,17 @@ class TestSolveParallel:
 
     @pytest.mark.parametrize("preset", list(CONFIG_PRESETS))
     def test_single_thread_dfs_explores_the_sequential_tree(self, preset):
+        """One thread explores the sequential tree, dfs and every other
+        strategy alike."""
         cfg = CONFIG_PRESETS[preset]
-        for seed in range(3):
-            g = generate_er(18, 0.5, 1, 1000, seed)
-            seq = solve_sequential(g, 9, 9, cfg)
-            par = solve_parallel(g, 9, 9, cfg, threads=1)
-            assert (par.subproblems_explored, par.popped, par.irrelevant_tasks) == (
-                seq.subproblems_explored, seq.popped, seq.irrelevant_tasks
-            )
+        for strategy in SearchStrategy:
+            for seed in range(3):
+                g = generate_er(18, 0.5, 1, 1000, seed)
+                seq = solve_sequential(g, 9, 9, cfg, strategy)
+                par = solve_parallel(g, 9, 9, cfg, strategy, threads=1)
+                assert (
+                    par.subproblems_explored, par.popped, par.irrelevant_tasks
+                ) == (seq.subproblems_explored, seq.popped, seq.irrelevant_tasks)
 
     @pytest.mark.parametrize("threads", [2, 4, 8])
     def test_matches_oracle_across_threads(self, threads):
@@ -123,3 +128,76 @@ class TestSolveParallel:
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ValueError):
             solve_parallel(complete_unweighted(4), 2, 2, threads=0)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_worker_failure_is_reraised_without_hanging(
+        self, threads, monkeypatch
+    ):
+        g = generate_er(18, 0.5, 1, 1000, seed=0)
+        real_expand = bipart.parallel.expand
+        for fail_at in (0, 5, 60):
+            calls = [0]
+            lock = threading.Lock()
+
+            def failing_expand(sp, cfg, cutoff):
+                with lock:
+                    calls[0] += 1
+                    n = calls[0]
+                if n > fail_at:
+                    raise RuntimeError(f"expand call {n}")
+                return real_expand(sp, cfg, cutoff)
+
+            monkeypatch.setattr(bipart.parallel, "expand", failing_expand)
+            outcome = []
+
+            def run():
+                try:
+                    solve_parallel(
+                        g, 9, 9, CONFIG_PRESETS["rebalance"], threads=threads
+                    )
+                except RuntimeError as exc:
+                    outcome.append(exc)
+                else:
+                    outcome.append(None)
+
+            t = threading.Thread(target=run, daemon=True)
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive(), f"solve hung after expand failed ({fail_at})"
+            assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
+
+    def test_pool_stress_more_workers_than_cores(self):
+        """Eight workers with a tiny switch interval: a lost update of the
+        busy count or the tallies would hang a solve, lose a task (wrong
+        optimum) or break popped == explored + irrelevant."""
+        rng = random.Random(4242)
+        instances = []
+        for _ in range(20):
+            n = rng.randint(10, 14)
+            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            s0 = rng.randint(1, n - 1)
+            instances.append((g, s0, brute_force_optimum(g, s0, n - s0).optimum))
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for g, s0, expected in instances:
+                for strategy in SearchStrategy:
+                    out = []
+                    t = threading.Thread(
+                        target=lambda: out.append(solve_parallel(
+                            g, s0, g.n - s0, CONFIG_PRESETS["trivial"],
+                            strategy, threads=8,
+                        )),
+                        daemon=True,
+                    )
+                    t.start()
+                    t.join(timeout=60)
+                    assert not t.is_alive(), f"{strategy.value} solve hung"
+                    r = out[0]
+                    assert r.optimum == expected
+                    assert r.popped == r.subproblems_explored + r.irrelevant_tasks
+                    if r.best is not None:
+                        assert cut_value(g, r.best.assignment) == expected
+        finally:
+            sys.setswitchinterval(old_interval)
