@@ -61,14 +61,6 @@ class Incumbent:
                 return True
             return False
 
-    def cap_value(self, value: int) -> None:
-        """Lower the pruning value without publishing an assignment."""
-        with self._lock:
-            if value < self.value:
-                self.value = value
-                self.solution = None
-                self.accepted = 0
-
 
 class _Pool:
     """The shared heap and the counts kept under its condition's lock."""

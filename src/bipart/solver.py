@@ -1,12 +1,13 @@
 """Branch-and-bound engine: the prologue and expansion step shared by both
 entry points, and the sequential search loop.
 
-The loop keeps a priority heap keyed by (-priority, push number), the key
-the thread pool uses too; dfs keeps a plain stack, which pops in the same
-order.  It pops the best subproblem, drops it when its stored lower bound
-no longer beats the incumbent (counted separately as an irrelevant task),
-otherwise tries the completion rules and, failing those, branches on the
-free vertex with the largest guaranteed bound increase.  Child bounds are
+The loop keeps one priority heap keyed by (-priority, push number) for
+every strategy, the key the thread pool uses too: ties go to the earlier
+push and side 0 is pushed first, so dfs pops in plain stack order.  It
+pops the best subproblem, drops it when its stored lower bound no longer
+beats the incumbent (counted separately as an irrelevant task), otherwise
+tries the completion rules and, failing those, branches on the free
+vertex with the largest guaranteed bound increase.  Child bounds are
 computed once at creation, cheapest term first against the incumbent, and
 stored with the child; a child whose bound reaches the incumbent is dropped
 on the spot, before its high-degree upkeep, component BFS or gap estimate
@@ -153,17 +154,13 @@ def solve_sequential(
     )
     solutions_found = 0 if best_sol is None else 1
 
-    # dfs keeps a plain stack, side 0 on top.  The heap key (-depth, push
-    # number) pops in the same order, but made sequential dfs solves about
-    # 2-3% slower.
-    dfs = strategy is SearchStrategy.DFS
-    frontier = [root] if dfs else [(-priority(root, strategy), 0, root)]
+    frontier = [(-priority(root, strategy), 0, root)]
     pushes = 0
     explored = 0
     irrelevant = 0
     popped = 0
     while frontier:
-        sp = frontier.pop() if dfs else heapq.heappop(frontier)[2]
+        sp = heapq.heappop(frontier)[2]
         popped += 1
         if sp.lb >= best_value:
             irrelevant += 1
@@ -176,11 +173,6 @@ def solve_sequential(
                 best_sol = sol
                 solutions_found += 1
                 t_best = time.perf_counter() - t_start
-            continue
-        if dfs:
-            for child in reversed(children):
-                if child.lb < best_value:
-                    frontier.append(child)
             continue
         for child in children:
             if child.lb < best_value:
