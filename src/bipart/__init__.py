@@ -1,6 +1,10 @@
 """Exact branch-and-bound solver for size-constrained weighted graph
 bipartitioning, with combinatorial lower bounds, sequential and parallel
-search, a brute-force oracle and a benchmark CLI."""
+search, a brute-force oracle and a benchmark CLI.
+
+The names below are the library surface; the bound terms, the search
+state and the other internals are imported from their submodules.
+"""
 
 from .graph import (
     GraphFormatError,
@@ -10,81 +14,29 @@ from .graph import (
     generate_er,
     parse_graph,
     serialize_graph,
-    validate_graph,
 )
-from .subproblem import Subproblem, recompute_from_scratch, root_subproblem
-from .bounds import (
-    CONFIG_PRESETS,
-    FULL_CONFIG,
-    BoundConfig,
-    basic_bound,
-    component_bound,
-    high_degree_bound,
-    high_degree_rebalance,
-    lower_bound,
-    rebalance_bound,
-    rebalance_value,
-)
-from .completion import (
-    Solution,
-    greedy_initial_solution,
-    make_solution,
-    rebalancing_completion_value,
-    try_complete,
-)
-from .solver import (
-    SearchStrategy,
-    SolveResult,
-    branch_vertex,
-    priority,
-    solve_sequential,
-)
-from .parallel import Incumbent, solve_parallel
-from .oracle import (
-    OracleResult,
-    brute_force_fixed_free_min,
-    brute_force_free_free_min,
-    brute_force_optimum,
-)
+from .bounds import CONFIG_PRESETS, BoundConfig
+from .completion import Solution
+from .solver import SearchStrategy, SolveResult, solve_sequential
+from .parallel import solve_parallel
+from .oracle import brute_force_optimum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundConfig",
     "CONFIG_PRESETS",
-    "FULL_CONFIG",
     "GraphFormatError",
-    "Incumbent",
-    "OracleResult",
     "SearchStrategy",
     "Solution",
     "SolveResult",
-    "Subproblem",
     "WeightedGraph",
-    "basic_bound",
-    "branch_vertex",
-    "brute_force_fixed_free_min",
-    "brute_force_free_free_min",
     "brute_force_optimum",
     "build_graph",
-    "component_bound",
     "cut_value",
     "generate_er",
-    "greedy_initial_solution",
-    "high_degree_bound",
-    "high_degree_rebalance",
-    "lower_bound",
-    "make_solution",
     "parse_graph",
-    "priority",
-    "rebalance_bound",
-    "rebalance_value",
-    "rebalancing_completion_value",
-    "recompute_from_scratch",
-    "root_subproblem",
     "serialize_graph",
     "solve_parallel",
     "solve_sequential",
-    "try_complete",
-    "validate_graph",
 ]

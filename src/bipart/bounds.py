@@ -65,7 +65,12 @@ def basic_bound(sp: Subproblem) -> int:
 
 
 def rebalance_value(sp: Subproblem) -> int:
-    """Rebalancing contribution alone (no completion); O(f log f)."""
+    """Rebalancing contribution; O(f log f).
+
+    With the free vertices in rebalance_bound's order (ascending delta =
+    d1 - d0, the first f0 on side 0), each pays what its side costs above
+    min(d0, d1).  basic + this value is tight for the fixed-free term.
+    """
     d0, d1 = sp.d0, sp.d1
     deltas = [d1[v] - d0[v] for v in sp.free_list]
     deltas.sort()
@@ -80,25 +85,14 @@ def rebalance_value(sp: Subproblem) -> int:
     return total
 
 
-def rebalance_bound(sp: Subproblem) -> tuple[int, list[int]]:
-    """Rebalancing contribution plus the completion that realizes it.
+def rebalance_bound(sp: Subproblem) -> list[int]:
+    """The completion that realizes rebalance_value.
 
-    Returns (value, order): free vertices sorted by ascending delta (ties
-    by vertex id); the first f0 belong to side 0 in the implied completion,
-    the rest to side 1.  basic + value is tight for the fixed-free term.
+    Free vertices sorted by ascending delta (ties by vertex id); the first
+    f0 belong to side 0 in the implied completion, the rest to side 1.
     """
     d0, d1 = sp.d0, sp.d1
-    order = sorted(sp.free_list, key=lambda v: (d1[v] - d0[v], v))
-    f0 = sp.f0
-    total = 0
-    for i, v in enumerate(order):
-        d = d1[v] - d0[v]
-        if i < f0:
-            if d > 0:
-                total += d
-        elif d < 0:
-            total -= d
-    return total, order
+    return sorted(sp.free_list, key=lambda v: (d1[v] - d0[v], v))
 
 
 def _sides_by_remaining(sp: Subproblem) -> tuple[int, int, int]:

@@ -112,6 +112,9 @@ def cmd_generate(args) -> int:
 # -- solve -------------------------------------------------------------------
 
 def _config_from_args(args) -> tuple[str, BoundConfig]:
+    if args.doubling and not args.high_degree:
+        # The doubling rule only rescales the high-degree term.
+        raise UsageError("--doubling needs --high-degree")
     cfg = BoundConfig(
         enable_rebalance=args.rebalance,
         enable_high_degree=args.high_degree,
@@ -133,11 +136,11 @@ def _config_from_args(args) -> tuple[str, BoundConfig]:
 
 
 def cmd_solve(args) -> int:
+    name, cfg = _config_from_args(args)
     with open(args.graph, "r", encoding="utf-8") as fh:
         graph = parse_graph(fh.read())
     s0 = args.s0 if args.s0 is not None else graph.n // 2
     s1 = args.s1 if args.s1 is not None else graph.n - s0
-    name, cfg = _config_from_args(args)
     strategy = STRATEGIES[args.strategy]
     threads = args.threads if args.threads is not None else _default_threads()
     result = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)

@@ -88,7 +88,7 @@ def try_complete(sp: Subproblem) -> Solution | None:
         return make_solution(g, sides, sp.s0, sp.s1)
 
     if sp.zero_free_degree_count == sp.f:
-        _, order = rebalance_bound(sp)
+        order = rebalance_bound(sp)
         sides = _sides_template(sp)
         for i, v in enumerate(order):
             sides[v] = 0 if i < sp.f0 else 1
@@ -106,7 +106,7 @@ def rebalancing_completion_value(sp: Subproblem) -> int:
     first f0 free vertices pay d1, the rest d0), plus the free-free edges
     that order cuts: O(f log f + free degrees), with no full cut pass.
     """
-    _, order = rebalance_bound(sp)
+    order = rebalance_bound(sp)
     d0, d1 = sp.d0, sp.d1
     f0 = sp.f0
     total = sp.fixed_cut

@@ -36,8 +36,9 @@ class Subproblem:
         "maintain_hd", "deferred_upkeep", "depth", "lb", "ub_est",
     )
 
-    # Instances are produced by root_subproblem, recompute_from_scratch
-    # and assign; direct construction is not part of the API.
+    # Instances are made in two places: recompute_from_scratch, which
+    # root_subproblem calls, and assign, for every child.  Direct
+    # construction is not part of the API.
 
     # -- basic queries ---------------------------------------------------
 
@@ -54,10 +55,6 @@ class Subproblem:
 
     def is_free(self, v: int) -> bool:
         return (self.free_mask >> v) & 1 == 1
-
-    def delta(self, v: int) -> int:
-        """Potential free weight increase d1[v] - d0[v] of free vertex v."""
-        return self.d1[v] - self.d0[v]
 
     # -- branching -------------------------------------------------------
 
@@ -257,64 +254,13 @@ def root_subproblem(
     """Root of the search tree for target sizes (s0, s1).
 
     When s0 == s1 the two sides are interchangeable, so vertex 0 is
-    pre-assigned to side 0 to avoid enumerating mirrored solutions.
+    pre-assigned to side 0 to avoid enumerating mirrored solutions.  Built
+    by recompute_from_scratch, so its estimates are exact.
     """
-    n = graph.n
-    if s0 <= 0 or s1 <= 0:
-        raise ValueError(f"subset sizes must be positive, got ({s0},{s1})")
-    if s0 + s1 != n:
-        raise ValueError(f"sizes ({s0},{s1}) do not sum to n={n}")
-    sp = _empty_state(graph, s0, s1, maintain_hd)
-    if s0 == s1:
-        sp = sp.assign(0, 0)
-        sp.depth = 0
-    return sp
-
-
-def _empty_state(graph, s0, s1, maintain_hd):
-    n = graph.n
-    sp = Subproblem.__new__(Subproblem)
-    sp.lb = None
-    sp.ub_est = None
-    sp.graph = graph
-    sp.s0, sp.s1 = s0, s1
-    sp.a0 = 0
-    sp.a1 = 0
-    sp.free_mask = (1 << n) - 1
-    sp.free_list = list(range(n))
-    sp.d0 = [0] * n
-    sp.d1 = [0] * n
-    sp.fixed_cut = 0
-    sp.f0, sp.f1 = s0, s1
-    sp.free_degree = list(graph.degrees)
-    sp.zero_free_degree_count = sum(1 for d in graph.degrees if d == 0)
-    sp.maintain_hd = maintain_hd
-    sp.deferred_upkeep = None
+    sp = recompute_from_scratch(
+        graph, [0] if s0 == s1 else [], [], s0, s1, maintain_hd
+    )
     sp.depth = 0
-    sp.approx_max_free_degree = max(graph.degrees, default=0)
-    sp.approx_max_component = n
-    scan0, scan1 = [0] * n, [0] * n
-    cnt0, cnt1 = [0] * n, [0] * n
-    w0, w1 = [0] * n, [0] * n
-    # With everything free, the seen edges are simply an adjacency prefix.
-    for v in range(n):
-        ws = graph.adj_w[v]
-        deg = graph.degrees[v]
-        for ft, scan, cnt, wsum in ((s0, scan0, cnt0, w0),
-                                    (s1, scan1, cnt1, w1)):
-            k = deg - max(ft, 1) + 1
-            if k > 0:
-                scan[v] = k
-                cnt[v] = k
-                wsum[v] = sum(ws[:k])
-    sp._scan = (scan0, scan1)
-    sp._seen_cnt = (cnt0, cnt1)
-    sp._seen_w = (w0, w1)
-    est = [0] * n
-    for v in range(n):
-        if graph.degrees[v]:
-            est[v] = max(graph.degrees[u] for u in graph.adj_nbr[v])
-    sp._max_adj_degree = est
     return sp
 
 
@@ -328,10 +274,11 @@ def recompute_from_scratch(
 ) -> Subproblem:
     """Build the Subproblem for assignment (u0, u1) directly from definitions.
 
-    u0 and u1 are iterables of vertex ids.  This is the oracle for the
-    incremental maintenance in assign(): every derived quantity is computed
-    by a fresh O(n + m) pass.  Scan cursors are set to the canonical minimal
-    positions; the estimate fields are set to their exact current values.
+    u0 and u1 are iterables of vertex ids.  This builds the root, and it is
+    the oracle for the incremental maintenance in assign(): every derived
+    quantity is computed by a fresh O(n + m) pass.  Scan cursors are set to
+    the canonical minimal positions; the estimate fields are set to their
+    exact current values.
     """
     n = graph.n
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:

@@ -61,10 +61,9 @@ class TestBasic:
 class TestRebalance:
     def test_k3_subproblem(self):
         sp = recompute_from_scratch(k3_weighted(), [0], [2], 2, 1)
-        value, order = rebalance_bound(sp)
-        assert value == 2
-        assert order == [1]
-        assert basic_bound(sp) + value == 5
+        assert rebalance_value(sp) == 2
+        assert rebalance_bound(sp) == [1]
+        assert basic_bound(sp) + rebalance_value(sp) == 5
         assert brute_force_fixed_free_min(sp) == 5
 
     def test_all_deltas_zero(self):
@@ -88,7 +87,13 @@ class TestRebalance:
         rng = random.Random(7)
         for _ in range(50):
             sp = random_subproblem(rng)
-            assert rebalance_value(sp) == rebalance_bound(sp)[0]
+            order = rebalance_bound(sp)
+            assert sorted(order) == sp.free_list
+            # The order pays exactly the value: side 0 takes the first f0.
+            deltas = [sp.d1[v] - sp.d0[v] for v in order]
+            paid = (sum(d for d in deltas[:sp.f0] if d > 0)
+                    - sum(d for d in deltas[sp.f0:] if d < 0))
+            assert rebalance_value(sp) == paid
 
 
 class TestHighDegree:

@@ -118,6 +118,17 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_doubling_without_high_degree_is_usage_error(
+        self, example_file, capsys
+    ):
+        # Doubling only rescales the high-degree term; alone it would solve
+        # without it while the config column said "doubling".
+        for flags in (["--doubling"], ["--rebalance", "--doubling"]):
+            code, out, err = run_cli(capsys, "solve", example_file, *flags)
+            assert code == 1
+            assert "usage error" in err and "--high-degree" in err
+            assert out == ""
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--bogus")
         assert code == 1

@@ -129,7 +129,7 @@ class TestRebalancingCompletionValue:
                             rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
             s0 = rng.randint(1, n - 1)
             sp = random_partial_assignment(rng, g, s0, n - s0)
-            _, order = rebalance_bound(sp)
+            order = rebalance_bound(sp)
             sides = [sp.side_of(v) for v in range(n)]
             for i, v in enumerate(order):
                 sides[v] = 0 if i < sp.f0 else 1

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from checks import assert_equivalent
 
@@ -8,6 +9,7 @@ from bipart.bounds import CONFIG_PRESETS, lower_bound
 from bipart.completion import greedy_initial_solution, make_solution
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
+from bipart.parallel import solve_parallel
 from bipart.solver import (
     SearchStrategy,
     branch_vertex,
@@ -209,17 +211,112 @@ PINNED_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("n,p,seed", sorted(PINNED_COUNTS))
-def test_pinned_node_counts(n, p, seed):
-    g = generate_er(n, p, 1, 1000, seed)
+def search_counts(g, s0, s1):
+    """preset -> strategy -> (optimum, explored, popped, irrelevant)."""
     got = {}
     for preset, cfg in CONFIG_PRESETS.items():
         for strategy in SearchStrategy:
-            r = solve_sequential(g, n // 2, n - n // 2, cfg, strategy)
+            r = solve_sequential(g, s0, s1, cfg, strategy)
             got.setdefault(preset, {})[strategy.value] = (
                 r.optimum, r.subproblems_explored, r.popped, r.irrelevant_tasks
             )
-    assert got == PINNED_COUNTS[(n, p, seed)]
+    return got
+
+
+@pytest.mark.parametrize("n,p,seed", sorted(PINNED_COUNTS))
+def test_pinned_node_counts(n, p, seed):
+    g = generate_er(n, p, 1, 1000, seed)
+    assert search_counts(g, n // 2, n - n // 2) == PINNED_COUNTS[(n, p, seed)]
+
+
+def disjoint_union(*parts):
+    """The given graphs side by side, vertex ids offset in order."""
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset, w) for u, v, w in g.edges()]
+        offset += g.n
+    return build_graph(offset, edges)
+
+
+# Inputs PINNED_COUNTS lacks, where the root differs from the connected,
+# equal-sided case: two disconnected graphs whose largest component fits
+# the larger side (the root's component estimate is below n), and an ER
+# graph with unequal sides (no vertex is pre-assigned at the root).
+# name -> (graph, s0, s1).
+IRREGULAR_INSTANCES = {
+    "components 7+6+5, sides 9|9": lambda: (disjoint_union(
+        generate_er(7, 0.6, 1, 1000, 2), generate_er(6, 0.7, 1, 1000, 3),
+        generate_er(5, 0.8, 1, 1000, 4)), 9, 9),
+    "components 9+6+4+1, sides 6|14": lambda: (disjoint_union(
+        generate_er(9, 0.6, 1, 1000, 15), generate_er(6, 0.7, 1, 1000, 16),
+        generate_er(4, 1.0, 1, 1000, 17), build_graph(1, [])), 6, 14),
+    "G(18, 0.5, 0), sides 6|12": lambda: (
+        generate_er(18, 0.5, 1, 1000, 0), 6, 12),
+}
+
+# Same layout as PINNED_COUNTS, for IRREGULAR_INSTANCES.
+PINNED_COUNTS_IRREGULAR = {
+    "components 7+6+5, sides 9|9": {
+        "trivial": {"dfs": (1234, 88, 90, 2), "lb": (1234, 59, 69, 10), "gap": (1234, 75, 88, 13)},
+        "rebalance": {"dfs": (1234, 74, 75, 1), "lb": (1234, 47, 63, 16), "gap": (1234, 69, 80, 11)},
+        "highdegree": {"dfs": (1234, 58, 59, 1), "lb": (1234, 35, 69, 34), "gap": (1234, 64, 74, 10)},
+        "component": {"dfs": (1234, 59, 60, 1), "lb": (1234, 36, 71, 35), "gap": (1234, 64, 74, 10)},
+    },
+    "components 9+6+4+1, sides 6|14": {
+        "trivial": {"dfs": (0, 124, 126, 2), "lb": (0, 24, 43, 19), "gap": (0, 34, 49, 15)},
+        "rebalance": {"dfs": (0, 100, 102, 2), "lb": (0, 16, 31, 15), "gap": (0, 30, 43, 13)},
+        "highdegree": {"dfs": (0, 100, 102, 2), "lb": (0, 16, 31, 15), "gap": (0, 30, 43, 13)},
+        "component": {"dfs": (0, 100, 102, 2), "lb": (0, 16, 31, 15), "gap": (0, 30, 43, 13)},
+    },
+    "G(18, 0.5, 0), sides 6|12": {
+        "trivial": {"dfs": (11798, 1112, 1112, 0), "lb": (11798, 918, 943, 25), "gap": (11798, 997, 997, 0)},
+        "rebalance": {"dfs": (11798, 540, 541, 1), "lb": (11798, 421, 617, 196), "gap": (11798, 421, 422, 1)},
+        "highdegree": {"dfs": (11798, 480, 481, 1), "lb": (11798, 369, 555, 186), "gap": (11798, 369, 370, 1)},
+        "component": {"dfs": (11798, 466, 466, 0), "lb": (11798, 359, 543, 184), "gap": (11798, 359, 360, 1)},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS_IRREGULAR))
+def test_pinned_node_counts_irregular(name):
+    g, s0, s1 = IRREGULAR_INSTANCES[name]()
+    assert search_counts(g, s0, s1) == PINNED_COUNTS_IRREGULAR[name]
+
+
+@st.composite
+def irregular_instances(draw):
+    """(graph, s0, s1) of the kinds generate_er never emits: zero weights,
+    isolated vertices, several components and sides of size 1.
+
+    Each vertex draws a block label and edges join only equal labels, so
+    graphs fall apart into components; a vertex none of its block's edges
+    reach is isolated.
+    """
+    n = draw(st.integers(min_value=2, max_value=10))
+    blocks = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, blocks - 1), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if labels[u] == labels[v]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
+                  if pairs else st.just([]))
+    weight = st.sampled_from([0, 0, 1, 2, 5, 1000])
+    edges = [(u, v, draw(weight)) for u, v in chosen]
+    s0 = draw(st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1])))
+    return build_graph(n, edges), s0, n - s0
+
+
+@given(irregular_instances())
+@settings(max_examples=300, deadline=None)
+def test_irregular_inputs_match_oracle(instance):
+    g, s0, s1 = instance
+    expected = brute_force_optimum(g, s0, s1).optimum
+    for cfg in CONFIG_PRESETS.values():
+        for strategy in SearchStrategy:
+            r = solve_sequential(g, s0, s1, cfg, strategy)
+            assert r.optimum == r.best.value == expected
+            assert solve_parallel(
+                g, s0, s1, cfg, strategy, threads=2
+            ).optimum == expected
 
 
 @pytest.mark.parametrize("preset", ["highdegree", "component"])
