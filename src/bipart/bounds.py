@@ -10,8 +10,7 @@ Four contributions on top of the fixed cut:
 * high-degree: a free vertex with more free neighbors than the larger side
   can absorb must cut some free edges; cheapest ones counted in half-units
   (each edge may be claimed by both endpoints), with its own rebalancing
-  term and an optional doubling rule for vertices whose neighborhood is
-  provably low-degree.
+  term.
 * component: a connected free component larger than the bigger side must be
   split, paying at least its lightest internal edge.
 
@@ -33,7 +32,6 @@ class BoundConfig:
 
     enable_rebalance: bool = False
     enable_high_degree: bool = False
-    enable_hd_doubling: bool = False
     enable_component: bool = False
 
 
@@ -41,14 +39,9 @@ class BoundConfig:
 CONFIG_PRESETS: dict[str, BoundConfig] = {
     "trivial": BoundConfig(),
     "rebalance": BoundConfig(enable_rebalance=True),
-    "highdegree": BoundConfig(
-        enable_rebalance=True, enable_high_degree=True, enable_hd_doubling=True
-    ),
+    "highdegree": BoundConfig(enable_rebalance=True, enable_high_degree=True),
     "component": BoundConfig(
-        enable_rebalance=True,
-        enable_high_degree=True,
-        enable_hd_doubling=True,
-        enable_component=True,
+        enable_rebalance=True, enable_high_degree=True, enable_component=True
     ),
 }
 FULL_CONFIG = CONFIG_PRESETS["component"]
@@ -102,7 +95,7 @@ def _sides_by_remaining(sp: Subproblem) -> tuple[int, int, int]:
     return 1, sp.f1, sp.f0
 
 
-def high_degree_bound(sp: Subproblem, doubling: bool = False) -> int:
+def high_degree_bound(sp: Subproblem) -> int:
     """High-degree contribution in half-units (twice the weight bound).
 
     Reads the maintained seen-weight counters of the side with more
@@ -116,15 +109,8 @@ def high_degree_bound(sp: Subproblem, doubling: bool = False) -> int:
         return 0
     w_big = sp.seen_w[big]
     total = 0
-    if doubling:
-        est = sp.max_adj_degree
-        for v in sp.free_list:
-            w = w_big[v]
-            if w:
-                total += 2 * w if est[v] < f_small else w
-    else:
-        for v in sp.free_list:
-            total += w_big[v]
+    for v in sp.free_list:
+        total += w_big[v]
     return total
 
 
@@ -158,9 +144,9 @@ def component_bound(sp: Subproblem) -> int:
     """Lightest edge of a free component larger than the bigger side.
 
     Runs a BFS over the free-induced subgraph, refreshing the owner's
-    cached largest-component size, maximum free-degree and per-vertex
-    max-adjacent-degree estimates as a side effect.  Skipped (0) unless
-    the inherited component-size estimate exceeds f_big.
+    cached largest-component size and maximum free-degree estimates as a
+    side effect.  Skipped (0) unless the inherited component-size estimate
+    exceeds f_big.  The result is at most the graph's heaviest edge weight.
     """
     big, f_big, f_small = _sides_by_remaining(sp)
     if sp.approx_max_component <= f_big:
@@ -168,8 +154,6 @@ def component_bound(sp: Subproblem) -> int:
     g = sp.graph
     free_mask = sp.free_mask
     deg = sp.free_degree
-    refresh_est = sp.maintain_hd
-    est = sp.max_adj_degree
     visited = 0
     largest = 0
     max_deg = 0
@@ -190,20 +174,15 @@ def component_bound(sp: Subproblem) -> int:
                 max_deg = deg[x]
             a_n = g.adj_nbr[x]
             a_w = g.adj_w[x]
-            best_adj = 0
             for j in range(len(a_n)):
                 u = a_n[j]
                 if (free_mask >> u) & 1:
                     w = a_w[j]
                     if min_w < 0 or w < min_w:
                         min_w = w
-                    if deg[u] > best_adj:
-                        best_adj = deg[u]
                     if not (visited >> u) & 1:
                         visited |= 1 << u
                         queue.append(u)
-            if refresh_est:
-                est[x] = best_adj
         if size > largest:
             largest = size
         if size > f_big:
@@ -219,13 +198,15 @@ def lower_bound(
     """Combined lower bound on any completion of the subproblem.
 
     Terms are added cheapest first: fixed cut and basic, rebalancing,
-    high-degree, component.  With a cutoff, the partial sum is returned as
-    soon as it reaches the cutoff; it is then only a certificate that the
-    full bound is >= cutoff, and the deferred high-degree upkeep and the
-    later terms are skipped.  Below the cutoff, or without one, the result
-    is the full bound.
+    high-degree (skipped with its upkeep when it is 0), component.  Without
+    a cutoff the result is the full bound.  With one, the partial sum is
+    returned as soon as it reaches the cutoff, as a certificate that the
+    full bound is >= cutoff.  Below the cutoff the result is sound and at
+    most the full bound: the component BFS, a term never above the heaviest
+    edge weight, runs only if that weight could lift the sum to the cutoff.
     """
-    if cutoff is None:
+    full = cutoff is None
+    if full:
         cutoff = math.inf
     lb = sp.fixed_cut + basic_bound(sp)
     if cfg.enable_rebalance and lb < cutoff:
@@ -233,16 +214,24 @@ def lower_bound(
     if lb >= cutoff:
         return lb
     extra = 0
-    if cfg.enable_high_degree:
+    if cfg.enable_high_degree and _has_high_degree_vertex(sp):
         sp.finish_assign()
-        half = high_degree_bound(sp, cfg.enable_hd_doubling)
+        half = high_degree_bound(sp)
         if lb + (half + 1) // 2 < cutoff:
             half += high_degree_rebalance(sp)
         extra = (half + 1) // 2
         if lb + extra >= cutoff:
             return lb + extra
-    if cfg.enable_component:
+    if cfg.enable_component and (full or lb + sp.graph.max_weight >= cutoff):
         c = component_bound(sp)
         if c > extra:
             extra = c
     return lb + extra
+
+
+def _has_high_degree_vertex(sp: Subproblem) -> bool:
+    """Whether some free vertex has free degree >= f_big, without which both
+    high-degree terms are 0; the inherited estimate often decides alone."""
+    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
+    return sp.approx_max_free_degree >= f_big and max(
+        map(sp.free_degree.__getitem__, sp.free_list), default=-1) >= f_big

@@ -16,7 +16,7 @@ from itertools import product
 from .graph import GraphFormatError, generate_er, parse_graph, serialize_graph
 from .bounds import CONFIG_PRESETS, BoundConfig
 from .solver import SearchStrategy
-from .parallel import solve_parallel
+from .parallel import MAX_THREADS, solve_parallel
 
 THREADS_ENV_VAR = "BIPART_THREADS"
 
@@ -59,8 +59,6 @@ def _default_threads() -> int:
         value = int(raw)
     except ValueError:
         raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
     return value
 
 
@@ -112,13 +110,9 @@ def cmd_generate(args) -> int:
 # -- solve -------------------------------------------------------------------
 
 def _config_from_args(args) -> tuple[str, BoundConfig]:
-    if args.doubling and not args.high_degree:
-        # The doubling rule only rescales the high-degree term.
-        raise UsageError("--doubling needs --high-degree")
     cfg = BoundConfig(
         enable_rebalance=args.rebalance,
         enable_high_degree=args.high_degree,
-        enable_hd_doubling=args.doubling,
         enable_component=args.component,
     )
     for name, preset in CONFIG_PRESETS.items():
@@ -128,7 +122,6 @@ def _config_from_args(args) -> tuple[str, BoundConfig]:
         flag for flag, on in (
             ("rebalance", cfg.enable_rebalance),
             ("highdegree", cfg.enable_high_degree),
-            ("doubling", cfg.enable_hd_doubling),
             ("component", cfg.enable_component),
         ) if on
     ]
@@ -137,12 +130,14 @@ def _config_from_args(args) -> tuple[str, BoundConfig]:
 
 def cmd_solve(args) -> int:
     name, cfg = _config_from_args(args)
+    threads = args.threads if args.threads is not None else _default_threads()
+    if not 1 <= threads <= MAX_THREADS:
+        raise UsageError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
     with open(args.graph, "r", encoding="utf-8") as fh:
         graph = parse_graph(fh.read())
     s0 = args.s0 if args.s0 is not None else graph.n // 2
     s1 = args.s1 if args.s1 is not None else graph.n - s0
     strategy = STRATEGIES[args.strategy]
-    threads = args.threads if args.threads is not None else _default_threads()
     result = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
     with_optimal = None
     if args.initial is not None:
@@ -304,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s1", type=int, default=None, help="side-1 size (default n-s0)")
     s.add_argument("--rebalance", action="store_true")
     s.add_argument("--high-degree", action="store_true")
-    s.add_argument("--doubling", action="store_true")
     s.add_argument("--component", action="store_true")
     s.add_argument("--strategy", choices=sorted(STRATEGIES), default="dfs")
     s.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
+                   help=f"worker threads, 1..{MAX_THREADS} "
+                        f"(default ${THREADS_ENV_VAR} or 1)")
     s.add_argument("--initial", type=int, default=None,
                    help="also re-solve with this value seeding the incumbent")
     s.set_defaults(func=cmd_solve)
@@ -330,8 +325,6 @@ def main(argv=None) -> int:
         print(f"bipart: usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"bipart: usage error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ class WeightedGraph:
 
     adj_nbr[v], adj_w[v], adj_cross[v] are parallel tuples: neighbor id,
     edge weight, and the position of v in that neighbor's arrays.
+    max_weight is the heaviest edge weight (0 without edges).
     """
 
     n: int
@@ -36,6 +37,7 @@ class WeightedGraph:
     adj_cross: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
     total_weight: tuple[int, ...]  # per-vertex sum of incident edge weights
+    max_weight: int
 
     @property
     def m(self) -> int:
@@ -100,6 +102,7 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
         adj_cross=adj_cross,
         degrees=degrees,
         total_weight=total_weight,
+        max_weight=max((a[-1] for a in adj_w if a), default=0),
     )
 
 
@@ -119,6 +122,8 @@ def validate_graph(g: WeightedGraph) -> None:
             j = cross[i]
             if g.adj_nbr[u][j] != v or g.adj_w[u][j] != ws[i]:
                 raise AssertionError(f"cross-index broken on edge ({v},{u})")
+    if g.max_weight != max((w for ws in g.adj_w for w in ws), default=0):
+        raise AssertionError("max_weight is not the heaviest edge weight")
 
 
 _MASK64 = (1 << 64) - 1

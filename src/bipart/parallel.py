@@ -34,6 +34,10 @@ from .subproblem import root_subproblem  # noqa: F401
 
 _INFINITY = float("inf")
 
+# Threads share one interpreter lock, so more only add switching; the cap
+# keeps a mistyped count from starting thousands of system threads.
+MAX_THREADS = 64
+
 
 class Incumbent:
     """Shared, monotonically improving best solution.
@@ -146,10 +150,11 @@ def solve_parallel(
     Returns the same optimum as solve_sequential.  With one thread it is
     solve_sequential, so every strategy explores exactly the sequential
     tree; with more, exploration counts vary from run to run with
-    scheduling.
+    scheduling.  A thread count outside 1..MAX_THREADS raises ValueError
+    before any thread starts.
     """
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got {threads}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
     if threads == 1:
         return solve_sequential(
             graph, s0, s1, cfg, strategy, initial, initial_value

@@ -16,9 +16,10 @@ the counters well-defined when a side becomes full; they are never read in
 that situation because no vertex can then be high-degree for the bound.
 
 Children are fresh O(n) copies of the parent; a subproblem is owned by one
-worker at a time and never mutated concurrently.  A child's seen-counter
-upkeep is deferred until it is first needed (see Subproblem.assign), so a
-child that the search discards on its cheap bound terms never pays for it.
+worker at a time and never mutated concurrently, except by its deferred
+seen-counter upkeep, which runs when first needed (see Subproblem.assign and
+finish_assign): a child discarded on its cheap bound terms, or whose
+high-degree terms are 0, never pays for it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Subproblem:
         "d0", "d1", "fixed_cut", "f0", "f1",
         "free_degree", "zero_free_degree_count",
         "_scan", "_seen_cnt", "_seen_w",
-        "approx_max_free_degree", "approx_max_component", "_max_adj_degree",
+        "approx_max_free_degree", "approx_max_component",
         "maintain_hd", "deferred_upkeep", "depth", "lb", "ub_est",
     )
 
@@ -67,7 +68,8 @@ class Subproblem:
         to finish_assign(), which the first read of a counter array runs if
         nothing called it before, so the child is fully maintained to every
         reader.  The search calls it only for children whose cheap bound
-        terms stay below the incumbent.
+        terms stay below the incumbent and whose high-degree terms can be
+        nonzero.
         """
         if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
@@ -100,7 +102,6 @@ class Subproblem:
             child._scan = self._scan
             child._seen_cnt = self._seen_cnt
             child._seen_w = self._seen_w
-            child._max_adj_degree = self._max_adj_degree
 
         d_own = d1 if side == 1 else d0
         d_other = d0 if side == 1 else d1
@@ -139,21 +140,28 @@ class Subproblem:
     def finish_assign(self) -> None:
         """Run the high-degree counter upkeep that assign() deferred, if any.
 
-        Repairs the per-side seen counters with one forward and at most one
-        backward scan per touched adjacency array.  Reads only the parent's
-        state from before the assignment (its free mask, free degrees, free
-        list and counter arrays), which nothing modifies once it has
-        children.
+        Pending ancestors are finished first, oldest first, in a loop: the
+        chain can be as long as the search depth.  Each step reads only its
+        parent's state, which nothing modifies once it has children, and
+        publishes fresh arrays before clearing deferred_upkeep (read once
+        per subproblem), so threads finishing one subproblem at once agree.
         """
-        if self.deferred_upkeep is None:
-            return
-        parent, v, side = self.deferred_upkeep
+        chain = []
+        sp, step = self, self.deferred_upkeep
+        while step is not None:
+            chain.append((sp, step))
+            sp, step = step[0], step[0].deferred_upkeep
+        while chain:
+            sp, step = chain.pop()
+            sp._upkeep(*step)
+
+    def _upkeep(self, parent: "Subproblem", v: int, side: int) -> None:
+        """Seen counters after fixing v to `side`, from the parent's: one
+        forward and at most one backward scan per touched adjacency."""
         g = self.graph
-        # Reading the parent's arrays finishes its own upkeep first.
-        scan = (parent.scan[0].copy(), parent.scan[1].copy())
-        seen_cnt = (parent.seen_cnt[0].copy(), parent.seen_cnt[1].copy())
-        seen_w = (parent.seen_w[0].copy(), parent.seen_w[1].copy())
-        self._max_adj_degree = parent.max_adj_degree.copy()
+        scan = (parent._scan[0].copy(), parent._scan[1].copy())
+        seen_cnt = (parent._seen_cnt[0].copy(), parent._seen_cnt[1].copy())
+        seen_w = (parent._seen_w[0].copy(), parent._seen_w[1].copy())
         free_mask = parent.free_mask  # v's bit still set during the scans
         deg = parent.free_degree
 
@@ -220,8 +228,7 @@ class Subproblem:
         self._scan, self._seen_cnt, self._seen_w = scan, seen_cnt, seen_w
         self.deferred_upkeep = None
 
-    # The counter arrays and per-vertex estimates run the deferred upkeep
-    # on first read.
+    # The counter arrays run the deferred upkeep on first read.
 
     @property
     def scan(self) -> tuple[list[int], list[int]]:
@@ -240,12 +247,6 @@ class Subproblem:
         if self.deferred_upkeep is not None:
             self.finish_assign()
         return self._seen_w
-
-    @property
-    def max_adj_degree(self) -> list[int]:
-        if self.deferred_upkeep is not None:
-            self.finish_assign()
-        return self._max_adj_degree
 
 
 def root_subproblem(
@@ -361,14 +362,6 @@ def recompute_from_scratch(
         (free_degree[v] for v in sp.free_list), default=0
     )
     sp.approx_max_component = _largest_free_component(sp)
-    est = [0] * n
-    for v in sp.free_list:
-        best = 0
-        for u in graph.adj_nbr[v]:
-            if (free_mask >> u) & 1 and free_degree[u] > best:
-                best = free_degree[u]
-        est[v] = best
-    sp._max_adj_degree = est
     return sp
 
 

@@ -41,14 +41,9 @@ def _report(num, name, ok, detail, t0):
 
 
 def distinct_configs():
-    """All 16 flag combinations collapse to 12 distinct behaviours
-    (doubling is read only when the high-degree contribution is on)."""
-    out = []
-    for reb, hd, dbl, comp in itertools.product((False, True), repeat=4):
-        if dbl and not hd:
-            continue
-        out.append(BoundConfig(reb, hd, dbl, comp))
-    return out
+    """All 8 flag combinations, each a distinct behaviour."""
+    return [BoundConfig(reb, hd, comp)
+            for reb, hd, comp in itertools.product((False, True), repeat=3)]
 
 
 def exactness_corpus():
@@ -128,7 +123,7 @@ def test_criterion_3_free_free_soundness():
     for sp in _subproblem_corpus(1000, 12, seed=30303):
         count += 1
         fff = brute_force_free_free_min(sp)
-        half = high_degree_bound(sp, doubling=True) + high_degree_rebalance(sp)
+        half = high_degree_bound(sp) + high_degree_rebalance(sp)
         if (half + 1) // 2 > fff or component_bound(sp) > fff:
             failures += 1
     ok = _report(

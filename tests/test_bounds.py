@@ -126,11 +126,14 @@ class TestHighDegree:
             half = high_degree_bound(sp) + high_degree_rebalance(sp)
             assert (half + 1) // 2 <= brute_force_free_free_min(sp)
 
-    def test_doubling_stays_sound(self):
+    def test_ungated_terms_stay_sound(self):
+        # With the free-degree estimate forced to n, the gate inside both
+        # terms never skips them, so this checks the terms themselves.
         rng = random.Random(516)
         for _ in range(300):
             sp = random_subproblem(rng)
-            half = high_degree_bound(sp, doubling=True) + high_degree_rebalance(sp)
+            sp.approx_max_free_degree = sp.graph.n
+            half = high_degree_bound(sp) + high_degree_rebalance(sp)
             assert (half + 1) // 2 <= brute_force_free_free_min(sp)
 
     def test_counters_vs_recomputation_after_branching(self):
@@ -248,25 +251,78 @@ class TestLowerBound:
                 assert lower_bound(sp, cfg) <= best
 
     def test_cutoff_contract(self):
+        # At or above the cutoff the result certifies full >= cutoff.  Below
+        # it, the result lies between the cheap partial sum (fixed + basic,
+        # + rebalance) and the full bound, and equals the full bound
+        # whenever the partial sum plus the heaviest edge weight reaches
+        # the cutoff, since the component BFS is skipped only otherwise.
         # Bounds refresh the subproblem's estimates, so each call gets a
         # fresh copy of the same partial assignment.
         rng = random.Random(1121)
+        skipped = 0
         for _ in range(300):
             sp = random_subproblem(rng)
             u0 = [v for v in range(sp.graph.n) if sp.side_of(v) == 0]
             u1 = [v for v in range(sp.graph.n) if sp.side_of(v) == 1]
+            w_max = sp.graph.max_weight
 
             def fresh():
                 return recompute_from_scratch(sp.graph, u0, u1, sp.s0, sp.s1)
 
             for cfg in CONFIG_PRESETS.values():
                 full = lower_bound(fresh(), cfg)
-                for cutoff in (full - 1, full, full + 1, rng.randint(0, 2 * full + 1)):
+                partial = sp.fixed_cut + basic_bound(sp)
+                if cfg.enable_rebalance:
+                    partial += rebalance_value(sp)
+                for cutoff in (full - 1, full, full + 1, partial + w_max + 1,
+                               rng.randint(0, 2 * full + w_max + 1)):
                     got = lower_bound(fresh(), cfg, cutoff)
                     if full < cutoff:
-                        assert got == full
+                        assert partial <= got <= full
+                        if partial + w_max >= cutoff:
+                            assert got == full
+                        elif got < full:
+                            skipped += 1
                     else:
                         assert cutoff <= got <= full
+        assert skipped > 0
+
+    def test_high_degree_upkeep_waits_until_a_term_can_be_nonzero(self):
+        # Along random trajectories under highdegree, lower_bound leaves the
+        # counter upkeep pending exactly when no free vertex has free
+        # degree >= f_big, and the bound equals the oracle state's.  The
+        # free-degree estimate is forced to n on both states, so the stale
+        # inherited estimate cannot make them differ.
+        cfg = CONFIG_PRESETS["highdegree"]
+        rng = random.Random(1222)
+        left_pending = 0
+        for _ in range(60):
+            n = rng.randint(4, 16)
+            g = generate_er(n, rng.choice([0.2, 0.5]), 1, rng.choice([1, 1000]),
+                            seed=rng.randint(0, 10**9))
+            s0 = rng.randint(1, n - 1)
+            sp = root_subproblem(g, s0, n - s0)
+            while sp.f:
+                side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
+                sp = sp.assign(rng.choice(sp.free_list), side)
+                sp.approx_max_free_degree = n
+                rc = recompute_from_scratch(
+                    g,
+                    [v for v in range(n) if (sp.a0 >> v) & 1],
+                    [v for v in range(n) if (sp.a1 >> v) & 1],
+                    s0,
+                    n - s0,
+                )
+                rc.approx_max_free_degree = n
+                got = lower_bound(sp, cfg)
+                f_big = max(sp.f0, sp.f1)
+                if all(sp.free_degree[v] < f_big for v in sp.free_list):
+                    assert sp.deferred_upkeep is not None
+                    left_pending += 1
+                else:
+                    assert sp.deferred_upkeep is None
+                assert got == lower_bound(rc, cfg)
+        assert left_pending > 0
 
     def test_integer_bounds(self):
         rng = random.Random(1020)

@@ -1,9 +1,11 @@
 import csv
 import io
+import threading
 
 import pytest
 
 from bipart.cli import BENCH_COLUMNS, main, parse_campaign
+from bipart.parallel import MAX_THREADS
 from bipart.graph import parse_graph
 
 
@@ -69,7 +71,7 @@ class TestSolve:
     def test_flags_do_not_change_cut(self, example_file, capsys):
         cuts = set()
         for flags in ([], ["--rebalance"], ["--rebalance", "--high-degree",
-                                            "--doubling", "--component"]):
+                                            "--component"]):
             code, out, _ = run_cli(
                 capsys, "solve", example_file, "--s0", "2", "--s1", "2", *flags
             )
@@ -118,16 +120,18 @@ class TestSolve:
         )
         assert code == 2
 
-    def test_doubling_without_high_degree_is_usage_error(
-        self, example_file, capsys
+    def test_thread_count_above_the_cap_is_usage_error(
+        self, example_file, capsys, monkeypatch
     ):
-        # Doubling only rescales the high-degree term; alone it would solve
-        # without it while the config column said "doubling".
-        for flags in (["--doubling"], ["--rebalance", "--doubling"]):
-            code, out, err = run_cli(capsys, "solve", example_file, *flags)
-            assert code == 1
-            assert "usage error" in err and "--high-degree" in err
-            assert out == ""
+        before = threading.active_count()
+        code, out, err = run_cli(
+            capsys, "solve", example_file, "--threads", str(MAX_THREADS + 1)
+        )
+        assert code == 1 and "usage error" in err and out == ""
+        monkeypatch.setenv("BIPART_THREADS", str(MAX_THREADS + 1))
+        code, out, err = run_cli(capsys, "solve", example_file)
+        assert code == 1 and "usage error" in err and out == ""
+        assert threading.active_count() == before
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--bogus")

@@ -9,7 +9,7 @@ from bipart.bounds import CONFIG_PRESETS
 from bipart.completion import Solution
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
-from bipart.parallel import Incumbent, solve_parallel
+from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel
 from bipart.solver import SearchStrategy, solve_sequential
 
 
@@ -129,6 +129,14 @@ class TestSolveParallel:
         with pytest.raises(ValueError):
             solve_parallel(complete_unweighted(4), 2, 2, threads=0)
 
+    def test_thread_count_above_the_cap_starts_no_thread(self):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="thread count"):
+            solve_parallel(
+                complete_unweighted(4), 2, 2, threads=MAX_THREADS + 1
+            )
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("threads", [2, 4])
     def test_worker_failure_is_reraised_without_hanging(
         self, threads, monkeypatch
@@ -169,7 +177,9 @@ class TestSolveParallel:
     def test_pool_stress_more_workers_than_cores(self):
         """Eight workers with a tiny switch interval: a lost update of the
         busy count or the tallies would hang a solve, lose a task (wrong
-        optimum) or break popped == explored + irrelevant."""
+        optimum) or break popped == explored + irrelevant.  Under highdegree
+        and component, sibling tasks share a parent whose counter upkeep
+        may still be pending, so two workers can finish it at once."""
         rng = random.Random(4242)
         instances = []
         for _ in range(20):
@@ -178,24 +188,30 @@ class TestSolveParallel:
                             rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
             s0 = rng.randint(1, n - 1)
             instances.append((g, s0, brute_force_optimum(g, s0, n - s0).optimum))
+        runs = [(preset, strategy)
+                for preset in ("trivial", "highdegree", "component")
+                for strategy in SearchStrategy]
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for g, s0, expected in instances:
-                for strategy in SearchStrategy:
+                for preset, strategy in runs:
+                    cfg = CONFIG_PRESETS[preset]
                     out = []
                     t = threading.Thread(
                         target=lambda: out.append(solve_parallel(
-                            g, s0, g.n - s0, CONFIG_PRESETS["trivial"],
-                            strategy, threads=8,
+                            g, s0, g.n - s0, cfg, strategy, threads=8,
                         )),
                         daemon=True,
                     )
                     t.start()
                     t.join(timeout=60)
-                    assert not t.is_alive(), f"{strategy.value} solve hung"
+                    assert not t.is_alive(), (
+                        f"{preset}/{strategy.value} solve hung"
+                    )
                     r = out[0]
-                    assert r.optimum == expected
+                    seq = solve_sequential(g, s0, g.n - s0, cfg, strategy)
+                    assert r.optimum == seq.optimum == expected
                     assert r.popped == r.subproblems_explored + r.irrelevant_tasks
                     if r.best is not None:
                         assert cut_value(g, r.best.assignment) == expected

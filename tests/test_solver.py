@@ -171,42 +171,44 @@ class TestSolveSequential:
 # (optimum, subproblems_explored, popped, irrelevant_tasks) of
 # solve_sequential on G(n, p, 1..1000, seed), sides n//2 | n - n//2.  Any
 # change to a bound, a pruning test or the exploration order moves these.
+# The component rows depend on which children skip the component BFS
+# (lower_bound's cutoff rule), since a skipped child stores a lower bound.
 PINNED_COUNTS = {
     (18, 0.5, 0): {
         "trivial": {"dfs": (13889, 911, 911, 0), "lb": (13889, 909, 909, 0), "gap": (13889, 1435, 1436, 1)},
         "rebalance": {"dfs": (13889, 425, 426, 1), "lb": (13889, 422, 552, 130), "gap": (13889, 549, 551, 2)},
         "highdegree": {"dfs": (13889, 346, 347, 1), "lb": (13889, 343, 437, 94), "gap": (13889, 713, 718, 5)},
-        "component": {"dfs": (13889, 341, 342, 1), "lb": (13889, 338, 435, 97), "gap": (13889, 697, 699, 2)},
+        "component": {"dfs": (13889, 341, 342, 1), "lb": (13889, 340, 435, 95), "gap": (13889, 697, 699, 2)},
     },
     (18, 0.5, 1): {
         "trivial": {"dfs": (11442, 850, 850, 0), "lb": (11442, 829, 829, 0), "gap": (11442, 1024, 1027, 3)},
         "rebalance": {"dfs": (11442, 468, 468, 0), "lb": (11442, 460, 489, 29), "gap": (11442, 477, 477, 0)},
         "highdegree": {"dfs": (11442, 403, 403, 0), "lb": (11442, 396, 417, 21), "gap": (11442, 412, 412, 0)},
-        "component": {"dfs": (11442, 393, 393, 0), "lb": (11442, 385, 410, 25), "gap": (11442, 401, 401, 0)},
+        "component": {"dfs": (11442, 393, 393, 0), "lb": (11442, 385, 407, 22), "gap": (11442, 401, 401, 0)},
     },
     (18, 0.5, 2): {
         "trivial": {"dfs": (12629, 754, 754, 0), "lb": (12629, 743, 743, 0), "gap": (12629, 1157, 1158, 1)},
         "rebalance": {"dfs": (12629, 397, 397, 0), "lb": (12629, 385, 458, 73), "gap": (12629, 562, 562, 0)},
         "highdegree": {"dfs": (12629, 331, 331, 0), "lb": (12629, 316, 387, 71), "gap": (12629, 438, 439, 1)},
-        "component": {"dfs": (12629, 327, 327, 0), "lb": (12629, 316, 388, 72), "gap": (12629, 437, 438, 1)},
+        "component": {"dfs": (12629, 327, 327, 0), "lb": (12629, 316, 387, 71), "gap": (12629, 437, 438, 1)},
     },
     (22, 0.2, 0): {
         "trivial": {"dfs": (4041, 560, 561, 1), "lb": (4041, 515, 519, 4), "gap": (4041, 646, 652, 6)},
         "rebalance": {"dfs": (4041, 334, 335, 1), "lb": (4041, 305, 327, 22), "gap": (4041, 410, 416, 6)},
         "highdegree": {"dfs": (4041, 334, 335, 1), "lb": (4041, 305, 327, 22), "gap": (4041, 408, 414, 6)},
-        "component": {"dfs": (4041, 309, 309, 0), "lb": (4041, 284, 339, 55), "gap": (4041, 381, 385, 4)},
+        "component": {"dfs": (4041, 309, 309, 0), "lb": (4041, 288, 310, 22), "gap": (4041, 385, 388, 3)},
     },
     (22, 0.2, 1): {
         "trivial": {"dfs": (5667, 637, 637, 0), "lb": (5667, 637, 637, 0), "gap": (5667, 637, 637, 0)},
         "rebalance": {"dfs": (5667, 268, 268, 0), "lb": (5667, 268, 268, 0), "gap": (5667, 268, 268, 0)},
         "highdegree": {"dfs": (5667, 267, 267, 0), "lb": (5667, 267, 267, 0), "gap": (5667, 267, 267, 0)},
-        "component": {"dfs": (5667, 245, 245, 0), "lb": (5667, 245, 245, 0), "gap": (5667, 245, 245, 0)},
+        "component": {"dfs": (5667, 246, 246, 0), "lb": (5667, 246, 246, 0), "gap": (5667, 246, 246, 0)},
     },
     (22, 0.2, 2): {
         "trivial": {"dfs": (3932, 1364, 1364, 0), "lb": (3932, 1096, 1096, 0), "gap": (3932, 1367, 1371, 4)},
         "rebalance": {"dfs": (3932, 786, 787, 1), "lb": (3932, 590, 666, 76), "gap": (3932, 757, 762, 5)},
         "highdegree": {"dfs": (3932, 783, 784, 1), "lb": (3932, 589, 665, 76), "gap": (3932, 756, 761, 5)},
-        "component": {"dfs": (3932, 706, 707, 1), "lb": (3932, 546, 626, 80), "gap": (3932, 672, 675, 3)},
+        "component": {"dfs": (3932, 706, 707, 1), "lb": (3932, 557, 632, 75), "gap": (3932, 672, 675, 3)},
     },
 }
 
@@ -260,7 +262,7 @@ PINNED_COUNTS_IRREGULAR = {
         "trivial": {"dfs": (1234, 88, 90, 2), "lb": (1234, 59, 69, 10), "gap": (1234, 75, 88, 13)},
         "rebalance": {"dfs": (1234, 74, 75, 1), "lb": (1234, 47, 63, 16), "gap": (1234, 69, 80, 11)},
         "highdegree": {"dfs": (1234, 58, 59, 1), "lb": (1234, 35, 69, 34), "gap": (1234, 64, 74, 10)},
-        "component": {"dfs": (1234, 59, 60, 1), "lb": (1234, 36, 71, 35), "gap": (1234, 64, 74, 10)},
+        "component": {"dfs": (1234, 59, 60, 1), "lb": (1234, 35, 69, 34), "gap": (1234, 64, 74, 10)},
     },
     "components 9+6+4+1, sides 6|14": {
         "trivial": {"dfs": (0, 124, 126, 2), "lb": (0, 24, 43, 19), "gap": (0, 34, 49, 15)},
@@ -272,7 +274,7 @@ PINNED_COUNTS_IRREGULAR = {
         "trivial": {"dfs": (11798, 1112, 1112, 0), "lb": (11798, 918, 943, 25), "gap": (11798, 997, 997, 0)},
         "rebalance": {"dfs": (11798, 540, 541, 1), "lb": (11798, 421, 617, 196), "gap": (11798, 421, 422, 1)},
         "highdegree": {"dfs": (11798, 480, 481, 1), "lb": (11798, 369, 555, 186), "gap": (11798, 369, 370, 1)},
-        "component": {"dfs": (11798, 466, 466, 0), "lb": (11798, 359, 543, 184), "gap": (11798, 359, 360, 1)},
+        "component": {"dfs": (11798, 466, 466, 0), "lb": (11798, 368, 546, 178), "gap": (11798, 359, 360, 1)},
     },
 }
 
@@ -321,10 +323,14 @@ def test_irregular_inputs_match_oracle(instance):
 
 @pytest.mark.parametrize("preset", ["highdegree", "component"])
 def test_search_keeps_only_fully_maintained_children(preset):
-    """A DFS through expand: every kept child has its upkeep done and
-    matches the from-scratch oracle."""
+    """A DFS through expand: every kept child either has its upkeep done or
+    has no free vertex with free degree >= f_big (its high-degree terms
+    are 0), and after finish_assign it matches the from-scratch oracle.
+    Children left pending are finished after the search, youngest first,
+    so their descendants finish chains of pending ancestors."""
     cfg = CONFIG_PRESETS[preset]
     rng = random.Random(727)
+    deferred = 0
     for _ in range(25):
         n = rng.randint(4, 16)
         g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
@@ -334,6 +340,7 @@ def test_search_keeps_only_fully_maintained_children(preset):
         root = root_subproblem(g, s0, n - s0, maintain_hd=True)
         root.lb = lower_bound(root, cfg)
         stack = [root]
+        pending = []
         while stack:
             sp = stack.pop()
             if sp.lb >= best:
@@ -345,14 +352,30 @@ def test_search_keeps_only_fully_maintained_children(preset):
             for child in reversed(children):
                 if child.lb >= best:
                     continue
-                assert child.deferred_upkeep is None
-                rc = recompute_from_scratch(
-                    g,
-                    [v for v in range(n) if (child.a0 >> v) & 1],
-                    [v for v in range(n) if (child.a1 >> v) & 1],
-                    s0,
-                    n - s0,
-                )
-                assert_equivalent(child, rc)
+                if child.deferred_upkeep is None:
+                    assert_equivalent(child, oracle_of(child))
+                else:
+                    f_big = max(child.f0, child.f1)
+                    assert all(child.free_degree[v] < f_big
+                               for v in child.free_list)
+                    pending.append(child)
                 stack.append(child)
+        deferred += len(pending)
+        for child in reversed(pending):
+            child.finish_assign()
+            assert child.deferred_upkeep is None
+            assert_equivalent(child, oracle_of(child))
         assert best == brute_force_optimum(g, s0, n - s0).optimum
+    assert deferred > 0
+
+
+def oracle_of(sp):
+    """The from-scratch state of sp's partial assignment."""
+    n = sp.graph.n
+    return recompute_from_scratch(
+        sp.graph,
+        [v for v in range(n) if (sp.a0 >> v) & 1],
+        [v for v in range(n) if (sp.a1 >> v) & 1],
+        sp.s0,
+        sp.s1,
+    )
