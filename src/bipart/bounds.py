@@ -3,10 +3,17 @@
 Four contributions on top of the fixed cut:
 
 * basic: every free vertex pays at least min(d0, d1) no matter where it
-  lands.
+  lands.  Subproblem.assign maintains the sum, so the term is a field read
+  and the trivial bound is O(1).
 * rebalancing: corrects the basic bound for the subset-size constraints by
   sorting the per-vertex preference gap delta = d1 - d0; tight for the
-  fixed-free term.
+  fixed-free term.  It rests on the identity
+
+      basic + rebalancing = sum over free v of d0[v]
+                            + the sum of the f0 smallest deltas,
+
+  with the first sum maintained beside basic, so one sort and one slice
+  sum compute it.
 * high-degree: a free vertex with more free neighbors than the larger side
   can absorb must cut some free edges; cheapest ones counted in half-units
   (each edge may be claimed by both endpoints), with its own rebalancing
@@ -48,34 +55,33 @@ FULL_CONFIG = CONFIG_PRESETS["component"]
 
 
 def basic_bound(sp: Subproblem) -> int:
-    """Sum over free v of min(d0[v], d1[v]); O(f)."""
+    """Sum over free v of min(d0[v], d1[v]); O(1), maintained by assign."""
+    return sp.basic
+
+
+def fixed_free_minimum(sp: Subproblem) -> int:
+    """Least fixed-free weight of any completion, basic + rebalancing.
+
+    Placing the f0 free vertices of smallest delta = d1 - d0 on side 0 and
+    the rest on side 1 costs sum_d0 plus those f0 deltas; O(f log f).
+    """
     d0, d1 = sp.d0, sp.d1
-    total = 0
-    for v in sp.free_list:
-        a, b = d0[v], d1[v]
-        total += a if a < b else b
-    return total
+    deltas = [d1[v] - d0[v] for v in sp.free_list]
+    deltas.sort()
+    return sp.sum_d0 + sum(deltas[:sp.f0])
 
 
 def rebalance_value(sp: Subproblem) -> int:
     """Rebalancing contribution; O(f log f).
 
-    With the free vertices in rebalance_bound's order (ascending delta =
-    d1 - d0, the first f0 on side 0), each pays what its side costs above
-    min(d0, d1).  basic + this value is tight for the fixed-free term.
+    With the free vertices in rebalance_bound's order (ascending delta,
+    the first f0 on side 0), each pays what its side costs above
+    min(d0, d1): on side 0 max(delta, 0), on side 1 max(-delta, 0).
+    Adding basic = sum_d0 + sum of min(delta, 0) gives sum_d0 plus the f0
+    smallest deltas, so this is fixed_free_minimum - basic, and basic +
+    this value is tight for the fixed-free term.
     """
-    d0, d1 = sp.d0, sp.d1
-    deltas = [d1[v] - d0[v] for v in sp.free_list]
-    deltas.sort()
-    f0 = sp.f0
-    total = 0
-    for d in deltas[:f0]:
-        if d > 0:
-            total += d
-    for d in deltas[f0:]:
-        if d < 0:
-            total -= d
-    return total
+    return fixed_free_minimum(sp) - sp.basic
 
 
 def rebalance_bound(sp: Subproblem) -> list[int]:

@@ -202,6 +202,13 @@ def parse_campaign(text: str) -> dict:
             raise ValueError(f"campaign line {lineno}: unknown key {key!r}")
     if "n" not in seen:
         raise ValueError("campaign must list at least one value for n")
+    for n in campaign["n"]:
+        if n < 2:
+            raise ValueError(f"vertex count n must be at least 2, got {n}")
+    for threads in campaign["threads"]:
+        if not 1 <= threads <= MAX_THREADS:
+            raise ValueError(
+                f"thread count must be in 1..{MAX_THREADS}, got {threads}")
     for cfg in campaign["configs"]:
         if cfg not in CONFIG_PRESETS:
             raise ValueError(

@@ -2,7 +2,11 @@
 
 A Solution is always re-evaluated by direct edge enumeration when built,
 so an incumbent can never be corrupted by a bug in the incremental
-bookkeeping.
+bookkeeping.  try_complete builds one only for a completion that beats the
+caller's cutoff: it first computes the completion's value from the
+maintained sums and D arrays, and a rule that fires on a completion no
+better than the cutoff returns that value instead, which the search treats
+as a leaf.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 from .graph import WeightedGraph, cut_value
 from .subproblem import Subproblem
-from .bounds import rebalance_bound
+from .bounds import fixed_free_minimum, rebalance_bound
 
 
 @dataclass(frozen=True)
@@ -46,26 +50,39 @@ def _sides_template(sp: Subproblem) -> list[int]:
     return sides
 
 
-def try_complete(sp: Subproblem) -> Solution | None:
+def try_complete(
+    sp: Subproblem, cutoff: float | None = None
+) -> Solution | int | None:
     """Solve the subproblem without branching when a completion rule fires.
 
     In priority order:
       1. side-full: one side needs no more vertices, everything free goes
-         to the other side (the unique completion).
+         to the other side (the unique completion), at value fixed_cut +
+         the sum of d_full over free vertices.
       2. one-missing: one side needs exactly one vertex; the best choice
-         minimizes d_other - d_own + (weight of its free edges, which all
-         end up crossing).  Ties broken by vertex id.
+         minimizes key = d_other - d_own + (weight of its free edges, which
+         all end up crossing), at value fixed_cut + the sum of d_own over
+         free vertices + that key.  Ties broken by vertex id.
       3. degree-zero: no free-free edges remain, so the rebalancing
-         completion is optimal.
+         completion is optimal, at value fixed_cut + fixed_free_minimum.
 
-    Returns None when no rule applies.
+    Returns None when no rule applies.  Otherwise the rule's value is
+    computed first, in O(f) (O(f log f) for degree-zero), and the Solution
+    is built, with its cut re-evaluated edge by edge, only when that value
+    is below `cutoff` (always without one); else the value alone is
+    returned, an int, as the completion cannot beat the incumbent.
     """
     g = sp.graph
+    free = sp.free_list
     if sp.f0 == 0 or sp.f1 == 0:
         full = 0 if sp.f0 == 0 else 1
         other = 1 - full
+        value = sp.fixed_cut + (
+            sp.sum_d0 if full == 0 else sum(map(sp.d1.__getitem__, free)))
+        if cutoff is not None and value >= cutoff:
+            return value
         sides = _sides_template(sp)
-        for v in sp.free_list:
+        for v in free:
             sides[v] = other
         return make_solution(g, sides, sp.s0, sp.s1)
 
@@ -76,18 +93,25 @@ def try_complete(sp: Subproblem) -> Solution | None:
         tw = g.total_weight
         best_v = -1
         best_key = None
-        for v in sp.free_list:
+        for v in free:
             free_w = tw[v] - sp.d0[v] - sp.d1[v]
             key = d_other[v] - d_own[v] + free_w
             if best_key is None or key < best_key:
                 best_key, best_v = key, v
+        value = sp.fixed_cut + best_key + (
+            sp.sum_d0 if short == 0 else sum(map(d_own.__getitem__, free)))
+        if cutoff is not None and value >= cutoff:
+            return value
         sides = _sides_template(sp)
-        for v in sp.free_list:
+        for v in free:
             sides[v] = 1 - short
         sides[best_v] = short
         return make_solution(g, sides, sp.s0, sp.s1)
 
     if sp.zero_free_degree_count == sp.f:
+        value = sp.fixed_cut + fixed_free_minimum(sp)
+        if cutoff is not None and value >= cutoff:
+            return value
         order = rebalance_bound(sp)
         sides = _sides_template(sp)
         for i, v in enumerate(order):

@@ -89,15 +89,16 @@ def priority(sp: Subproblem, strategy: SearchStrategy) -> float:
 def expand(sp, cfg, cutoff):
     """Completion-or-branch step shared by the sequential and parallel loops.
 
-    Returns (solution, None) when a completion rule fired, otherwise
-    (None, children) with each child's lower bound stored on it.  `cutoff`
-    is the incumbent value: a child whose stored bound is >= cutoff holds
-    only that certificate, since the bound terms after the one that reached
-    the cutoff were skipped.
+    Returns (solution, None) when a completion rule fired on a completion
+    below `cutoff`, (None, []) when one fired on a completion that cannot
+    beat it (a leaf), otherwise (None, children) with each child's lower
+    bound stored on it.  `cutoff` is the incumbent value: a child whose
+    stored bound is >= cutoff holds only that certificate, since the bound
+    terms after the one that reached the cutoff were skipped.
     """
-    sol = try_complete(sp)
+    sol = try_complete(sp, cutoff)
     if sol is not None:
-        return sol, None
+        return (sol, None) if isinstance(sol, Solution) else (None, [])
     v = branch_vertex(sp)
     children = []
     for side in (0, 1):

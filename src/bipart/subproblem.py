@@ -5,6 +5,8 @@ incrementally maintained quantities the lower bounds read:
 
 * D arrays: d0[v]/d1[v] = total edge weight from free v into U0/U1.
 * fixed_cut: crossing weight between U0 and U1.
+* basic and sum_d0: the sums over free v of min(d0[v], d1[v]) and of
+  d0[v], which the basic and rebalancing bound terms read.
 * free_degree[v]: degree of free v in the subgraph induced by free vertices.
 * per-side scan cursors and seen counters over each free vertex's
   weight-sorted adjacency, so that seen_cnt_i[v] free edges (the cheapest
@@ -30,7 +32,7 @@ from .graph import WeightedGraph
 class Subproblem:
     __slots__ = (
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
-        "d0", "d1", "fixed_cut", "f0", "f1",
+        "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
         "free_degree", "zero_free_degree_count",
         "_scan", "_seen_cnt", "_seen_w",
         "approx_max_free_degree", "approx_max_component",
@@ -63,13 +65,13 @@ class Subproblem:
         """Child subproblem with free vertex v fixed to the given side.
 
         The parent is not modified.  The free-set state (D arrays, fixed
-        cut, free degrees, free list, masks) is repaired here in O(deg(v))
-        plus the O(n) copies.  The high-degree counter upkeep is deferred
-        to finish_assign(), which the first read of a counter array runs if
-        nothing called it before, so the child is fully maintained to every
-        reader.  The search calls it only for children whose cheap bound
-        terms stay below the incumbent and whose high-degree terms can be
-        nonzero.
+        cut, basic and sum_d0, free degrees, free list, masks) is repaired
+        here in O(deg(v)) plus the O(n) copies.  The high-degree counter
+        upkeep is deferred to finish_assign(), which the first read of a
+        counter array runs if nothing called it before, so the child is
+        fully maintained to every reader.  The search calls it only for
+        children whose cheap bound terms stay below the incumbent and whose
+        high-degree terms can be nonzero.
         """
         if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
@@ -105,9 +107,16 @@ class Subproblem:
 
         d_own = d1 if side == 1 else d0
         d_other = d0 if side == 1 else d1
-        child.fixed_cut = self.fixed_cut + d_other[v]
+        v_own, v_other = d_own[v], d_other[v]
+        child.fixed_cut = self.fixed_cut + v_other
+        # v leaves both sums; its free edges, of weight total - d0 - d1,
+        # all land on d_own of its free neighbours.
+        basic = self.basic - (v_own if v_own < v_other else v_other)
+        sum_d0 = self.sum_d0 - d0[v]
+        if side == 0:
+            sum_d0 += g.total_weight[v] - v_own - v_other
 
-        # D arrays, free degrees, zero-degree count.
+        # D arrays, basic, free degrees, zero-degree count.
         free_mask = self.free_mask
         deg = child.free_degree = self.free_degree.copy()
         zero_cnt = self.zero_free_degree_count
@@ -115,10 +124,16 @@ class Subproblem:
             zero_cnt -= 1
         for u, w in zip(g.adj_nbr[v], g.adj_w[v]):
             if (free_mask >> u) & 1:
-                d_own[u] += w
+                own = d_own[u]
+                d_own[u] = own + w
+                other = d_other[u]
+                if own < other:
+                    basic += w if own + w <= other else other - own
                 deg[u] -= 1
                 if deg[u] == 0:
                     zero_cnt += 1
+        child.basic = basic
+        child.sum_d0 = sum_d0
         child.zero_free_degree_count = zero_cnt
 
         # Finally move v out of the free set.
@@ -326,6 +341,8 @@ def recompute_from_scratch(
             fixed_cut += w
     sp.d0, sp.d1 = d0, d1
     sp.fixed_cut = fixed_cut
+    sp.basic = sum(min(d0[v], d1[v]) for v in sp.free_list)
+    sp.sum_d0 = sum(d0[v] for v in sp.free_list)
     sp.free_degree = free_degree
     sp.zero_free_degree_count = sum(
         1 for v in sp.free_list if free_degree[v] == 0

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from bipart.graph import build_graph
 from bipart.subproblem import Subproblem, recompute_from_scratch
 
 
@@ -8,14 +9,16 @@ def assert_equivalent(inc: Subproblem, rc: Subproblem):
 
     The scan cursors are path-dependent (a cursor may straddle entries that
     became fixed), so they are checked against their defining invariant
-    rather than literally; the three value counters, and everything else,
-    must match exactly.
+    rather than literally; the three value counters, the maintained sums
+    basic and sum_d0, and everything else must match exactly.
     """
     assert inc.a0 == rc.a0 and inc.a1 == rc.a1
     assert inc.free_mask == rc.free_mask
     assert inc.free_list == rc.free_list
     assert inc.d0 == rc.d0 and inc.d1 == rc.d1
     assert inc.fixed_cut == rc.fixed_cut
+    assert inc.basic == rc.basic
+    assert inc.sum_d0 == rc.sum_d0
     assert (inc.f0, inc.f1) == (rc.f0, rc.f1)
     assert inc.free_degree == rc.free_degree
     assert inc.zero_free_degree_count == rc.zero_free_degree_count
@@ -48,3 +51,28 @@ def random_partial_assignment(rng, graph, s0, s1):
         elif len(u1) < s1:
             u1.append(v)
     return recompute_from_scratch(graph, u0, u1, s0, s1)
+
+
+def irregular_graph(rng, n):
+    """A random graph with what generate_er never emits: zero-weight edges,
+    isolated vertices and several components."""
+    labels = [rng.randrange(3) for _ in range(n)]
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 3)))
+    edges = [(u, v, rng.choice([0, 0, 1, 3, 1000]))
+             for u in range(n) for v in range(u + 1, n)
+             if labels[u] == labels[v] and not {u, v} & isolated
+             and rng.random() < 0.6]
+    return build_graph(n, edges)
+
+
+def assign_walk(rng, graph, s0):
+    """Every state of one random assign chain from the empty assignment with
+    sides s0 | n - s0 down to the full one: one side runs full on the way."""
+    sp = recompute_from_scratch(graph, [], [], s0, graph.n - s0)
+    states = [sp]
+    while sp.free_list:
+        v = rng.choice(sp.free_list)
+        side = rng.choice([s for s, f in ((0, sp.f0), (1, sp.f1)) if f])
+        sp = sp.assign(v, side)
+        states.append(sp)
+    return states

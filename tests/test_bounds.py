@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from checks import assign_walk, irregular_graph
+
 from bipart.bounds import (
     CONFIG_PRESETS,
     BoundConfig,
@@ -94,6 +96,60 @@ class TestRebalance:
             paid = (sum(d for d in deltas[:sp.f0] if d > 0)
                     - sum(d for d in deltas[sp.f0:] if d < 0))
             assert rebalance_value(sp) == paid
+
+
+def reference_basic(sp):
+    """The basic term as its defining O(f) loop."""
+    return sum(min(sp.d0[v], sp.d1[v]) for v in sp.free_list)
+
+
+def reference_rebalance(sp):
+    """The rebalancing term as the two loops over the sorted deltas: the
+    first f0 pay their positive deltas, the rest their negative ones."""
+    deltas = sorted(sp.d1[v] - sp.d0[v] for v in sp.free_list)
+    total = 0
+    for d in deltas[:sp.f0]:
+        if d > 0:
+            total += d
+    for d in deltas[sp.f0:]:
+        if d < 0:
+            total -= d
+    return total
+
+
+class TestMaintainedTerms:
+    """basic_bound and rebalance_value read the sums assign maintains; they
+    must equal the loop forms on every state of random assign chains."""
+
+    def check_walks(self, rng, graphs):
+        seen = {"f0 = 0": 0, "f1 = 0": 0}
+        for g, s0 in graphs:
+            for sp in assign_walk(rng, g, s0):
+                assert basic_bound(sp) == reference_basic(sp)
+                assert rebalance_value(sp) == reference_rebalance(sp)
+                seen["f0 = 0"] += sp.f0 == 0 and sp.f1 > 0
+                seen["f1 = 0"] += sp.f1 == 0 and sp.f0 > 0
+        assert all(seen.values()), seen
+
+    def test_random_states(self):
+        rng = random.Random(31)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            graphs.append((g, rng.randint(1, n - 1)))
+        self.check_walks(rng, graphs)
+
+    def test_irregular_states(self):
+        rng = random.Random(32)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            graphs.append((irregular_graph(rng, n), rng.randint(1, n - 1)))
+        assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
+        assert any(0 in g.degrees for g, _ in graphs)
+        self.check_walks(rng, graphs)
 
 
 class TestHighDegree:

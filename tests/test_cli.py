@@ -201,6 +201,24 @@ threads = 1
         assert code == 2
         assert "unknown config" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("threads = 1, 0, 65", "thread count"),
+        ("threads = 65", "thread count"),
+        ("n = 8, 1", "vertex count"),
+    ])
+    def test_out_of_range_threads_or_n_rejected(
+        self, tmp_path, capsys, line, message
+    ):
+        campaign = tmp_path / "c.txt"
+        campaign.write_text(f"n = 8\n{line}\n")
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--campaign", str(campaign), "--out", str(out)
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_parse_campaign_defaults(self):
         plan = parse_campaign("n = 6\n")
         assert plan["p"] == [0.5] and plan["seeds"] == [0]

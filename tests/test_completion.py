@@ -3,16 +3,19 @@ from itertools import combinations
 
 import pytest
 
-from checks import random_partial_assignment
+from checks import assign_walk, irregular_graph, random_partial_assignment
 
+from bipart import completion
 from bipart.bounds import FULL_CONFIG, lower_bound, rebalance_bound
 from bipart.completion import (
+    Solution,
     greedy_initial_solution,
     make_solution,
     rebalancing_completion_value,
     try_complete,
 )
 from bipart.graph import build_graph, cut_value, generate_er
+from bipart.solver import expand
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
 
@@ -107,6 +110,55 @@ class TestTryComplete:
             assert sol.value == subproblem_optimum(sp)
             n0 = sol.assignment.count(0)
             assert n0 == sp.s0 and sp.graph.n - n0 == sp.s1
+
+
+def completion_rule(sp):
+    """The rule try_complete applies first, by its documented order."""
+    if sp.f0 == 0 or sp.f1 == 0:
+        return "side_full"
+    if sp.f0 == 1 or sp.f1 == 1:
+        return "one_missing"
+    if sp.zero_free_degree_count == sp.f:
+        return "degree_zero"
+    return None
+
+
+class TestCompletionCutoff:
+    """try_complete computes each rule's value before building a Solution,
+    and builds one only for a value below the cutoff."""
+
+    def test_value_first_and_solution_only_below_cutoff(self, monkeypatch):
+        rng = random.Random(77)
+        hits = {"side_full": 0, "one_missing": 0, "degree_zero": 0}
+        cut_calls = []
+        real_cut_value = completion.cut_value
+
+        def counting_cut_value(graph, sides):
+            cut_calls.append(1)
+            return real_cut_value(graph, sides)
+
+        monkeypatch.setattr(completion, "cut_value", counting_cut_value)
+        for i in range(200):
+            n = rng.randint(2, 12)
+            g = (irregular_graph(rng, n) if i % 2 else generate_er(
+                n, rng.choice([0.05, 0.1, 0.3, 0.7]), 1, rng.choice([1, 1000]),
+                seed=rng.randint(0, 10**9)))
+            for sp in assign_walk(rng, g, rng.randint(1, n - 1)):
+                rule = completion_rule(sp)
+                if rule is None:
+                    assert try_complete(sp) is None
+                    continue
+                hits[rule] += 1
+                sol = try_complete(sp)
+                assert isinstance(sol, Solution)
+                del cut_calls[:]
+                value = try_complete(sp, sol.value)
+                assert value == sol.value and not cut_calls
+                assert not isinstance(value, Solution)
+                assert expand(sp, FULL_CONFIG, sol.value) == (None, [])
+                assert try_complete(sp, sol.value + 1) == sol
+                assert expand(sp, FULL_CONFIG, sol.value + 1) == (sol, None)
+        assert min(hits.values()) >= 20, hits
 
 
 class TestRebalancingCompletionValue:

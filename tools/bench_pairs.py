@@ -12,7 +12,13 @@ parent runs first in even pairs and the change first in odd ones.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
 quartiles, the change's wins (ties count for neither side) and whether the
 gain rule holds: wins in at least nine tenths of the pairs, and medians
-further apart than the parent's quartile distance.
+further apart than the parent's quartile distance.  It also gives each
+metric a no-regression verdict against the metric's ``bound`` in
+``BENCHMARK.json``, a share of the parent's median: "regressed" when the
+change's median is worse by more than the bound, "unresolved" when the
+parent's quartile distance is wider than the bound and not every change
+run beats every parent run, else "held".  The exit status is nonzero when
+a run is incorrect or failed, or a metric regressed.
 
 The runs are merged into ``BENCH_<label>.json`` at the repository root,
 one entry per workload: the two commits, every run's seed, order, host
@@ -94,8 +100,30 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "relative": gain / parent["median"] if parent["median"] else 0.0,
             "gain_rule": (wins * 10 >= 9 * len(pairs) and abs(gain) > iqr
                           and (gain < 0) == lower),
+            "bound": metric["bound"],
+            "verdict": verdict(side["parent"].values(), side["change"].values(),
+                               metric["bound"], lower),
         }
     return out
+
+
+def verdict(parent, change, bound: float, lower: bool) -> str:
+    """No-regression verdict of one metric, with `bound` a share of the
+    parent's median: "regressed" when the change's median is worse by more
+    than the bound; else "unresolved" when the parent's quartile distance
+    is wider than the bound and not every change run beats every parent
+    run; else "held"."""
+    sign = 1 if lower else -1
+    p = sorted(sign * x for x in parent)  # lower is better after the sign
+    c = sorted(sign * x for x in change)
+    p_med, c_med = statistics.median(p), statistics.median(c)
+    scale = abs(p_med)
+    if c_med - p_med > bound * scale:
+        return "regressed"
+    q1, _, q3 = statistics.quantiles(p, n=4)
+    if q3 - q1 > bound * scale and c[-1] >= p[0]:
+        return "unresolved"
+    return "held"
 
 
 def main(argv=None) -> int:
@@ -144,7 +172,8 @@ def main(argv=None) -> int:
               f"[{p['q1']:.3f}, {p['q3']:.3f}] -> change {c['median']:.3f} "
               f"[{c['q1']:.3f}, {c['q3']:.3f}] ({100 * s['relative']:+.1f}%), "
               f"wins {s['wins']}/{s['pairs']}, parent IQR {s['parent_iqr']:.3f}, "
-              f"gain rule {'met' if s['gain_rule'] else 'not met'}")
+              f"gain rule {'met' if s['gain_rule'] else 'not met'}, "
+              f"{s['verdict']} within {s['bound']:.0%}")
 
     path = ROOT / f"BENCH_{args.label}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
@@ -156,7 +185,9 @@ def main(argv=None) -> int:
     }
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
-    return 0 if all(r["correct"] and not r["failed"] for r in runs) else 1
+    ok = all(r["correct"] and not r["failed"] for r in runs)
+    return 0 if ok and all(s["verdict"] != "regressed"
+                           for s in summary.values()) else 1
 
 
 if __name__ == "__main__":
