@@ -205,6 +205,18 @@ def parse_campaign(text: str) -> dict:
     for n in campaign["n"]:
         if n < 2:
             raise ValueError(f"vertex count n must be at least 2, got {n}")
+    for p in campaign["p"]:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"edge probability p must be in [0, 1], got {p}")
+    wmin = campaign["wmin"]
+    if wmin < 1:
+        raise ValueError(f"minimum weight wmin must be at least 1, got {wmin}")
+    for wmax in campaign["wmax"]:
+        if wmax < wmin:
+            raise ValueError(
+                f"maximum weight wmax must be at least wmin = {wmin}, got {wmax}")
+    if campaign["reps"] < 1:
+        raise ValueError(f"reps must be at least 1, got {campaign['reps']}")
     for threads in campaign["threads"]:
         if not 1 <= threads <= MAX_THREADS:
             raise ValueError(
@@ -240,7 +252,7 @@ def run_campaign(campaign: dict, reps: int | None = None):
             try:
                 times = []
                 result = None
-                for _ in range(max(1, reps)):
+                for _ in range(reps):
                     result = solve_parallel(
                         graph, s0, s1, cfg, strategy, threads=threads
                     )
@@ -270,6 +282,8 @@ def run_campaign(campaign: dict, reps: int | None = None):
 
 
 def cmd_bench(args) -> int:
+    if args.reps is not None and args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     with open(args.campaign, "r", encoding="utf-8") as fh:
         plan = parse_campaign(fh.read())
     rows = list(run_campaign(plan, reps=args.reps))

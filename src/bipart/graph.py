@@ -2,9 +2,8 @@
 
 Graphs are simple (no self-loops, no parallel edges), undirected, with
 non-negative integer edge weights.  Each adjacency array is kept in
-non-decreasing weight order (ties broken by neighbor id) and every entry
-carries a cross-index: the position of the reverse entry in the neighbor's
-adjacency array.  The bound machinery relies on both properties.
+non-decreasing weight order (ties broken by neighbor id), which the
+high-degree bound relies on.
 """
 
 from __future__ import annotations
@@ -26,15 +25,14 @@ class GraphFormatError(ValueError):
 class WeightedGraph:
     """Adjacency-array graph.
 
-    adj_nbr[v], adj_w[v], adj_cross[v] are parallel tuples: neighbor id,
-    edge weight, and the position of v in that neighbor's arrays.
+    adj_nbr[v] and adj_w[v] are parallel tuples: neighbor id and edge
+    weight.
     max_weight is the heaviest edge weight (0 without edges).
     """
 
     n: int
     adj_nbr: tuple[tuple[int, ...], ...]
     adj_w: tuple[tuple[int, ...], ...]
-    adj_cross: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
     total_weight: tuple[int, ...]  # per-vertex sum of incident edge weights
     max_weight: int
@@ -88,18 +86,12 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
         adj_nbr.append(tuple(x[1] for x in raw[v]))
         adj_w.append(tuple(x[0] for x in raw[v]))
 
-    # Cross-indices: position of u inside each neighbor's array.
-    pos = [{u: i for i, u in enumerate(adj_nbr[v])} for v in range(n)]
-    adj_cross = tuple(
-        tuple(pos[u][v] for u in adj_nbr[v]) for v in range(n)
-    )
     degrees = tuple(len(a) for a in adj_nbr)
     total_weight = tuple(sum(a) for a in adj_w)
     return WeightedGraph(
         n=n,
         adj_nbr=tuple(adj_nbr),
         adj_w=tuple(adj_w),
-        adj_cross=adj_cross,
         degrees=degrees,
         total_weight=total_weight,
         max_weight=max((a[-1] for a in adj_w if a), default=0),
@@ -108,9 +100,10 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
 
 def validate_graph(g: WeightedGraph) -> None:
     """Check all structural invariants in O(n + m); raises on violation."""
+    unpaired = set()  # (v, u, w) entries whose reverse is not yet seen
     for v in range(g.n):
-        nbrs, ws, cross = g.adj_nbr[v], g.adj_w[v], g.adj_cross[v]
-        if not (len(nbrs) == len(ws) == len(cross) == g.degrees[v]):
+        nbrs, ws = g.adj_nbr[v], g.adj_w[v]
+        if not (len(nbrs) == len(ws) == g.degrees[v]):
             raise AssertionError(f"inconsistent array lengths at vertex {v}")
         for i, u in enumerate(nbrs):
             if u == v:
@@ -119,9 +112,13 @@ def validate_graph(g: WeightedGraph) -> None:
                 raise AssertionError(f"negative weight at vertex {v}")
             if i > 0 and (ws[i - 1], nbrs[i - 1]) > (ws[i], u):
                 raise AssertionError(f"adjacency of {v} not weight-sorted")
-            j = cross[i]
-            if g.adj_nbr[u][j] != v or g.adj_w[u][j] != ws[i]:
-                raise AssertionError(f"cross-index broken on edge ({v},{u})")
+            if (u, v, ws[i]) in unpaired:
+                unpaired.remove((u, v, ws[i]))
+            else:
+                unpaired.add((v, u, ws[i]))
+    if unpaired:
+        v, u, _ = min(unpaired)
+        raise AssertionError(f"edge ({v},{u}) has no matching reverse entry")
     if g.max_weight != max((w for ws in g.adj_w for w in ws), default=0):
         raise AssertionError("max_weight is not the heaviest edge weight")
 

@@ -128,7 +128,7 @@ def prologue(graph, s0, s1, cfg, initial, initial_value):
     if initial_value is not None and initial_value < best_value:
         best, best_value = None, initial_value
     t_best = time.perf_counter() - t_start
-    root = root_subproblem(graph, s0, s1, maintain_hd=cfg.enable_high_degree)
+    root = root_subproblem(graph, s0, s1)
     root.lb = lower_bound(root, cfg)
     return t_start, best, best_value, t_best, root
 

@@ -8,20 +8,15 @@ incrementally maintained quantities the lower bounds read:
 * basic and sum_d0: the sums over free v of min(d0[v], d1[v]) and of
   d0[v], which the basic and rebalancing bound terms read.
 * free_degree[v]: degree of free v in the subgraph induced by free vertices.
-* per-side scan cursors and seen counters over each free vertex's
-  weight-sorted adjacency, so that seen_cnt_i[v] free edges (the cheapest
-  ones) are accounted with total weight seen_w_i[v].
 
-The seen-count target is max(0, free_degree(v) - max(f_i, 1) + 1), where
-f_i is the number of vertices side i still needs.  Clamping f_i at 1 keeps
-the counters well-defined when a side becomes full; they are never read in
-that situation because no vertex can then be high-degree for the bound.
+The high-degree terms keep no state here.  The paper maintains per-vertex
+seen counters for them; measured here, that upkeep cost more than the term
+saved, so the terms now sum the cheapest free edges of each high-degree
+vertex from the weight-sorted adjacency when they are read (figures in the
+bounds module docstring).
 
 Children are fresh O(n) copies of the parent; a subproblem is owned by one
-worker at a time and never mutated concurrently, except by its deferred
-seen-counter upkeep, which runs when first needed (see Subproblem.assign and
-finish_assign): a child discarded on its cheap bound terms, or whose
-high-degree terms are 0, never pays for it.
+worker at a time and never mutated concurrently.
 """
 
 from __future__ import annotations
@@ -34,9 +29,8 @@ class Subproblem:
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
         "free_degree", "zero_free_degree_count",
-        "_scan", "_seen_cnt", "_seen_w",
         "approx_max_free_degree", "approx_max_component",
-        "maintain_hd", "deferred_upkeep", "depth", "lb", "ub_est",
+        "depth", "lb", "ub_est",
     )
 
     # Instances are made in two places: recompute_from_scratch, which
@@ -66,12 +60,7 @@ class Subproblem:
 
         The parent is not modified.  The free-set state (D arrays, fixed
         cut, basic and sum_d0, free degrees, free list, masks) is repaired
-        here in O(deg(v)) plus the O(n) copies.  The high-degree counter
-        upkeep is deferred to finish_assign(), which the first read of a
-        counter array runs if nothing called it before, so the child is
-        fully maintained to every reader.  The search calls it only for
-        children whose cheap bound terms stay below the incumbent and whose
-        high-degree terms can be nonzero.
+        here in O(deg(v)) plus the O(n) copies.
         """
         if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
@@ -93,17 +82,7 @@ class Subproblem:
         d1 = child.d1 = self.d1.copy()
         child.approx_max_free_degree = self.approx_max_free_degree
         child.approx_max_component = self.approx_max_component
-        child.maintain_hd = self.maintain_hd
         child.depth = self.depth + 1
-        if self.maintain_hd:
-            child.deferred_upkeep = (self, v, side)
-        else:
-            # Stale but never read while maintenance is off; sharing the
-            # parent's arrays keeps assign cheap.
-            child.deferred_upkeep = None
-            child._scan = self._scan
-            child._seen_cnt = self._seen_cnt
-            child._seen_w = self._seen_w
 
         d_own = d1 if side == 1 else d0
         d_other = d0 if side == 1 else d1
@@ -152,130 +131,19 @@ class Subproblem:
         deg[v] = 0
         return child
 
-    def finish_assign(self) -> None:
-        """Run the high-degree counter upkeep that assign() deferred, if any.
-
-        Pending ancestors are finished first, oldest first, in a loop: the
-        chain can be as long as the search depth.  Each step reads only its
-        parent's state, which nothing modifies once it has children, and
-        publishes fresh arrays before clearing deferred_upkeep (read once
-        per subproblem), so threads finishing one subproblem at once agree.
-        """
-        chain = []
-        sp, step = self, self.deferred_upkeep
-        while step is not None:
-            chain.append((sp, step))
-            sp, step = step[0], step[0].deferred_upkeep
-        while chain:
-            sp, step = chain.pop()
-            sp._upkeep(*step)
-
-    def _upkeep(self, parent: "Subproblem", v: int, side: int) -> None:
-        """Seen counters after fixing v to `side`, from the parent's: one
-        forward and at most one backward scan per touched adjacency."""
-        g = self.graph
-        scan = (parent._scan[0].copy(), parent._scan[1].copy())
-        seen_cnt = (parent._seen_cnt[0].copy(), parent._seen_cnt[1].copy())
-        seen_w = (parent._seen_w[0].copy(), parent._seen_w[1].copy())
-        free_mask = parent.free_mask  # v's bit still set during the scans
-        deg = parent.free_degree
-
-        # Forward phase: side `side` now needs one vertex fewer, so every
-        # free vertex may have to see one more free edge.  v is still
-        # flagged free here so the scans below stay consistent with the
-        # removal fix-up that follows.
-        fs_new = self.f0 if side == 0 else self.f1
-        if fs_new >= 1:
-            scan_s = scan[side]
-            cnt_s = seen_cnt[side]
-            w_s = seen_w[side]
-            limit = fs_new - 1
-            for u in parent.free_list:
-                if u == v or deg[u] <= limit:
-                    continue
-                a_n = g.adj_nbr[u]
-                a_w = g.adj_w[u]
-                t = scan_s[u]
-                while not (free_mask >> a_n[t]) & 1:
-                    t += 1
-                w_s[u] += a_w[t]
-                cnt_s[u] += 1
-                scan_s[u] = t + 1
-
-        # Removal phase: each free neighbor u loses the free edge (u, v);
-        # on every side with a positive seen count, un-see one edge (either
-        # (u, v) itself if already scanned, or the heaviest seen edge via a
-        # backward scan).
-        f_new = (self.f0, self.f1)
-        nbrs = g.adj_nbr[v]
-        wts = g.adj_w[v]
-        crosses = g.adj_cross[v]
-        for i in range(len(nbrs)):
-            u = nbrs[i]
-            if not (free_mask >> u) & 1:
-                continue
-            pos = crosses[i]
-            w_uv = wts[i]
-            du = deg[u]
-            for t in (0, 1):
-                ft = f_new[t]
-                if ft < 1:
-                    ft = 1
-                if du - ft + 1 <= 0:
-                    continue
-                scan_t = scan[t]
-                if pos < scan_t[u]:
-                    seen_w[t][u] -= w_uv
-                else:
-                    a_n = g.adj_nbr[u]
-                    a_w = g.adj_w[u]
-                    q = scan_t[u] - 1
-                    while not (free_mask >> a_n[q]) & 1:
-                        q -= 1
-                    seen_w[t][u] -= a_w[q]
-                    scan_t[u] = q
-                seen_cnt[t][u] -= 1
-
-        for t in (0, 1):
-            scan[t][v] = 0
-            seen_cnt[t][v] = 0
-            seen_w[t][v] = 0
-        self._scan, self._seen_cnt, self._seen_w = scan, seen_cnt, seen_w
-        self.deferred_upkeep = None
-
-    # The counter arrays run the deferred upkeep on first read.
-
-    @property
-    def scan(self) -> tuple[list[int], list[int]]:
-        if self.deferred_upkeep is not None:
-            self.finish_assign()
-        return self._scan
-
-    @property
-    def seen_cnt(self) -> tuple[list[int], list[int]]:
-        if self.deferred_upkeep is not None:
-            self.finish_assign()
-        return self._seen_cnt
-
-    @property
-    def seen_w(self) -> tuple[list[int], list[int]]:
-        if self.deferred_upkeep is not None:
-            self.finish_assign()
-        return self._seen_w
-
 
 def root_subproblem(
-    graph: WeightedGraph, s0: int, s1: int, maintain_hd: bool = True
+    graph: WeightedGraph, s0: int, s1: int, *, maintain_hd: bool = True
 ) -> Subproblem:
     """Root of the search tree for target sizes (s0, s1).
 
     When s0 == s1 the two sides are interchangeable, so vertex 0 is
     pre-assigned to side 0 to avoid enumerating mirrored solutions.  Built
-    by recompute_from_scratch, so its estimates are exact.
+    by recompute_from_scratch, so its estimates are exact.  maintain_hd is
+    ignored: no state depends on it any more, and the benchmark still
+    passes it.
     """
-    sp = recompute_from_scratch(
-        graph, [0] if s0 == s1 else [], [], s0, s1, maintain_hd
-    )
+    sp = recompute_from_scratch(graph, [0] if s0 == s1 else [], [], s0, s1)
     sp.depth = 0
     return sp
 
@@ -286,15 +154,13 @@ def recompute_from_scratch(
     u1,
     s0: int,
     s1: int,
-    maintain_hd: bool = True,
 ) -> Subproblem:
     """Build the Subproblem for assignment (u0, u1) directly from definitions.
 
     u0 and u1 are iterables of vertex ids.  This builds the root, and it is
     the oracle for the incremental maintenance in assign(): every derived
-    quantity is computed by a fresh O(n + m) pass.  Scan cursors are set to
-    the canonical minimal positions; the estimate fields are set to their
-    exact current values.
+    quantity is computed by a fresh O(n + m) pass, and the estimate fields
+    are set to their exact current values.
     """
     n = graph.n
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
@@ -319,8 +185,6 @@ def recompute_from_scratch(
     sp.free_list = [v for v in range(n) if (sp.free_mask >> v) & 1]
     sp.f0 = s0 - len(set0)
     sp.f1 = s1 - len(set1)
-    sp.maintain_hd = maintain_hd
-    sp.deferred_upkeep = None
     sp.depth = len(set0) + len(set1)
 
     d0 = [0] * n
@@ -347,33 +211,6 @@ def recompute_from_scratch(
     sp.zero_free_degree_count = sum(
         1 for v in sp.free_list if free_degree[v] == 0
     )
-
-    scan0, scan1 = [0] * n, [0] * n
-    cnt0, cnt1 = [0] * n, [0] * n
-    w0, w1 = [0] * n, [0] * n
-    free_mask = sp.free_mask
-    for v in sp.free_list:
-        a_n = graph.adj_nbr[v]
-        a_w = graph.adj_w[v]
-        for ft, scan, cnt, wsum in ((sp.f0, scan0, cnt0, w0),
-                                    (sp.f1, scan1, cnt1, w1)):
-            k = free_degree[v] - max(ft, 1) + 1
-            if k <= 0:
-                continue
-            total = 0
-            found = 0
-            t = 0
-            while found < k:
-                if (free_mask >> a_n[t]) & 1:
-                    total += a_w[t]
-                    found += 1
-                t += 1
-            scan[v] = t
-            cnt[v] = k
-            wsum[v] = total
-    sp._scan = (scan0, scan1)
-    sp._seen_cnt = (cnt0, cnt1)
-    sp._seen_w = (w0, w1)
 
     sp.approx_max_free_degree = max(
         (free_degree[v] for v in sp.free_list), default=0

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from checks import assign_walk, irregular_graph
 
 from bipart.bounds import (
@@ -28,7 +26,7 @@ def complete_unweighted(n):
     return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
 
 
-def random_subproblem(rng, n_max=12, maintain_hd=True):
+def random_subproblem(rng, n_max=12):
     n = rng.randint(3, n_max)
     p = rng.choice([0.2, 0.5, 1.0])
     wmax = rng.choice([1, 1000])
@@ -42,7 +40,7 @@ def random_subproblem(rng, n_max=12, maintain_hd=True):
             u0.append(v)
         elif len(u1) < s1:
             u1.append(v)
-    return recompute_from_scratch(g, u0, u1, s0, s1, maintain_hd=maintain_hd)
+    return recompute_from_scratch(g, u0, u1, s0, s1)
 
 
 class TestBasic:
@@ -217,11 +215,68 @@ class TestHighDegree:
             assert high_degree_bound(sp) == high_degree_bound(rc)
             assert high_degree_rebalance(sp) == high_degree_rebalance(rc)
 
-    def test_requires_maintained_state(self):
-        sp = root_subproblem(complete_unweighted(4), 2, 2, maintain_hd=False)
-        sp = sp.assign(1, 1)
-        with pytest.raises(ValueError):
-            high_degree_bound(sp)
+
+def reference_high_degree(sp):
+    """Both high-degree terms from their definition: for each free v of
+    free degree d >= f_big, sort its free-edge weights; the bound sums the
+    cheapest d - f_big + 1, the penalty is the cheapest d - max(f_small, 1)
+    + 1 less that, and the rebalancing term sums the smallest penalties of
+    the vertices beyond f_big.  The inherited-estimate gate applies."""
+    f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
+    if sp.approx_max_free_degree <= f_small:
+        return 0, 0
+    bound, penalties = 0, []
+    for v in sp.free_list:
+        ws = sorted(w for u, w in sp.graph.neighbors(v) if sp.is_free(u))
+        if len(ws) < f_big:
+            continue
+        big = sum(ws[:len(ws) - f_big + 1])
+        bound += big
+        penalties.append(sum(ws[:len(ws) - max(f_small, 1) + 1]) - big)
+    surplus = len(penalties) - f_big
+    return bound, sum(sorted(penalties)[:surplus]) if surplus > 0 else 0
+
+
+class TestHighDegreeOracle:
+    """Both terms, summed on demand from the weight-sorted adjacency, equal
+    the sort-and-sum definition on every state of random assign chains,
+    with the gate as inherited and forced open."""
+
+    def check_walks(self, rng, graphs):
+        seen = {"f0 == f1": 0, "f_small == 1": 0, "f_small == 0": 0}
+        for g, s0 in graphs:
+            for sp in assign_walk(rng, g, s0):
+                terms = (high_degree_bound(sp), high_degree_rebalance(sp))
+                assert terms == reference_high_degree(sp)
+                sp.approx_max_free_degree = g.n  # open the gate
+                terms = (high_degree_bound(sp), high_degree_rebalance(sp))
+                assert terms == reference_high_degree(sp)
+                f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
+                high = sum(sp.free_degree[v] >= f_big for v in sp.free_list)
+                seen["f0 == f1"] += sp.f0 == sp.f1 and high > 0
+                seen["f_small == 1"] += f_small == 1 and high > f_big
+                seen["f_small == 0"] += f_small == 0 and sp.f > 0
+        assert all(seen.values()), seen
+
+    def test_random_states(self):
+        rng = random.Random(41)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            graphs.append((g, rng.randint(1, n - 1)))
+        self.check_walks(rng, graphs)
+
+    def test_irregular_states(self):
+        rng = random.Random(42)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            graphs.append((irregular_graph(rng, n), rng.randint(1, n - 1)))
+        assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
+        assert any(0 in g.degrees for g, _ in graphs)
+        self.check_walks(rng, graphs)
 
 
 class TestComponent:
@@ -342,43 +397,6 @@ class TestLowerBound:
                     else:
                         assert cutoff <= got <= full
         assert skipped > 0
-
-    def test_high_degree_upkeep_waits_until_a_term_can_be_nonzero(self):
-        # Along random trajectories under highdegree, lower_bound leaves the
-        # counter upkeep pending exactly when no free vertex has free
-        # degree >= f_big, and the bound equals the oracle state's.  The
-        # free-degree estimate is forced to n on both states, so the stale
-        # inherited estimate cannot make them differ.
-        cfg = CONFIG_PRESETS["highdegree"]
-        rng = random.Random(1222)
-        left_pending = 0
-        for _ in range(60):
-            n = rng.randint(4, 16)
-            g = generate_er(n, rng.choice([0.2, 0.5]), 1, rng.choice([1, 1000]),
-                            seed=rng.randint(0, 10**9))
-            s0 = rng.randint(1, n - 1)
-            sp = root_subproblem(g, s0, n - s0)
-            while sp.f:
-                side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-                sp = sp.assign(rng.choice(sp.free_list), side)
-                sp.approx_max_free_degree = n
-                rc = recompute_from_scratch(
-                    g,
-                    [v for v in range(n) if (sp.a0 >> v) & 1],
-                    [v for v in range(n) if (sp.a1 >> v) & 1],
-                    s0,
-                    n - s0,
-                )
-                rc.approx_max_free_degree = n
-                got = lower_bound(sp, cfg)
-                f_big = max(sp.f0, sp.f1)
-                if all(sp.free_degree[v] < f_big for v in sp.free_list):
-                    assert sp.deferred_upkeep is not None
-                    left_pending += 1
-                else:
-                    assert sp.deferred_upkeep is None
-                assert got == lower_bound(rc, cfg)
-        assert left_pending > 0
 
     def test_integer_bounds(self):
         rng = random.Random(1020)

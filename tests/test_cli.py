@@ -219,6 +219,45 @@ threads = 1
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("p = 0.5, 1.5", "edge probability"),
+        ("p = 0.5, -0.1", "edge probability"),
+        ("wmin = 0", "minimum weight"),
+        ("wmin = 5\nwmax = 1, 10", "maximum weight"),
+        ("reps = -2", "reps"),
+        ("reps = 0", "reps"),
+    ])
+    def test_out_of_range_campaign_values_rejected_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        solves = []
+        monkeypatch.setattr("bipart.cli.solve_parallel",
+                            lambda *a, **k: solves.append(a))
+        campaign = tmp_path / "c.txt"
+        campaign.write_text(f"n = 8\n{line}\n")
+        out = tmp_path / "rows.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--campaign", str(campaign), "--out", str(out)
+        )
+        assert code == 2
+        assert message in err
+        assert not solves and not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_is_usage_error(self, tmp_path, capsys,
+                                           monkeypatch, reps):
+        solves = []
+        monkeypatch.setattr("bipart.cli.solve_parallel",
+                            lambda *a, **k: solves.append(a))
+        campaign = tmp_path / "c.txt"
+        campaign.write_text("n = 8\n")
+        code, _, err = run_cli(
+            capsys, "bench", "--campaign", str(campaign), "--reps", reps
+        )
+        assert code == 1
+        assert "--reps" in err
+        assert not solves
+
     def test_parse_campaign_defaults(self):
         plan = parse_campaign("n = 6\n")
         assert plan["p"] == [0.5] and plan["seeds"] == [0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -20,7 +21,6 @@ def test_single_edge():
     assert g.n == 2 and g.m == 1
     assert g.adj_nbr[0] == (1,) and g.adj_w[0] == (5,)
     assert g.adj_nbr[1] == (0,) and g.adj_w[1] == (5,)
-    assert g.adj_cross[0] == (0,) and g.adj_cross[1] == (0,)
 
 
 def test_adjacency_sorted_by_weight():
@@ -88,6 +88,13 @@ def test_generate_rejects_bad_parameters():
         generate_er(10, 0.5, 5, 2, seed=0)
     with pytest.raises(ValueError):
         generate_er(10, 0.5, 0, 2, seed=0)
+
+
+def test_validate_rejects_an_unpaired_adjacency_entry():
+    g = build_graph(3, [(0, 1, 5), (1, 2, 4)])
+    bad = dataclasses.replace(g, adj_w=((6,),) + g.adj_w[1:])
+    with pytest.raises(AssertionError, match="reverse"):
+        validate_graph(bad)
 
 
 def test_adjacency_entries_sum_to_2m():

@@ -323,24 +323,20 @@ def test_irregular_inputs_match_oracle(instance):
 
 @pytest.mark.parametrize("preset", ["highdegree", "component"])
 def test_search_keeps_only_fully_maintained_children(preset):
-    """A DFS through expand: every kept child either has its upkeep done or
-    has no free vertex with free degree >= f_big (its high-degree terms
-    are 0), and after finish_assign it matches the from-scratch oracle.
-    Children left pending are finished after the search, youngest first,
-    so their descendants finish chains of pending ancestors."""
+    """A DFS through expand: every kept child matches the from-scratch
+    oracle, and the search reaches the brute-force optimum."""
     cfg = CONFIG_PRESETS[preset]
     rng = random.Random(727)
-    deferred = 0
+    kept = 0
     for _ in range(25):
         n = rng.randint(4, 16)
         g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
                         rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
         s0 = rng.randint(1, n - 1)
         best = greedy_initial_solution(g, s0, n - s0).value
-        root = root_subproblem(g, s0, n - s0, maintain_hd=True)
+        root = root_subproblem(g, s0, n - s0)
         root.lb = lower_bound(root, cfg)
         stack = [root]
-        pending = []
         while stack:
             sp = stack.pop()
             if sp.lb >= best:
@@ -352,21 +348,11 @@ def test_search_keeps_only_fully_maintained_children(preset):
             for child in reversed(children):
                 if child.lb >= best:
                     continue
-                if child.deferred_upkeep is None:
-                    assert_equivalent(child, oracle_of(child))
-                else:
-                    f_big = max(child.f0, child.f1)
-                    assert all(child.free_degree[v] < f_big
-                               for v in child.free_list)
-                    pending.append(child)
+                assert_equivalent(child, oracle_of(child))
+                kept += 1
                 stack.append(child)
-        deferred += len(pending)
-        for child in reversed(pending):
-            child.finish_assign()
-            assert child.deferred_upkeep is None
-            assert_equivalent(child, oracle_of(child))
         assert best == brute_force_optimum(g, s0, n - s0).optimum
-    assert deferred > 0
+    assert kept > 0
 
 
 def oracle_of(sp):

@@ -1,12 +1,9 @@
 import random
-import sys
-import threading
 
 import pytest
 
 from checks import assert_equivalent
 
-from bipart.bounds import CONFIG_PRESETS, lower_bound
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
@@ -122,103 +119,3 @@ class TestRecompute:
                     s1,
                 )
                 assert_equivalent(sp, rc)
-
-
-class TestDeferredUpkeep:
-    def test_unread_ancestors_are_finished_on_demand(self):
-        # No counter is read along the trajectory, so every state's upkeep
-        # is still deferred; reading the last one must finish its whole
-        # chain of ancestors first.
-        rng = random.Random(131)
-        for _ in range(60):
-            n = rng.randint(2, 16)
-            g = generate_er(n, rng.choice([0.15, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
-            s0 = rng.randint(1, n - 1)
-            states = [root_subproblem(g, s0, n - s0)]
-            while states[-1].f:
-                sp = states[-1]
-                side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-                states.append(sp.assign(rng.choice(sp.free_list), side))
-            for sp in reversed(states):
-                rc = recompute_from_scratch(
-                    g,
-                    [v for v in range(n) if (sp.a0 >> v) & 1],
-                    [v for v in range(n) if (sp.a1 >> v) & 1],
-                    s0,
-                    n - s0,
-                )
-                assert_equivalent(sp, rc)
-                assert sp.deferred_upkeep is None
-
-    def test_a_dive_longer_than_the_recursion_limit_finishes(self):
-        # On a sparse graph with large sides no free degree reaches f_big,
-        # so lower_bound under highdegree leaves every step's upkeep
-        # pending: the leaf's chain is 1,100 ancestors long, more than one
-        # stack frame per ancestor would allow.
-        g = generate_er(1200, 0.003, 1, 1000, 1)
-        cfg = CONFIG_PRESETS["highdegree"]
-        rng = random.Random(1100)
-        sp = root_subproblem(g, 600, 600)
-        for _ in range(1100):
-            side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-            sp = sp.assign(rng.choice(sp.free_list), side)
-            sp.lb = lower_bound(sp, cfg)
-        pending, x = 0, sp
-        while x.deferred_upkeep is not None:
-            pending += 1
-            x = x.deferred_upkeep[0]
-        assert pending == 1100
-        sp.finish_assign()
-        assert sp.deferred_upkeep is None
-        rc = recompute_from_scratch(
-            g,
-            [v for v in range(g.n) if (sp.a0 >> v) & 1],
-            [v for v in range(g.n) if (sp.a1 >> v) & 1],
-            600,
-            600,
-        )
-        assert_equivalent(sp, rc)
-
-    def test_threads_finishing_a_shared_chain_agree(self):
-        # Eight threads, released together with a tiny switch interval,
-        # each finish one child of a parent whose chain of ancestors is
-        # still pending: they race to finish the same ancestors, and every
-        # state must still match the oracle.
-        g = generate_er(40, 0.3, 1, 1000, 5)
-        rng = random.Random(808)
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                sp = root_subproblem(g, 20, 20)
-                for _ in range(12):
-                    side = rng.choice([0, 1])
-                    sp = sp.assign(rng.choice(sp.free_list), side)
-                children = [sp.assign(v, side)
-                            for v in sp.free_list[:4] for side in (0, 1)]
-                barrier = threading.Barrier(len(children))
-
-                def finish(child):
-                    barrier.wait(timeout=30)
-                    child.finish_assign()
-
-                workers = [threading.Thread(target=finish, args=(c,),
-                                            daemon=True) for c in children]
-                for w in workers:
-                    w.start()
-                for w in workers:
-                    w.join(timeout=30)
-                    assert not w.is_alive()
-                for state in children + [sp]:
-                    assert state.deferred_upkeep is None
-                    rc = recompute_from_scratch(
-                        g,
-                        [v for v in range(g.n) if (state.a0 >> v) & 1],
-                        [v for v in range(g.n) if (state.a1 >> v) & 1],
-                        20,
-                        20,
-                    )
-                    assert_equivalent(state, rc)
-        finally:
-            sys.setswitchinterval(old_interval)
