@@ -7,11 +7,12 @@ push and side 0 is pushed first, so dfs pops in plain stack order.  It
 pops the best subproblem, drops it when its stored lower bound no longer
 beats the incumbent (counted separately as an irrelevant task), otherwise
 tries the completion rules and, failing those, branches on the free
-vertex with the largest guaranteed bound increase.  Child bounds are
-computed once at creation, cheapest term first against the incumbent, and
-stored with the child; a child whose bound reaches the incumbent is dropped
-on the spot, before its high-degree upkeep, component BFS or gap estimate
-is built.
+vertex with the largest guaranteed bound increase.  One Subproblem.assign
+call gives both children and never builds one whose fixed cut + basic
+already reaches the incumbent.  The bounds of the others are computed once,
+cheapest term first against the incumbent, and stored with the child; a
+child whose bound reaches the incumbent is dropped on the spot, before its
+high-degree terms, component BFS or gap estimate are computed.
 """
 
 from __future__ import annotations
@@ -92,19 +93,19 @@ def expand(sp, cfg, cutoff):
     Returns (solution, None) when a completion rule fired on a completion
     below `cutoff`, (None, []) when one fired on a completion that cannot
     beat it (a leaf), otherwise (None, children) with each child's lower
-    bound stored on it.  `cutoff` is the incumbent value: a child whose
-    stored bound is >= cutoff holds only that certificate, since the bound
-    terms after the one that reached the cutoff were skipped.
+    bound stored on it.  `cutoff` is the incumbent value.  A child whose
+    fixed cut + basic reaches it is not built and not returned; a returned
+    child whose stored bound is >= cutoff holds only that certificate,
+    since the bound terms after the one that reached the cutoff were
+    skipped.
     """
     sol = try_complete(sp, cutoff)
     if sol is not None:
         return (sol, None) if isinstance(sol, Solution) else (None, [])
-    v = branch_vertex(sp)
-    children = []
-    for side in (0, 1):
-        child = sp.assign(v, side)
+    children = [c for c in sp.assign(branch_vertex(sp), cutoff)
+                if c is not None]
+    for child in children:
         child.lb = lower_bound(child, cfg, cutoff)
-        children.append(child)
     return None, children
 
 

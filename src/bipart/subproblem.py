@@ -15,8 +15,15 @@ saved, so the terms now sum the cheapest free edges of each high-degree
 vertex from the weight-sorted adjacency when they are read (figures in the
 bounds module docstring).
 
-Children are fresh O(n) copies of the parent; a subproblem is owned by one
-worker at a time and never mutated concurrently.
+Subproblem.assign is the branching kernel: one call builds both children
+of a branching, and skips a child whose side is full or whose fixed cut +
+basic already reaches the caller's cutoff.  The two siblings share one
+copy of the free set (free_list, free_mask, free_degree and the zero-degree
+count), and a child shares a D array with its parent when v's entry there
+is already 0.  That is safe because no array of a subproblem is written
+after assign or recompute_from_scratch builds it; only the scalar
+estimates, lb and ub_est are set later, on the subproblem's own slots.  A
+subproblem is owned by one worker at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ class Subproblem:
     )
 
     # Instances are made in two places: recompute_from_scratch, which
-    # root_subproblem calls, and assign, for every child.  Direct
-    # construction is not part of the API.
+    # root_subproblem calls, and assign, for the children of a branching.
+    # Direct construction is not part of the API.
 
     # -- basic queries ---------------------------------------------------
 
@@ -55,81 +62,122 @@ class Subproblem:
 
     # -- branching -------------------------------------------------------
 
-    def assign(self, v: int, side: int) -> "Subproblem":
-        """Child subproblem with free vertex v fixed to the given side.
+    def assign(
+        self, v: int, cutoff: float | None = None
+    ) -> tuple["Subproblem | None", "Subproblem | None"]:
+        """The two children of branching on free vertex v: (child0, child1).
 
-        The parent is not modified.  The free-set state (D arrays, fixed
-        cut, basic and sum_d0, free degrees, free list, masks) is repaired
-        here in O(deg(v)) plus the O(n) copies.
+        child_s has v fixed to side s.  It is None, and never built, when
+        side s is full or when its fixed cut + basic reaches `cutoff`.  One
+        pass over v's free neighbours gives both children's basic
+        increments.  The children share one copy of the free set (free
+        list, mask, free degrees, zero-degree count) and each gets its own
+        D arrays, so a branching costs O(deg v) plus at most six O(n)
+        copies.  No array of a subproblem is written after it is built,
+        which makes the sharing safe; the parent is not modified.
         """
-        if side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {side}")
         if not self.is_free(v):
             raise ValueError(f"vertex {v} is not free")
-        f_side = self.f0 if side == 0 else self.f1
-        if f_side == 0:
-            raise ValueError(f"side {side} is already full")
-
         g = self.graph
-        child = Subproblem.__new__(Subproblem)
-        child.lb = None
-        child.ub_est = None
-        child.graph = g
-        child.s0, child.s1 = self.s0, self.s1
-        child.a0, child.a1 = self.a0, self.a1
-        child.free_list = self.free_list.copy()
-        d0 = child.d0 = self.d0.copy()
-        d1 = child.d1 = self.d1.copy()
-        child.approx_max_free_degree = self.approx_max_free_degree
-        child.approx_max_component = self.approx_max_component
-        child.depth = self.depth + 1
-
-        d_own = d1 if side == 1 else d0
-        d_other = d0 if side == 1 else d1
-        v_own, v_other = d_own[v], d_other[v]
-        child.fixed_cut = self.fixed_cut + v_other
-        # v leaves both sums; its free edges, of weight total - d0 - d1,
-        # all land on d_own of its free neighbours.
-        basic = self.basic - (v_own if v_own < v_other else v_other)
-        sum_d0 = self.sum_d0 - d0[v]
-        if side == 0:
-            sum_d0 += g.total_weight[v] - v_own - v_other
-
-        # D arrays, basic, free degrees, zero-degree count.
         free_mask = self.free_mask
-        deg = child.free_degree = self.free_degree.copy()
+        d0, d1, deg = self.d0, self.d1, self.free_degree
+        dv0, dv1 = d0[v], d1[v]
+        # v leaves the basic sum.  Each free neighbour u gains w on the
+        # child's own side, which raises min(d0[u], d1[u]) in at most one
+        # of the two children.
+        basic0 = basic1 = self.basic - (dv0 if dv0 < dv1 else dv1)
         zero_cnt = self.zero_free_degree_count
-        if deg[v] == 0:
-            zero_cnt -= 1
-        for u, w in zip(g.adj_nbr[v], g.adj_w[v]):
-            if (free_mask >> u) & 1:
-                own = d_own[u]
-                d_own[u] = own + w
-                other = d_other[u]
-                if own < other:
-                    basic += w if own + w <= other else other - own
-                deg[u] -= 1
-                if deg[u] == 0:
-                    zero_cnt += 1
-        child.basic = basic
-        child.sum_d0 = sum_d0
-        child.zero_free_degree_count = zero_cnt
+        nbrs = [(u, w) for u, w in zip(g.adj_nbr[v], g.adj_w[v])
+                if (free_mask >> u) & 1]
+        for u, w in nbrs:
+            x, y = d0[u], d1[u]
+            if x < y:
+                basic0 += w if x + w <= y else y - x
+            elif y < x:
+                basic1 += w if y + w <= x else x - y
+            if deg[u] == 1:
+                zero_cnt += 1
+        cut0 = self.fixed_cut + dv1
+        cut1 = self.fixed_cut + dv0
+        keep0 = self.f0 > 0 and (cutoff is None or cut0 + basic0 < cutoff)
+        keep1 = self.f1 > 0 and (cutoff is None or cut1 + basic1 < cutoff)
+        if not (keep0 or keep1):
+            return None, None
 
-        # Finally move v out of the free set.
+        # The free set without v, shared by both children.
         bit = 1 << v
-        child.free_mask = free_mask & ~bit
-        child.f0, child.f1 = self.f0, self.f1
-        if side == 0:
-            child.a0 |= bit
-            child.f0 -= 1
+        free_mask &= ~bit
+        free_list = self.free_list.copy()
+        free_list.remove(v)
+        if nbrs:
+            deg = deg.copy()
+            deg[v] = 0
+            for u, _ in nbrs:
+                deg[u] -= 1
         else:
-            child.a1 |= bit
-            child.f1 -= 1
-        child.free_list.remove(v)
-        d0[v] = 0
-        d1[v] = 0
-        deg[v] = 0
-        return child
+            zero_cnt -= 1  # v itself had free degree 0
+
+        # Each child copies the D array of its own side, where v's free
+        # edges land, and clears v's entry in the other one, which it
+        # shares with the parent when that entry is already 0.
+        child0 = child1 = None
+        depth = self.depth + 1
+        if keep0:
+            child0 = c = Subproblem.__new__(Subproblem)
+            c.graph = g
+            c.s0, c.s1 = self.s0, self.s1
+            c.a0, c.a1 = self.a0 | bit, self.a1
+            c.f0, c.f1 = self.f0 - 1, self.f1
+            c.free_mask = free_mask
+            c.free_list = free_list
+            c.free_degree = deg
+            c.zero_free_degree_count = zero_cnt
+            c.approx_max_free_degree = self.approx_max_free_degree
+            c.approx_max_component = self.approx_max_component
+            c.depth = depth
+            c.lb = None
+            c.ub_est = None
+            c.fixed_cut = cut0
+            c.basic = basic0
+            # v's free edges all land on d0 of its free neighbours.
+            c.sum_d0 = self.sum_d0 - dv0 + g.total_weight[v] - dv0 - dv1
+            c.d0 = own = d0.copy()
+            own[v] = 0
+            for u, w in nbrs:
+                own[u] += w
+            if dv1:
+                c.d1 = other = d1.copy()
+                other[v] = 0
+            else:
+                c.d1 = d1
+        if keep1:
+            child1 = c = Subproblem.__new__(Subproblem)
+            c.graph = g
+            c.s0, c.s1 = self.s0, self.s1
+            c.a0, c.a1 = self.a0, self.a1 | bit
+            c.f0, c.f1 = self.f0, self.f1 - 1
+            c.free_mask = free_mask
+            c.free_list = free_list
+            c.free_degree = deg
+            c.zero_free_degree_count = zero_cnt
+            c.approx_max_free_degree = self.approx_max_free_degree
+            c.approx_max_component = self.approx_max_component
+            c.depth = depth
+            c.lb = None
+            c.ub_est = None
+            c.fixed_cut = cut1
+            c.basic = basic1
+            c.sum_d0 = self.sum_d0 - dv0
+            c.d1 = own = d1.copy()
+            own[v] = 0
+            for u, w in nbrs:
+                own[u] += w
+            if dv0:
+                c.d0 = other = d0.copy()
+                other[v] = 0
+            else:
+                c.d0 = d0
+        return child0, child1
 
 
 def root_subproblem(

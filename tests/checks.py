@@ -23,6 +23,18 @@ def assert_equivalent(inc: Subproblem, rc: Subproblem):
     assert inc.approx_max_component >= rc.approx_max_component
 
 
+def oracle_of(sp: Subproblem) -> Subproblem:
+    """The from-scratch state of sp's partial assignment."""
+    n = sp.graph.n
+    return recompute_from_scratch(
+        sp.graph,
+        [v for v in range(n) if (sp.a0 >> v) & 1],
+        [v for v in range(n) if (sp.a1 >> v) & 1],
+        sp.s0,
+        sp.s1,
+    )
+
+
 def random_partial_assignment(rng, graph, s0, s1):
     """A uniform-ish random valid partial assignment as a Subproblem."""
     n = graph.n
@@ -55,6 +67,6 @@ def assign_walk(rng, graph, s0):
     while sp.free_list:
         v = rng.choice(sp.free_list)
         side = rng.choice([s for s, f in ((0, sp.f0), (1, sp.f1)) if f])
-        sp = sp.assign(v, side)
+        sp = sp.assign(v)[side]
         states.append(sp)
     return states

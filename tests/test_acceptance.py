@@ -249,7 +249,7 @@ def test_criterion_7_incremental_state_equivalence():
         trajectories += 1
         while sp.f:
             side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-            sp = sp.assign(rng.choice(sp.free_list), side)
+            sp = sp.assign(rng.choice(sp.free_list))[side]
             rc = recompute_from_scratch(
                 g,
                 [v for v in range(n) if (sp.a0 >> v) & 1],

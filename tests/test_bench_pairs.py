@@ -33,3 +33,24 @@ def test_summary_stores_a_verdict_per_metric():
     assert s["wins"] == 4 and s["bound"] == 0.25
     assert s["parent_iqr"] == 2.5 and s["gain_rule"]  # 11.5 -> 7.5
     assert s["verdict"] == "held"  # the IQR is inside 25% of 11.5
+
+
+def test_refuses_a_changed_benchmark(monkeypatch):
+    """A diff against the parent under the benchmark's files stops the tool
+    before it extracts the parent or runs anything."""
+    asked = []
+
+    def fake_git(*args):
+        asked.append(args)
+        return " perfbench/run.py | 2 +-" if args[0] == "diff" else "0" * 40
+
+    monkeypatch.setattr(bench_pairs, "git", fake_git)
+    monkeypatch.setattr(bench_pairs, "extract",
+                        lambda *a: pytest.fail("extracted"))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--label", "t", "--workload", "sparse-dfs",
+                          "--parent", "abc123"])
+    assert exc.value.code == 2
+    assert asked == [("diff", "--stat", "abc123", "--", "perfbench",
+                      "BENCHMARK.json")]

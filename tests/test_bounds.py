@@ -200,7 +200,7 @@ class TestHighDegree:
             steps = rng.randint(0, sp.f - 1) if sp.f else 0
             for _ in range(steps):
                 side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-                sp = sp.assign(rng.choice(sp.free_list), side)
+                sp = sp.assign(rng.choice(sp.free_list))[side]
             rc = recompute_from_scratch(
                 g,
                 [v for v in range(n) if (sp.a0 >> v) & 1],

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import assert_equivalent
+from checks import assert_equivalent, oracle_of
 
 from bipart.bounds import CONFIG_PRESETS, lower_bound
 from bipart.completion import greedy_initial_solution, make_solution
@@ -54,13 +54,12 @@ class TestBranchVertex:
 class TestPriority:
     def test_dfs_uses_depth(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
-        child = sp.assign(1, 1)
+        child = sp.assign(1)[1]
         assert priority(child, SearchStrategy.DFS) == child.depth == 1
 
     def test_best_first_prefers_smaller_bound(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
-        a = sp.assign(1, 0)
-        b = sp.assign(1, 1)
+        a, b = sp.assign(1)
         a.lb, b.lb = 9, 5
         assert priority(b, SearchStrategy.BEST_FIRST_LB) > priority(
             a, SearchStrategy.BEST_FIRST_LB
@@ -71,7 +70,7 @@ class TestPriority:
         sp.lb = 4
         sp.ub_est = 4
         assert priority(sp, SearchStrategy.GAP) == 0
-        loose = sp.assign(1, 0)
+        loose = sp.assign(1)[0]
         loose.lb, loose.ub_est = 4, 9
         assert priority(loose, SearchStrategy.GAP) < 0
 
@@ -353,15 +352,3 @@ def test_search_keeps_only_fully_maintained_children(preset):
                 stack.append(child)
         assert best == brute_force_optimum(g, s0, n - s0).optimum
     assert kept > 0
-
-
-def oracle_of(sp):
-    """The from-scratch state of sp's partial assignment."""
-    n = sp.graph.n
-    return recompute_from_scratch(
-        sp.graph,
-        [v for v in range(n) if (sp.a0 >> v) & 1],
-        [v for v in range(n) if (sp.a1 >> v) & 1],
-        sp.s0,
-        sp.s1,
-    )

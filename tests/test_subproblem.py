@@ -2,9 +2,19 @@ import random
 
 import pytest
 
-from checks import assert_equivalent
+from checks import (
+    assert_equivalent, assign_walk, irregular_graph, oracle_of)
 
+from bipart.bounds import (
+    CONFIG_PRESETS,
+    component_bound,
+    high_degree_bound,
+    high_degree_rebalance,
+    lower_bound,
+)
+from bipart.completion import rebalancing_completion_value, try_complete
 from bipart.graph import build_graph, cut_value, generate_er
+from bipart.solver import branch_vertex
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
 
@@ -43,7 +53,7 @@ class TestAssign:
     def test_k3_worked_example(self):
         g = k3_weighted()
         sp = recompute_from_scratch(g, [0], [], 2, 1)
-        child = sp.assign(2, 1)
+        child = sp.assign(2)[1]
         assert child.fixed_cut == 2
         assert child.d0[1] == 3 and child.d1[1] == 5
         assert child.free_list == [1]
@@ -52,21 +62,25 @@ class TestAssign:
     def test_parent_not_modified(self):
         g = k4()
         sp = root_subproblem(g, 2, 2)
-        before = (sp.a0, sp.a1, list(sp.free_list), list(sp.d0), sp.fixed_cut)
-        sp.assign(2, 1)
-        assert before == (sp.a0, sp.a1, list(sp.free_list), list(sp.d0), sp.fixed_cut)
+        def state():
+            return (sp.a0, sp.a1, list(sp.free_list), list(sp.d0),
+                    list(sp.d1), list(sp.free_degree), sp.fixed_cut)
+        before = state()
+        sp.assign(2)
+        assert before == state()
 
     def test_assign_to_full_side_rejected(self):
         g = k4()
         sp = root_subproblem(g, 1, 3)
-        sp = sp.assign(0, 0)
-        with pytest.raises(ValueError, match="full"):
-            sp.assign(1, 0)
+        sp = sp.assign(0)[0]
+        child0, child1 = sp.assign(1)
+        assert child0 is None
+        assert child1.a1 == 1 << 1
 
     def test_assign_non_free_rejected(self):
         sp = root_subproblem(k4(), 2, 2)
         with pytest.raises(ValueError, match="not free"):
-            sp.assign(0, 1)
+            sp.assign(0)
 
     def test_full_assignment_fixed_cut_is_the_cut(self):
         rng = random.Random(31)
@@ -77,7 +91,7 @@ class TestAssign:
             sp = root_subproblem(g, s0, n - s0)
             while sp.f:
                 side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-                sp = sp.assign(rng.choice(sp.free_list), side)
+                sp = sp.assign(rng.choice(sp.free_list))[side]
             sides = [sp.side_of(v) for v in range(n)]
             assert sp.fixed_cut == cut_value(g, sides)
 
@@ -110,7 +124,7 @@ class TestRecompute:
             sp = root_subproblem(g, s0, s1)
             while sp.f:
                 side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
-                sp = sp.assign(rng.choice(sp.free_list), side)
+                sp = sp.assign(rng.choice(sp.free_list))[side]
                 rc = recompute_from_scratch(
                     g,
                     [v for v in range(n) if (sp.a0 >> v) & 1],
@@ -119,3 +133,138 @@ class TestRecompute:
                     s1,
                 )
                 assert_equivalent(sp, rc)
+
+
+def child_oracles(sp, v):
+    """From-scratch states of sp with v fixed to side 0 and to side 1, None
+    for a side that is full."""
+    n = sp.graph.n
+    out = []
+    for side, f in ((0, sp.f0), (1, sp.f1)):
+        if not f:
+            out.append(None)
+            continue
+        u0 = [x for x in range(n) if (sp.a0 >> x) & 1]
+        u1 = [x for x in range(n) if (sp.a1 >> x) & 1]
+        (u0 if side == 0 else u1).append(v)
+        out.append(recompute_from_scratch(sp.graph, u0, u1, sp.s0, sp.s1))
+    return out
+
+
+def component_count(g):
+    """Connected components of g that have an edge."""
+    seen, count = set(), 0
+    for start in range(g.n):
+        if start in seen or not g.adj_nbr[start]:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for u in g.adj_nbr[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
+def walk_inputs(rng, irregular):
+    """(graph, s0) pairs: each graph with a side of size 1 on either side
+    and one random split."""
+    out = []
+    for _ in range(60):
+        n = rng.randint(2, 11)
+        if irregular:
+            g = irregular_graph(rng, n)
+        else:
+            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+        out += [(g, s0) for s0 in {1, n - 1, rng.randint(1, n - 1)}]
+    return out
+
+
+class TestAssignKernel:
+    """assign(v, cutoff) against the from-scratch oracle for every free v on
+    every state of random assign chains: each child matches it, a full side
+    gives None, and with a cutoff a child is None exactly when its oracle
+    fixed cut + basic reaches the cutoff."""
+
+    def check_walks(self, rng, graphs):
+        seen = {"full side": 0, "one child pruned": 0, "both pruned": 0,
+                "unequal sides": 0, "side of size 1": 0}
+        for g, s0 in graphs:
+            seen["unequal sides"] += 2 * s0 != g.n
+            seen["side of size 1"] += s0 == 1 or s0 == g.n - 1
+            for sp in assign_walk(rng, g, s0):
+                for v in sp.free_list:
+                    oracles = child_oracles(sp, v)
+                    seen["full side"] += None in oracles
+                    for child, rc in zip(sp.assign(v), oracles):
+                        if rc is None:
+                            assert child is None
+                        else:
+                            assert_equivalent(child, rc)
+                            assert child.depth == sp.depth + 1
+                    bases = [rc.fixed_cut + rc.basic
+                             for rc in oracles if rc is not None]
+                    for cutoff in bases + [t + 1 for t in bases]:
+                        kids = sp.assign(v, cutoff)
+                        for kid, rc in zip(kids, oracles):
+                            if rc is None or rc.fixed_cut + rc.basic >= cutoff:
+                                assert kid is None
+                            else:
+                                assert_equivalent(kid, rc)
+                        pruned = kids.count(None) - oracles.count(None)
+                        seen["one child pruned"] += pruned == 1
+                        seen["both pruned"] += pruned == 2
+        assert all(seen.values()), seen
+
+    def test_random_states(self):
+        rng = random.Random(61)
+        self.check_walks(rng, walk_inputs(rng, irregular=False))
+
+    def test_irregular_states(self):
+        rng = random.Random(62)
+        graphs = walk_inputs(rng, irregular=True)
+        assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
+        assert any(0 in g.degrees for g, _ in graphs)
+        assert any(component_count(g) > 1 for g, _ in graphs)
+        self.check_walks(rng, graphs)
+
+
+def read_everything(sp):
+    """Every reader of a subproblem the search runs, with both high-degree
+    terms and the component BFS forced to do their full work."""
+    lower_bound(sp, CONFIG_PRESETS["component"])
+    sp.approx_max_free_degree = sp.graph.n
+    high_degree_bound(sp)
+    high_degree_rebalance(sp)
+    sp.approx_max_component = sp.graph.n
+    component_bound(sp)
+    try_complete(sp)
+    rebalancing_completion_value(sp)
+    branch_vertex(sp)
+
+
+class TestSiblingSharing:
+    """Siblings share their free set, and a child may share a D array with
+    its parent.  Every reader run on one child must leave its sibling and
+    the parent equal to their from-scratch oracles."""
+
+    def test_readers_leave_sibling_and_parent_intact(self):
+        rng = random.Random(63)
+        checked = 0
+        for irregular in (False, True):
+            for g, s0 in walk_inputs(rng, irregular):
+                for sp in assign_walk(rng, g, s0):
+                    if not (sp.f0 and sp.f1):
+                        continue
+                    v = rng.choice(sp.free_list)
+                    for side in (0, 1):
+                        pair = sp.assign(v)
+                        read_everything(pair[side])
+                        sibling = pair[1 - side]
+                        assert_equivalent(sibling, oracle_of(sibling))
+                        assert_equivalent(sp, oracle_of(sp))
+                        checked += 1
+        assert checked > 500

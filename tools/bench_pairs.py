@@ -24,6 +24,10 @@ The runs are merged into ``BENCH_<label>.json`` at the repository root,
 one entry per workload: the two commits, every run's seed, order, host
 scale, correctness and metrics, and the summary.  Running a workload again
 replaces its entry.
+
+It refuses to run, with exit status 2, when ``perfbench/`` or
+``BENCHMARK.json`` differ from the parent commit: a gain measured over a
+changed benchmark compares two different programs.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
+# What must match between the parent and the working tree: the benchmark
+# itself, as opposed to the program it measures.
+BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 _SCALE = re.compile(r"host scale ([0-9.]+)")
 
 
@@ -138,6 +145,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
+
+    changed = git("diff", "--stat", args.parent, "--", *BENCHMARK_FILES)
+    if changed:
+        parser.error(f"the benchmark differs from {args.parent}, so the pairs "
+                     f"would compare two different programs:\n{changed}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     diff = git("diff", args.parent, "--", "src")
