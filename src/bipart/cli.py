@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--component", action="store_true")
     s.add_argument("--strategy", choices=sorted(STRATEGIES), default="dfs")
     s.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads, 1..{MAX_THREADS} "
+                   help=f"worker processes, 1..{MAX_THREADS}, at most one "
+                        f"per CPU; a small solve starts none "
                         f"(default ${THREADS_ENV_VAR} or 1)")
     s.add_argument("--initial", type=int, default=None,
                    help="also re-solve with this value seeding the incumbent")

@@ -1,53 +1,46 @@
-"""Parallel branch-and-bound: one shared priority heap, a shared incumbent.
+"""Parallel branch-and-bound: an in-process start, then a fork process pool.
 
-All workers pop from one heap under one lock, keyed like the sequential
-loop's, by (-priority, push number), so every pop returns the best open
-task.  Subproblems are owned by exactly one worker at a time; the graph is
-shared read-only; the Incumbent only ever improves.  A busy count of the
-workers expanding a task detects termination exactly: the pool is done when
-the heap is empty and no worker is busy, since only a busy worker can push.
-One thread is the sequential loop itself, with no thread and no lock.
+A solve runs solve_sequential's loop in this process for up to NODE_BUDGET
+explored subproblems, then splits its shallowest open subproblems into
+tasks for forked workers, which search them around a shared incumbent.
 """
 
-from __future__ import annotations
-
 import heapq
+import os
+import sys
 import threading
-import time
 
 from .graph import WeightedGraph
-from .bounds import BoundConfig, lower_bound  # noqa: F401
+from .bounds import BoundConfig, lower_bound
 from .completion import Solution, greedy_initial_solution  # noqa: F401
-from .solver import (
-    SearchStrategy,
-    SolveResult,
-    expand,
-    priority,
-    prologue,
-    solve_sequential,
-)
-from .subproblem import root_subproblem  # noqa: F401
+from .solver import (Search, SearchStrategy, SolveResult,  # noqa: F401
+                     expand, start_search)
+from .subproblem import recompute_from_scratch, root_subproblem  # noqa: F401
 
-# lower_bound, greedy_initial_solution and root_subproblem are reached
-# through bipart.solver's prologue; they stay importable from this module
-# for the per-layer trace in perfbench/layers.py.
+# expand, greedy_initial_solution, root_subproblem: for perfbench/layers.py.
 
-_INFINITY = float("inf")
-
-# Threads share one interpreter lock, so more only add switching; the cap
-# keeps a mistyped count from starting thousands of system threads.
+# A larger count is a usage error; no more workers than CPUs ever start.
 MAX_THREADS = 64
+
+# Explored subproblems before a solve forks its pool.  On a 2-core host,
+# forking two workers and joining them costs 7-12 ms, and a node of the
+# loop about 20 us (rebalance on G(20, 0.22) and G(44, 0.1)).  After
+# 5,000 nodes, about 100 ms of work, starting the pool adds at most about
+# a tenth; every smaller solve never pays for it.
+NODE_BUDGET = 5000
+# Tasks per worker, so that no worker waits long on another's last subtree.
+TASKS_PER_WORKER = 8
+# Nodes between two looks at the shared incumbent: about 1 ms of work.
+SLICE = 64
+# The shared incumbent is a signed 64-bit integer; this value means unset.
+_SHARED_MAX = 2**63 - 1
 
 
 class Incumbent:
-    """Shared, monotonically improving best solution.
+    """Monotonically improving best solution; updates are linearizable
+    (one lock, strict-improvement test inside the critical section)."""
 
-    Updates are linearizable (single lock, strict-improvement test inside
-    the critical section); readers prune on the value alone, which is a
-    plain attribute read.
-    """
-
-    def __init__(self, value=_INFINITY, solution: Solution | None = None):
+    def __init__(self, value=float("inf"), solution: Solution | None = None):
         self._lock = threading.Lock()
         self.value = value
         self.solution = solution
@@ -66,73 +59,109 @@ class Incumbent:
             return False
 
 
-class _Pool:
-    """The shared heap and the counts kept under its condition's lock."""
-
-    def __init__(self, root, strategy: SearchStrategy):
-        self.cond = threading.Condition(threading.Lock())
-        self.heap = [(-priority(root, strategy), 0, root)]
-        self.pushes = 0
-        self.busy = 0  # workers expanding a popped task
-        self.aborted = False
-        self.error: BaseException | None = None
-        self.explored = 0
-        self.irrelevant = 0
-        self.popped = 0
+def worker_count(threads: int) -> int:
+    """Worker processes for `threads`: at most the CPUs available here, and
+    1 (this process) without fork or in a daemonic process, barred from it."""
+    mp = sys.modules.get("multiprocessing")  # a daemon has imported it
+    if not hasattr(os, "fork") or mp and mp.current_process().daemon:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def _work(pool: _Pool, incumbent: Incumbent, cfg, strategy, t_start):
-    """Worker thread: pop the best task, expand it, push its survivors.
+def _split(search: Search, count: int) -> list[tuple[int, int]]:
+    """Expand the shallowest open subproblems until `count` are open or none
+    is; take them off the frontier as (a0, a1) bitmasks, in its order."""
+    shallow = sorted((sp.depth, push, key, sp)
+                     for key, push, sp in search.frontier)
+    while shallow and len(shallow) < count:
+        _, push, key, sp = heapq.heappop(shallow)
+        search.frontier = [(key, push, sp)]
+        search.run(1)
+        for key, push, sp in search.frontier:
+            heapq.heappush(shallow, (sp.depth, push, key, sp))
+    search.frontier = []
+    shallow.sort(key=lambda entry: (entry[2], entry[1]))
+    return [(sp.a0, sp.a1) for *_, sp in shallow]
 
-    Each turn under the lock hands back the previous task's children and
-    busy slot and takes the next task.  A worker waits only while the heap
-    is empty and another worker is busy; it is woken by a push, by the busy
-    count reaching 0 or by an abort.  Any exception aborts the pool and is
-    re-raised by solve_parallel after the join.
-    """
-    cond, heap = pool.cond, pool.heap
-    keyed = None  # (key, child) pairs of the task just expanded
+
+def _worker(conn, graph, s0, s1, search, tasks, claim, shared, lock):
+    """Forked worker: claim tasks in order, search each in slices on this
+    copy of `search`, send one result or error and leave through os._exit,
+    past the caller's flushes and finalizers.  The caller may run other
+    threads, so it imports nothing and takes no lock but `lock`."""
     try:
+        search.best = None
+        search.explored = search.popped = search.irrelevant = 0
         while True:
-            with cond:
-                if keyed is not None:
-                    pool.busy -= 1
-                    for key, child in keyed:
-                        pool.pushes += 1
-                        heapq.heappush(heap, (key, pool.pushes, child))
-                    if keyed:
-                        cond.notify(len(keyed))
-                while True:
-                    if pool.aborted:
-                        return
-                    if heap:
-                        sp = heapq.heappop(heap)[2]
-                        pool.popped += 1
-                        if sp.lb < incumbent.value:
-                            break
-                        pool.irrelevant += 1
-                    elif pool.busy == 0:
-                        cond.notify_all()
-                        return
-                    else:
-                        cond.wait()
-                pool.busy += 1
-                pool.explored += 1
-            # The incumbent only decreases, so a child whose bound reaches
-            # the value read here can never be needed.
-            sol, children = expand(sp, cfg, incumbent.value)
-            if sol is not None:
-                incumbent.update(sol, stamp=time.perf_counter() - t_start)
-                keyed = ()
-            else:
-                keyed = [(-priority(child, strategy), child)
-                         for child in children if child.lb < incumbent.value]
-    except BaseException as exc:  # re-raised by solve_parallel after join
-        with cond:
-            if pool.error is None:
-                pool.error = exc
-            pool.aborted = True
-            cond.notify_all()
+            with lock:
+                i = claim.value
+                claim.value = i + 1
+            if i >= len(tasks):
+                break
+            u0, u1 = ([v for v in range(graph.n) if mask >> v & 1]
+                      for mask in tasks[i])
+            root = recompute_from_scratch(graph, u0, u1, s0, s1)
+            root.lb = lower_bound(root, search.cfg, search.best_value)
+            search.frontier = [(0, 0, root)]
+            while search.frontier:
+                search.run(SLICE)
+                with lock:  # publish a better value, or prune with one
+                    if search.best_value < shared.value:
+                        shared.value = search.best_value
+                    elif shared.value < _SHARED_MAX:
+                        search.best_value = shared.value
+        conn.send((None, search.best, search.t_best,  # its last, and best
+                   (search.explored, search.popped, search.irrelevant)))
+    except BaseException as exc:  # the parent re-raises it
+        conn.send((exc, None, None, None))
+    finally:
+        os._exit(0)
+
+
+def _search_in_pool(search: Search, graph, s0, s1, tasks, workers) -> None:
+    """Search `tasks` in `workers` forked processes, merging into `search`."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    lock = ctx.Lock()
+    claim = ctx.RawValue("q", 0)
+    shared = ctx.RawValue("q", min(search.best_value, _SHARED_MAX))
+    incumbent = Incumbent(search.best_value)
+    pool = []  # (worker, the read end of its pipe)
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, daemon=True, args=(
+                writer, graph, s0, s1, search, tasks, claim, shared, lock))
+            proc.start()
+            writer.close()
+            pool.append((proc, reader))
+        pending = [reader for _, reader in pool]
+        while pending:  # the first error is raised at once
+            reader = wait(pending)[0]
+            pending.remove(reader)
+            try:
+                error, best, stamp, counts = reader.recv()
+            except EOFError:
+                raise RuntimeError("a worker exited without a result") from None
+            if error is not None:
+                raise error
+            if best is not None:
+                incumbent.update(best, stamp)
+            search.explored += counts[0]
+            search.popped += counts[1]
+            search.irrelevant += counts[2]
+    finally:
+        for proc, reader in pool:
+            proc.terminate()  # past its result, or left behind by an error
+            proc.join()
+            reader.close()
+    if incumbent.solution is not None:
+        search.best, search.best_value = incumbent.solution, incumbent.value
+        search.t_best = incumbent.improved_at
+    search.solutions_found += incumbent.accepted
 
 
 def solve_parallel(
@@ -145,51 +174,21 @@ def solve_parallel(
     initial: Solution | None = None,
     initial_value: int | None = None,
 ) -> SolveResult:
-    """Exact optimum using a pool of worker threads.
+    """Exact optimum, searched by up to `threads` worker processes.
 
-    Returns the same optimum as solve_sequential.  With one thread it is
-    solve_sequential, so every strategy explores exactly the sequential
-    tree; with more, exploration counts vary from run to run with
-    scheduling.  A thread count outside 1..MAX_THREADS raises ValueError
-    before any thread starts.
+    A solve that ends within NODE_BUDGET explored subproblems, or has one
+    thread, one CPU or a daemonic caller, is solve_sequential, counts
+    included.  A larger one continues in worker_count(threads) forked
+    workers, its counts varying with scheduling; none is left running when
+    this returns or raises.  Threads outside 1..MAX_THREADS: ValueError.
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
-    if threads == 1:
-        return solve_sequential(
-            graph, s0, s1, cfg, strategy, initial, initial_value
-        )
-    t_start, best, best_value, t_best, root = prologue(
-        graph, s0, s1, cfg, initial, initial_value
-    )
-    incumbent = Incumbent(value=best_value, solution=best)
-    incumbent.improved_at = t_best
-
-    pool = _Pool(root, strategy)
-    workers = [
-        threading.Thread(
-            target=_work, args=(pool, incumbent, cfg, strategy, t_start),
-            name=f"bipart-worker-{i}", daemon=True,
-        )
-        for i in range(threads)
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    if pool.error is not None:
-        raise pool.error
-
-    return SolveResult(
-        best=incumbent.solution,
-        optimum=incumbent.value,
-        subproblems_explored=pool.explored,
-        irrelevant_tasks=pool.irrelevant,
-        popped=pool.popped,
-        solutions_found=incumbent.accepted,
-        time_total=time.perf_counter() - t_start,
-        time_to_optimum=incumbent.improved_at,
-        config=cfg,
-        strategy=strategy,
-        threads=threads,
-    )
+    search = start_search(graph, s0, s1, cfg, strategy, initial, initial_value)
+    workers = worker_count(threads)
+    if workers > 1 and not search.run(NODE_BUDGET):
+        tasks = _split(search, TASKS_PER_WORKER * workers)
+        if tasks:
+            _search_in_pool(search, graph, s0, s1, tasks, workers)
+    search.run()  # all of a one-worker solve; else the frontier is empty
+    return search.result(threads)

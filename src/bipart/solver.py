@@ -1,18 +1,19 @@
-"""Branch-and-bound engine: the prologue and expansion step shared by both
-entry points, and the sequential search loop.
+"""Branch-and-bound engine: the start and expansion step shared by both
+entry points, and the search loop they both run.
 
 The loop keeps one priority heap keyed by (-priority, push number) for
-every strategy, the key the thread pool uses too: ties go to the earlier
-push and side 0 is pushed first, so dfs pops in plain stack order.  It
-pops the best subproblem, drops it when its stored lower bound no longer
-beats the incumbent (counted separately as an irrelevant task), otherwise
-tries the completion rules and, failing those, branches on the free
-vertex with the largest guaranteed bound increase.  One Subproblem.assign
-call gives both children and never builds one whose fixed cut + basic
-already reaches the incumbent.  The bounds of the others are computed once,
-cheapest term first against the incumbent, and stored with the child; a
-child whose bound reaches the incumbent is dropped on the spot, before its
-high-degree terms, component BFS or gap estimate are computed.
+every strategy: ties go to the earlier push and side 0 is pushed first, so
+dfs pops in plain stack order.  It pops the best subproblem, drops it when
+its stored lower bound no longer beats the incumbent (counted separately
+as an irrelevant task), otherwise tries the completion rules and, failing
+those, branches on the free vertex with the largest guaranteed bound
+increase.  One Subproblem.assign call gives both children and never builds
+one whose fixed cut + basic already reaches the incumbent.  The bounds of
+the others are computed once, cheapest term first against the incumbent,
+and stored with the child; a child whose bound reaches the incumbent is
+dropped on the spot, before its high-degree terms, component BFS or gap
+estimate are computed.  The loop can stop after a node budget and resume
+on the same heap, which is how the parallel solver runs it.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def priority(sp: Subproblem, strategy: SearchStrategy) -> float:
 
 
 def expand(sp, cfg, cutoff):
-    """Completion-or-branch step shared by the sequential and parallel loops.
+    """Completion-or-branch step of the search loop.
 
     Returns (solution, None) when a completion rule fired on a completion
     below `cutoff`, (None, []) when one fired on a completion that cannot
@@ -109,13 +110,87 @@ def expand(sp, cfg, cutoff):
     return None, children
 
 
-def prologue(graph, s0, s1, cfg, initial, initial_value):
+class Search:
+    """One search: its frontier heap, its incumbent and its counts.
+
+    `run` pops and expands until the frontier is empty or a node budget is
+    spent, and a later `run` resumes on the same heap, so a search run in
+    slices explores exactly the tree of one unbudgeted run.  `best_value`
+    is the pruning cutoff and `best` the best solution this search holds;
+    best is None while the cutoff came from elsewhere (an `initial_value`,
+    or another worker's incumbent).
+    """
+
+    def __init__(self, root, cfg, strategy, best, best_value, t_start, t_best):
+        self.cfg = cfg
+        self.strategy = strategy
+        self.frontier = [(-priority(root, strategy), 0, root)]
+        self.pushes = 0
+        self.explored = 0
+        self.irrelevant = 0
+        self.popped = 0
+        self.best = best
+        self.best_value = best_value
+        self.solutions_found = 0 if best is None else 1
+        self.t_start = t_start
+        self.t_best = t_best
+
+    def run(self, budget: int | None = None) -> bool:
+        """Explore until the frontier is empty, returning True, or until
+        `budget` more subproblems have been explored, returning False."""
+        cfg, strategy, frontier = self.cfg, self.strategy, self.frontier
+        pushes, explored = self.pushes, self.explored
+        irrelevant, popped = self.irrelevant, self.popped
+        best, best_value = self.best, self.best_value
+        stop = -1 if budget is None else explored + budget
+        while frontier and explored != stop:
+            sp = heapq.heappop(frontier)[2]
+            popped += 1
+            if sp.lb >= best_value:
+                irrelevant += 1
+                continue
+            explored += 1
+            sol, children = expand(sp, cfg, best_value)
+            if sol is not None:
+                if sol.value < best_value:
+                    best_value = sol.value
+                    best = sol
+                    self.solutions_found += 1
+                    self.t_best = time.perf_counter() - self.t_start
+                continue
+            for child in children:
+                if child.lb < best_value:
+                    pushes += 1
+                    heapq.heappush(
+                        frontier, (-priority(child, strategy), pushes, child)
+                    )
+        self.pushes, self.explored = pushes, explored
+        self.irrelevant, self.popped = irrelevant, popped
+        self.best, self.best_value = best, best_value
+        return not frontier
+
+    def result(self, threads: int = 1) -> SolveResult:
+        return SolveResult(
+            best=self.best,
+            optimum=self.best_value,
+            subproblems_explored=self.explored,
+            irrelevant_tasks=self.irrelevant,
+            popped=self.popped,
+            solutions_found=self.solutions_found,
+            time_total=time.perf_counter() - self.t_start,
+            time_to_optimum=self.t_best,
+            config=self.cfg,
+            strategy=self.strategy,
+            threads=threads,
+        )
+
+
+def start_search(graph, s0, s1, cfg, strategy, initial, initial_value):
     """Checks, incumbent seed and root shared by both search entry points.
 
-    Returns (t_start, best, best_value, t_best, root): the incumbent is
-    `initial` when given, else the greedy heuristic; `initial_value` caps
-    its value without an assignment (best is then None).  `t_best` is the
-    seed's time stamp and `root` carries its full lower bound.
+    The incumbent is `initial` when given, else the greedy heuristic;
+    `initial_value` caps its value without an assignment (best is then
+    None).  The root carries its full lower bound.
     """
     t_start = time.perf_counter()
     if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
@@ -131,7 +206,7 @@ def prologue(graph, s0, s1, cfg, initial, initial_value):
     t_best = time.perf_counter() - t_start
     root = root_subproblem(graph, s0, s1)
     root.lb = lower_bound(root, cfg)
-    return t_start, best, best_value, t_best, root
+    return Search(root, cfg, strategy, best, best_value, t_start, t_best)
 
 
 def solve_sequential(
@@ -151,48 +226,6 @@ def solve_sequential(
     value: the returned best is then None unless something better was
     found).  Identical inputs give identical results and counts.
     """
-    t_start, best_sol, best_value, t_best, root = prologue(
-        graph, s0, s1, cfg, initial, initial_value
-    )
-    solutions_found = 0 if best_sol is None else 1
-
-    frontier = [(-priority(root, strategy), 0, root)]
-    pushes = 0
-    explored = 0
-    irrelevant = 0
-    popped = 0
-    while frontier:
-        sp = heapq.heappop(frontier)[2]
-        popped += 1
-        if sp.lb >= best_value:
-            irrelevant += 1
-            continue
-        explored += 1
-        sol, children = expand(sp, cfg, best_value)
-        if sol is not None:
-            if sol.value < best_value:
-                best_value = sol.value
-                best_sol = sol
-                solutions_found += 1
-                t_best = time.perf_counter() - t_start
-            continue
-        for child in children:
-            if child.lb < best_value:
-                pushes += 1
-                heapq.heappush(
-                    frontier, (-priority(child, strategy), pushes, child)
-                )
-
-    return SolveResult(
-        best=best_sol,
-        optimum=best_value,
-        subproblems_explored=explored,
-        irrelevant_tasks=irrelevant,
-        popped=popped,
-        solutions_found=solutions_found,
-        time_total=time.perf_counter() - t_start,
-        time_to_optimum=t_best,
-        config=cfg,
-        strategy=strategy,
-        threads=1,
-    )
+    search = start_search(graph, s0, s1, cfg, strategy, initial, initial_value)
+    search.run()
+    return search.result()

@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 
+import multiprocessing
+
 from bipart.graph import build_graph
+from bipart.parallel import solve_parallel
 from bipart.subproblem import Subproblem, recompute_from_scratch
 
 
@@ -70,3 +73,12 @@ def assign_walk(rng, graph, s0):
         sp = sp.assign(v)[side]
         states.append(sp)
     return states
+
+
+def solve_parallel_checked(*args, **kwargs):
+    """solve_parallel, then check, whether it returned or raised, that no
+    worker process outlived it."""
+    try:
+        return solve_parallel(*args, **kwargs)
+    finally:
+        assert multiprocessing.active_children() == []

@@ -11,8 +11,13 @@ import statistics
 import threading
 import time
 
-from checks import assert_equivalent, random_partial_assignment
+from checks import (
+    assert_equivalent,
+    random_partial_assignment,
+    solve_parallel_checked,
+)
 
+import bipart.parallel
 from bipart.bounds import (
     CONFIG_PRESETS,
     BoundConfig,
@@ -29,7 +34,7 @@ from bipart.oracle import (
     brute_force_free_free_min,
     brute_force_optimum,
 )
-from bipart.parallel import Incumbent, solve_parallel
+from bipart.parallel import Incumbent, worker_count
 from bipart.solver import SearchStrategy, solve_sequential
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
@@ -54,39 +59,70 @@ def exactness_corpus():
                     yield n, p, wmax, seed
 
 
-def test_criterion_1_oracle_exactness():
+def count_pool_runs(monkeypatch):
+    """A list that grows by one each time a solve reaches the worker pool."""
+    runs = []
+    real = bipart.parallel._search_in_pool
+
+    def counted(*args):
+        runs.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(bipart.parallel, "_search_in_pool", counted)
+    return runs
+
+
+def test_criterion_1_oracle_exactness(monkeypatch):
+    """Every configuration, strategy and thread count against the oracle.
+
+    One configuration and strategy per instance, in turn, is forced toward
+    the process pool: no in-process budget, and as few tasks as there are
+    workers.  The other threads=4 solves stay inside the budget.  Forcing
+    every one would spend minutes starting processes.
+    """
     t0 = time.time()
     configs = distinct_configs()
+    budget = bipart.parallel.NODE_BUDGET
+    monkeypatch.setattr(bipart.parallel, "TASKS_PER_WORKER", 1)
+    pool_runs = count_pool_runs(monkeypatch)
+    combos = [(cfg, strategy) for cfg in configs for strategy in SearchStrategy]
     instances = 0
     runs = 0
+    pooled = 0
     mismatches = []
     for n, p, wmax, seed in exactness_corpus():
         g = generate_er(n, p, 1, wmax, seed)
         s0 = n // 2
         s1 = n - s0
         expected = brute_force_optimum(g, s0, s1).optimum
+        forced = combos[instances % len(combos)]
         instances += 1
-        for cfg in configs:
-            for strategy in SearchStrategy:
-                for threads in (1, 4):
-                    if threads == 1:
-                        r = solve_sequential(g, s0, s1, cfg, strategy)
-                    else:
-                        r = solve_parallel(
-                            g, s0, s1, cfg, strategy, threads=threads
-                        )
-                    runs += 1
-                    if r.optimum != expected:
-                        mismatches.append(
-                            (n, p, wmax, seed, cfg, strategy, threads,
-                             r.optimum, expected)
-                        )
+        for cfg, strategy in combos:
+            for threads in (1, 4):
+                if threads == 1:
+                    r = solve_sequential(g, s0, s1, cfg, strategy)
+                else:
+                    pool = (cfg, strategy) == forced
+                    pooled += pool
+                    monkeypatch.setattr(bipart.parallel, "NODE_BUDGET",
+                                        0 if pool else budget)
+                    r = solve_parallel_checked(
+                        g, s0, s1, cfg, strategy, threads=threads
+                    )
+                runs += 1
+                if r.optimum != expected:
+                    mismatches.append(
+                        (n, p, wmax, seed, cfg, strategy, threads,
+                         r.optimum, expected)
+                    )
     ok = _report(
         1, "oracle exactness", not mismatches and instances >= 500,
-        f"{instances} instances, {runs} solver runs, "
-        f"{len(mismatches)} mismatches", t0,
+        f"{instances} instances, {runs} solver runs ({pooled} forced toward "
+        f"the pool, {len(pool_runs)} reached it), {len(mismatches)} "
+        "mismatches", t0,
     )
-    assert instances >= 500
+    assert instances >= 500 and pooled == instances
+    assert pool_runs or worker_count(4) == 1  # one CPU runs no pool
     assert not mismatches, mismatches[:3]
 
 
@@ -265,8 +301,13 @@ def test_criterion_7_incremental_state_equivalence():
     )
 
 
-def test_criterion_8_parallel_equivalence_and_liveness():
+def test_criterion_8_parallel_equivalence_and_liveness(monkeypatch):
+    """threads > 1 is forced toward the process pool (no in-process budget,
+    as few tasks as workers); no worker outlives a solve."""
     t0 = time.time()
+    monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", 0)
+    monkeypatch.setattr(bipart.parallel, "TASKS_PER_WORKER", 1)
+    pool_runs = count_pool_runs(monkeypatch)
     rng = random.Random(80808)
     mismatches = 0
     for _ in range(100):
@@ -279,7 +320,7 @@ def test_criterion_8_parallel_equivalence_and_liveness():
             g, s0, n - s0, CONFIG_PRESETS["component"], SearchStrategy.DFS
         ).optimum
         for threads in (1, 2, 4, 8):
-            r = solve_parallel(
+            r = solve_parallel_checked(
                 g, s0, n - s0, CONFIG_PRESETS["component"],
                 SearchStrategy.DFS, threads=threads,
             )
@@ -304,8 +345,10 @@ def test_criterion_8_parallel_equivalence_and_liveness():
 
     ok = _report(
         8, "parallel equivalence and liveness",
-        mismatches == 0 and stress_ok,
-        f"100 instances x threads {{1,2,4,8}}, {mismatches} mismatches; "
+        mismatches == 0 and stress_ok
+        and (bool(pool_runs) or worker_count(8) == 1),
+        f"100 instances x threads {{1,2,4,8}}, {len(pool_runs)} of 300 "
+        f"threads > 1 solves through the pool, {mismatches} mismatches; "
         f"incumbent stress min={'ok' if stress_ok else 'WRONG'}", t0,
     )
     assert ok

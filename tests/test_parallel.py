@@ -1,20 +1,46 @@
+import multiprocessing
+import os
 import random
-import sys
 import threading
 
 import pytest
 
+from checks import solve_parallel_checked
+
 import bipart.parallel
+import bipart.solver
 from bipart.bounds import CONFIG_PRESETS
 from bipart.completion import Solution
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
-from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel
+from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel, worker_count
 from bipart.solver import SearchStrategy, solve_sequential
 
 
 def complete_unweighted(n):
     return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Every solve_parallel with more than one worker goes to the pool,
+    split as little as possible, so that small trees reach the workers."""
+    monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", 0)
+    monkeypatch.setattr(bipart.parallel, "TASKS_PER_WORKER", 1)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started during the test, recorded as they start."""
+    seen = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        seen.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return seen
 
 
 class TestIncumbent:
@@ -81,7 +107,7 @@ class TestSolveParallel:
                 ) == (seq.subproblems_explored, seq.popped, seq.irrelevant_tasks)
 
     @pytest.mark.parametrize("threads", [2, 4, 8])
-    def test_matches_oracle_across_threads(self, threads):
+    def test_matches_oracle_across_threads(self, threads, force_pool):
         rng = random.Random(100 + threads)
         for _ in range(12):
             n = rng.randint(4, 14)
@@ -89,60 +115,161 @@ class TestSolveParallel:
                             rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
             s0 = rng.randint(1, n - 1)
             expected = brute_force_optimum(g, s0, n - s0).optimum
-            r = solve_parallel(
+            r = solve_parallel_checked(
                 g, s0, n - s0, CONFIG_PRESETS["component"],
                 SearchStrategy.DFS, threads=threads,
             )
             assert r.optimum == expected
             assert r.best is not None and r.best.value == expected
 
-    def test_complete_graph_root_pruned_any_thread_count(self):
+    def test_complete_graph_root_pruned_any_thread_count(self, force_pool):
         g = complete_unweighted(30)
         for threads in (1, 2, 4):
-            r = solve_parallel(
+            r = solve_parallel_checked(
                 g, 15, 15, CONFIG_PRESETS["highdegree"], threads=threads
             )
             assert r.optimum == 225
             assert r.subproblems_explored == 0
 
-    def test_strategies_agree(self):
+    def test_strategies_agree(self, force_pool):
         g = generate_er(13, 0.5, 1, 1000, seed=77)
         expected = brute_force_optimum(g, 6, 7).optimum
         for strategy in SearchStrategy:
-            r = solve_parallel(
+            r = solve_parallel_checked(
                 g, 6, 7, CONFIG_PRESETS["rebalance"], strategy, threads=4
             )
             assert r.optimum == expected
 
-    def test_wasted_work_accounting(self):
+    def test_wasted_work_accounting(self, force_pool):
         g = generate_er(13, 0.6, 1, 1000, seed=8)
-        r = solve_parallel(g, 6, 7, CONFIG_PRESETS["rebalance"], threads=4)
+        r = solve_parallel_checked(
+            g, 6, 7, CONFIG_PRESETS["rebalance"], threads=4
+        )
         assert r.popped == r.subproblems_explored + r.irrelevant_tasks
 
-    def test_initial_value_seeding(self):
+    def test_initial_value_seeding(self, force_pool):
         g = generate_er(12, 0.5, 1, 1000, seed=3)
         opt = solve_sequential(g, 6, 6).optimum
-        r = solve_parallel(g, 6, 6, threads=2, initial_value=opt)
-        assert r.optimum == opt
+        r = solve_parallel_checked(g, 6, 6, threads=2, initial_value=opt)
+        assert r.optimum == opt and r.best is None
+        loose = solve_parallel_checked(
+            g, 6, 6, threads=2, initial_value=opt + 1
+        )
+        assert loose.optimum == loose.best.value == opt
+
+    def test_cut_values_beyond_64_bits_through_the_pool(self, force_pool):
+        """Values the shared 64-bit incumbent cannot hold are not shared,
+        and the search stays exact."""
+        for seed in range(4, 8):
+            small = generate_er(14, 0.5, 1, 1000, seed)
+            g = build_graph(14, [(u, v, w << 55) for u, v, w in small.edges()])
+            expected = solve_sequential(small, 7, 7).optimum << 55
+            for strategy in SearchStrategy:
+                r = solve_parallel_checked(
+                    g, 7, 7, CONFIG_PRESETS["component"], strategy, threads=2
+                )
+                assert r.optimum == r.best.value == expected
 
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ValueError):
             solve_parallel(complete_unweighted(4), 2, 2, threads=0)
 
-    def test_thread_count_above_the_cap_starts_no_thread(self):
+    def test_thread_count_above_the_cap_starts_no_thread(
+        self, force_pool, started
+    ):
         before = threading.active_count()
         with pytest.raises(ValueError, match="thread count"):
-            solve_parallel(
+            solve_parallel_checked(
                 complete_unweighted(4), 2, 2, threads=MAX_THREADS + 1
             )
         assert threading.active_count() == before
+        assert started == []
+
+    def test_worker_count_is_capped_by_the_cpus_available(self, monkeypatch):
+        """min(threads, CPUs this process may run on), the CPU count where
+        the platform has no affinity mask, and 1 where it has no fork."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert [worker_count(t) for t in (1, 2, 3, 4, 64)] == [1, 2, 3, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert [worker_count(t) for t in (4, 5, 6)] == [4, 5, 5]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(MAX_THREADS) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "fork")  # a platform that cannot fork
+        assert worker_count(MAX_THREADS) == 1
+
+    def test_small_solve_starts_no_process(self, started):
+        g = generate_er(18, 0.5, 1, 1000, seed=0)
+        for strategy in SearchStrategy:
+            solve_parallel_checked(
+                g, 9, 9, CONFIG_PRESETS["rebalance"], strategy, threads=2
+            )
+        assert started == []
+
+    def test_pool_starts_at_most_one_worker_per_cpu(self, monkeypatch, started):
+        monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", 0)
+        g = generate_er(18, 0.5, 1, 1000, seed=0)
+        r = solve_parallel_checked(
+            g, 9, 9, CONFIG_PRESETS["rebalance"], threads=MAX_THREADS
+        )
+        assert r.optimum == solve_sequential(g, 9, 9).optimum
+        assert r.threads == MAX_THREADS
+        workers = worker_count(MAX_THREADS)  # on one CPU, no pool at all
+        assert len(started) == (workers if workers > 1 else 0)
+
+    def test_concurrent_solves_from_threads(self, force_pool):
+        """Solves forked from several caller threads at once: none hangs,
+        none is wrong, and no worker outlives them."""
+        graphs = [generate_er(16, 0.4, 1, 1000, seed) for seed in range(4)]
+        expected = [solve_sequential(g, 8, 8).optimum for g in graphs]
+        got = [[] for _ in graphs]
+
+        def run(i):
+            for strategy in SearchStrategy:
+                got[i].append(solve_parallel(
+                    graphs[i], 8, 8, CONFIG_PRESETS["component"], strategy,
+                    threads=2,
+                ).optimum)
+
+        callers = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(len(graphs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers), "a solve hung"
+        assert got == [[opt] * len(SearchStrategy) for opt in expected]
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_solves_in_process(self, force_pool):
+        """A daemonic process may not fork, so its solves stay in it."""
+        g = generate_er(18, 0.5, 1, 1000, seed=0)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+
+        def run():
+            try:
+                writer.send(solve_parallel(g, 9, 9, threads=2).optimum)
+            except BaseException as exc:
+                writer.send(repr(exc))
+
+        proc = multiprocessing.get_context("fork").Process(
+            target=run, daemon=True
+        )
+        proc.start()
+        proc.join(timeout=60)
+        assert not proc.is_alive() and reader.poll()
+        assert reader.recv() == solve_sequential(g, 9, 9).optimum
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_worker_failure_is_reraised_without_hanging(
-        self, threads, monkeypatch
+        self, threads, monkeypatch, force_pool
     ):
+        """A failure in the parent's split (the first) or in a worker (the
+        last) is re-raised, and every worker is gone."""
         g = generate_er(18, 0.5, 1, 1000, seed=0)
-        real_expand = bipart.parallel.expand
+        real_expand = bipart.solver.expand
         for fail_at in (0, 5, 60):
             calls = [0]
             lock = threading.Lock()
@@ -155,12 +282,12 @@ class TestSolveParallel:
                     raise RuntimeError(f"expand call {n}")
                 return real_expand(sp, cfg, cutoff)
 
-            monkeypatch.setattr(bipart.parallel, "expand", failing_expand)
+            monkeypatch.setattr(bipart.solver, "expand", failing_expand)
             outcome = []
 
             def run():
                 try:
-                    solve_parallel(
+                    solve_parallel_checked(
                         g, 9, 9, CONFIG_PRESETS["rebalance"], threads=threads
                     )
                 except RuntimeError as exc:
@@ -174,12 +301,11 @@ class TestSolveParallel:
             assert not t.is_alive(), f"solve hung after expand failed ({fail_at})"
             assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
 
-    def test_pool_stress_more_workers_than_cores(self):
-        """Eight workers with a tiny switch interval: a lost update of the
-        busy count or the tallies would hang a solve, lose a task (wrong
-        optimum) or break popped == explored + irrelevant.  Under highdegree
-        and component, sibling tasks share a parent whose counter upkeep
-        may still be pending, so two workers can finish it at once."""
+    def test_pool_stress_more_workers_than_cores(self, force_pool):
+        """Eight workers asked for, every preset and strategy through the
+        pool: a lost claim of a task or a lost update of the shared
+        incumbent or the tallies would hang a solve, lose a task (wrong
+        optimum) or break popped == explored + irrelevant."""
         rng = random.Random(4242)
         instances = []
         for _ in range(20):
@@ -191,29 +317,22 @@ class TestSolveParallel:
         runs = [(preset, strategy)
                 for preset in ("trivial", "highdegree", "component")
                 for strategy in SearchStrategy]
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for g, s0, expected in instances:
-                for preset, strategy in runs:
-                    cfg = CONFIG_PRESETS[preset]
-                    out = []
-                    t = threading.Thread(
-                        target=lambda: out.append(solve_parallel(
-                            g, s0, g.n - s0, cfg, strategy, threads=8,
-                        )),
-                        daemon=True,
-                    )
-                    t.start()
-                    t.join(timeout=60)
-                    assert not t.is_alive(), (
-                        f"{preset}/{strategy.value} solve hung"
-                    )
-                    r = out[0]
-                    seq = solve_sequential(g, s0, g.n - s0, cfg, strategy)
-                    assert r.optimum == seq.optimum == expected
-                    assert r.popped == r.subproblems_explored + r.irrelevant_tasks
-                    if r.best is not None:
-                        assert cut_value(g, r.best.assignment) == expected
-        finally:
-            sys.setswitchinterval(old_interval)
+        for g, s0, expected in instances:
+            for preset, strategy in runs:
+                cfg = CONFIG_PRESETS[preset]
+                out = []
+                t = threading.Thread(
+                    target=lambda: out.append(solve_parallel_checked(
+                        g, s0, g.n - s0, cfg, strategy, threads=8,
+                    )),
+                    daemon=True,
+                )
+                t.start()
+                t.join(timeout=60)
+                assert not t.is_alive(), f"{preset}/{strategy.value} solve hung"
+                r = out[0]
+                seq = solve_sequential(g, s0, g.n - s0, cfg, strategy)
+                assert r.optimum == seq.optimum == expected
+                assert r.popped == r.subproblems_explored + r.irrelevant_tasks
+                if r.best is not None:
+                    assert cut_value(g, r.best.assignment) == expected

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import assert_equivalent, oracle_of
+from checks import assert_equivalent, oracle_of, solve_parallel_checked
 
+import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS, lower_bound
 from bipart.completion import greedy_initial_solution, make_solution
 from bipart.graph import build_graph, generate_er
@@ -16,6 +17,7 @@ from bipart.solver import (
     expand,
     priority,
     solve_sequential,
+    start_search,
 )
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
@@ -282,6 +284,51 @@ PINNED_COUNTS_IRREGULAR = {
 def test_pinned_node_counts_irregular(name):
     g, s0, s1 = IRREGULAR_INSTANCES[name]()
     assert search_counts(g, s0, s1) == PINNED_COUNTS_IRREGULAR[name]
+
+
+def pinned_tables():
+    """(graph, s0, s1, table) of PINNED_COUNTS and PINNED_COUNTS_IRREGULAR."""
+    for (n, p, seed), table in sorted(PINNED_COUNTS.items()):
+        yield generate_er(n, p, 1, 1000, seed), n // 2, n - n // 2, table
+    for name, table in sorted(PINNED_COUNTS_IRREGULAR.items()):
+        yield (*IRREGULAR_INSTANCES[name](), table)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 5000])
+def test_budgeted_loop_resumes_on_the_same_tree(budget):
+    """Run in slices of `budget` explored nodes, the search loop gives
+    every pinned row's optimum and counts of one unbudgeted run."""
+    for g, s0, s1, table in pinned_tables():
+        for preset, cfg in CONFIG_PRESETS.items():
+            for strategy in SearchStrategy:
+                search = start_search(g, s0, s1, cfg, strategy, None, None)
+                slices = 1
+                while not search.run(budget):
+                    slices += 1
+                    assert search.explored == (slices - 1) * budget
+                r = search.result()
+                assert (
+                    r.optimum, r.subproblems_explored, r.popped,
+                    r.irrelevant_tasks,
+                ) == table[preset][strategy.value]
+
+
+def test_parallel_inside_the_budget_explores_the_sequential_tree(monkeypatch):
+    """Every pinned row fits in the in-process budget, so threads=2 gives
+    its sequential counts exactly, for every strategy, and forks nothing."""
+
+    def no_pool(*args):
+        raise AssertionError("a solve inside the budget started the pool")
+
+    monkeypatch.setattr(bipart.parallel, "_search_in_pool", no_pool)
+    for g, s0, s1, table in pinned_tables():
+        for preset, cfg in CONFIG_PRESETS.items():
+            for strategy in SearchStrategy:
+                r = solve_parallel_checked(g, s0, s1, cfg, strategy, threads=2)
+                assert (
+                    r.optimum, r.subproblems_explored, r.popped,
+                    r.irrelevant_tasks,
+                ) == table[preset][strategy.value]
 
 
 @st.composite

@@ -1,0 +1,61 @@
+"""Speed-up of solve_parallel's process pool over solve_sequential.
+
+    PYTHONPATH=src python3 tools/pool_speedup.py            # pool forced
+    PYTHONPATH=src python3 tools/pool_speedup.py --budget 5000
+
+Solves G(44, 0.1, 1..1000, seeds 0..2) with sides 22|22 under `rebalance`
+and `component`, DFS, with solve_sequential and solve_parallel(threads=2),
+alternating the two in each of --rounds rounds.  ``--budget`` sets
+``bipart.parallel.NODE_BUDGET`` (default 0, so every solve goes to the
+pool).  Prints each solve's best time on both sides and node counts, and
+the ratio of the summed best times; exits nonzero if an optimum differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+import bipart.parallel
+from bipart import CONFIG_PRESETS, generate_er, solve_sequential
+
+
+def timed(solve):
+    t0 = time.perf_counter()
+    result = solve()
+    return time.perf_counter() - t0, result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python3 tools/pool_speedup.py")
+    parser.add_argument("--budget", type=int, default=0)
+    parser.add_argument("--rounds", type=int, default=3)
+    args = parser.parse_args(argv)
+    bipart.parallel.NODE_BUDGET = args.budget
+    total_seq = total_par = 0.0
+    same = True
+    for seed in range(3):
+        g = generate_er(44, 0.1, 1, 1000, seed)
+        for preset in ("rebalance", "component"):
+            cfg = CONFIG_PRESETS[preset]
+            seq, par = [], []
+            for _ in range(args.rounds):
+                seq.append(timed(lambda: solve_sequential(g, 22, 22, cfg)))
+                par.append(timed(lambda: bipart.parallel.solve_parallel(
+                    g, 22, 22, cfg, threads=2)))
+            same &= len({r.optimum for _, r in seq + par}) == 1
+            t_seq, r_seq = min(seq, key=lambda x: x[0])
+            t_par, r_par = min(par, key=lambda x: x[0])
+            total_seq += t_seq
+            total_par += t_par
+            print(f"seed {seed} {preset:9s} optimum {r_seq.optimum} nodes "
+                  f"{r_seq.subproblems_explored} -> {r_par.subproblems_explored}"
+                  f"  {t_seq:.3f} s -> {t_par:.3f} s  {t_seq / t_par:.2f}x")
+    print(f"total {total_seq:.2f} s -> {total_par:.2f} s, speed-up "
+          f"{total_seq / total_par:.2f}x, optima {'identical' if same else 'DIFFER'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
