@@ -12,8 +12,10 @@ one whose fixed cut + basic already reaches the incumbent.  The bounds of
 the others are computed once, cheapest term first against the incumbent,
 and stored with the child; a child whose bound reaches the incumbent is
 dropped on the spot, before its high-degree terms, component BFS or gap
-estimate are computed.  The loop can stop after a node budget and resume
-on the same heap, which is how the parallel solver runs it.
+estimate are computed.  A completion that beats the incumbent is refined
+by Kernighan-Lin before it replaces it.  The loop can stop after a node
+budget and resume on the same heap, which is how the parallel solver runs
+it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .bounds import BoundConfig, lower_bound
 from .completion import (
     Solution,
     greedy_initial_solution,
+    kernighan_lin,
     rebalancing_completion_value,
     try_complete,
 )
@@ -153,8 +156,8 @@ class Search:
             sol, children = expand(sp, cfg, best_value)
             if sol is not None:
                 if sol.value < best_value:
-                    best_value = sol.value
-                    best = sol
+                    best = kernighan_lin(sp.graph, sol)
+                    best_value = best.value
                     self.solutions_found += 1
                     self.t_best = time.perf_counter() - self.t_start
                 continue
@@ -188,9 +191,11 @@ class Search:
 def start_search(graph, s0, s1, cfg, strategy, initial, initial_value):
     """Checks, incumbent seed and root shared by both search entry points.
 
-    The incumbent is `initial` when given, else the greedy heuristic;
-    `initial_value` caps its value without an assignment (best is then
-    None).  The root carries its full lower bound.
+    The incumbent is `initial` when given, else the greedy heuristic
+    refined by Kernighan-Lin.  An `initial_value` at or below its value
+    replaces it without an assignment: best is then None, and the solve
+    proves that nothing beats `initial_value` unless it finds something
+    that does.  The root carries its full lower bound.
     """
     t_start = time.perf_counter()
     if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
@@ -201,7 +206,7 @@ def start_search(graph, s0, s1, cfg, strategy, initial, initial_value):
         graph, s0, s1
     )
     best_value = best.value
-    if initial_value is not None and initial_value < best_value:
+    if initial_value is not None and initial_value <= best_value:
         best, best_value = None, initial_value
     t_best = time.perf_counter() - t_start
     root = root_subproblem(graph, s0, s1)
@@ -221,7 +226,7 @@ def solve_sequential(
     """Exact optimum of the (s0, s1) bipartitioning problem.
 
     The incumbent is seeded with `initial` when given, else with the greedy
-    heuristic; `initial_value` additionally caps the incumbent value
+    heuristic; an `initial_value` at or below the seed's value replaces it
     without providing an assignment (used for proving optimality of a known
     value: the returned best is then None unless something better was
     found).  Identical inputs give identical results and counts.

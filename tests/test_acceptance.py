@@ -213,7 +213,7 @@ def test_criterion_5_rebalancing_reduction():
     # these n=40 instances the ratio is a property of the instances (about
     # 2.1-2.7 for every DFS side order, branching rule, incumbent seeding
     # and strategy tried; no single instance above 3.13 under the shipped
-    # order).  The median grows with n: 2.35 at n=40, 2.91 at n=44.
+    # order).  The median grows with n: 2.28 at n=40, 2.86 at n=44.
     t0 = time.time()
     counts40 = _rebalancing_counts(40)
     counts44 = _rebalancing_counts(44)

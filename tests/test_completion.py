@@ -10,11 +10,14 @@ from bipart.bounds import FULL_CONFIG, lower_bound, rebalance_bound
 from bipart.completion import (
     Solution,
     greedy_initial_solution,
+    kernighan_lin,
     make_solution,
+    max_adjacency_split,
     rebalancing_completion_value,
     try_complete,
 )
 from bipart.graph import build_graph, cut_value, generate_er
+from bipart.oracle import brute_force_optimum
 from bipart.solver import expand
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
@@ -226,3 +229,68 @@ class TestGreedyInitial:
             sol = greedy_initial_solution(g, s0, n - s0)
             assert sol.assignment.count(0) == s0
             assert sol.value == cut_value(g, sol.assignment)
+
+
+def refinement_instances(rng, count):
+    """(graph, s0) on n = 2..14: ER graphs and, every other one, graphs
+    with zero-weight edges, isolated vertices and several components; s0
+    cycles through 1, n - 1 and a random size."""
+    for i in range(count):
+        n = rng.randint(2, 14)
+        g = (irregular_graph(rng, n) if i % 2 else generate_er(
+            n, rng.choice([0.1, 0.3, 0.6, 1.0]), 1, rng.choice([1, 1000]),
+            seed=rng.randint(0, 10**9)))
+        yield g, (1, n - 1, rng.randint(1, n - 1))[i % 3]
+
+
+def assert_refined(g, s0, start, sol, optimum):
+    """sol, refined from start: s0 vertices on side 0, its value the cut,
+    no worse than start and no better than the optimum."""
+    assert sol.assignment.count(0) == s0
+    assert sol.value == cut_value(g, sol.assignment)
+    assert optimum <= sol.value <= start.value
+
+
+class TestKernighanLin:
+    def test_greedy_seed_against_the_oracle(self):
+        rng = random.Random(1970)
+        zero_weight = isolated = 0
+        for g, s0 in refinement_instances(rng, 240):
+            s1 = g.n - s0
+            optimum = brute_force_optimum(g, s0, s1).optimum
+            sol = greedy_initial_solution(g, s0, s1)
+            assert_refined(g, s0, max_adjacency_split(g, s0, s1), sol, optimum)
+            assert greedy_initial_solution(g, s0, s1) == sol
+            zero_weight += any(w == 0 for _, _, w in g.edges())
+            isolated += 0 in g.degrees  # so the graph is disconnected
+        assert zero_weight >= 20 and isolated >= 20, (zero_weight, isolated)
+
+    def test_random_starts_reach_a_swap_local_optimum(self):
+        """From any split the result admits no improving pair swap (a pass
+        with one would gain), and refining it again returns it unchanged."""
+        rng = random.Random(1971)
+        for g, s0 in refinement_instances(rng, 240):
+            n = g.n
+            side0 = set(rng.sample(range(n), s0))
+            start = make_solution(g, [0 if v in side0 else 1 for v in range(n)],
+                                  s0, n - s0)
+            sol = kernighan_lin(g, start)
+            assert_refined(g, s0, start, sol,
+                           brute_force_optimum(g, s0, n - s0).optimum)
+            assert kernighan_lin(g, start) == sol
+            assert kernighan_lin(g, sol) is sol
+            for a in range(n):
+                for b in range(n):
+                    if sol.assignment[a] == 0 and sol.assignment[b] == 1:
+                        swapped = list(sol.assignment)
+                        swapped[a], swapped[b] = 1, 0
+                        assert cut_value(g, swapped) >= sol.value
+
+    def test_improves_a_poor_split(self):
+        # Two heavy triangles joined by a light edge, split across them.
+        g = build_graph(6, [(0, 1, 9), (1, 2, 9), (0, 2, 9),
+                            (3, 4, 9), (4, 5, 9), (3, 5, 9), (2, 3, 1)])
+        sol = kernighan_lin(g, make_solution(g, [0, 1, 0, 1, 0, 1], 3, 3))
+        assert sol.value == 1
+        assert {v for v in range(6) if sol.assignment[v] == 0} in (
+            {0, 1, 2}, {3, 4, 5})

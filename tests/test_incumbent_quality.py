@@ -1,0 +1,29 @@
+"""The report of tools/incumbent_quality.py on the committed reference."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "incumbent_quality.py"
+_SPEC = importlib.util.spec_from_file_location("incumbent_quality", _PATH)
+incumbent_quality = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(incumbent_quality)
+
+_LINE = re.compile(r"dense-dfs seed 0 (split|seed) *: optimal on (\d+) of 165, "
+                   r"mean excess ([0-9.]+)%, [0-9.]+ ms per call")
+
+
+def test_reports_the_split_and_the_refined_seed(capsys):
+    assert incumbent_quality.main(
+        ["--workload", "dense-dfs", "--seed", "0", "--seed", "999"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {m[1]: (int(m[2]), float(m[3])) for m in map(_LINE.fullmatch, lines[:2])}
+    assert rows["seed"][0] >= rows["split"][0]
+    assert rows["seed"][1] <= rows["split"][1]
+    assert lines[2:] == ["dense-dfs seed 999: skipped, not in reference.json"]
+
+
+def test_excess():
+    assert incumbent_quality.excess(15, 10) == 0.5
+    assert incumbent_quality.excess(0, 0) == 0.0
+    assert incumbent_quality.excess(3, 0) == float("inf")

@@ -7,7 +7,8 @@ from checks import assert_equivalent, oracle_of, solve_parallel_checked
 
 import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS, lower_bound
-from bipart.completion import greedy_initial_solution, make_solution
+from bipart.completion import (greedy_initial_solution, make_solution,
+                               max_adjacency_split)
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import solve_parallel
@@ -128,8 +129,12 @@ class TestSolveSequential:
         assert r.solutions_found == 1
 
     def test_initial_value_proves_optimality(self):
-        # Greedy puts {0,1} on side 0 here (cut 9); the optimum is 2.
+        # The max-adjacency split puts {0,1} on side 0 here (cut 9), and
+        # Kernighan-Lin refines it to {0,3} (cut 2), the optimum.  An
+        # initial_value equal to the seed's value still makes a proof run.
         g = build_graph(4, [(0, 1, 1), (1, 2, 9), (2, 3, 1)])
+        assert max_adjacency_split(g, 2, 2).value == 9
+        assert greedy_initial_solution(g, 2, 2).value == 2
         assert solve_sequential(g, 2, 2).optimum == 2
         r = solve_sequential(g, 2, 2, initial_value=2)
         assert r.optimum == 2
@@ -171,33 +176,35 @@ class TestSolveSequential:
 
 # (optimum, subproblems_explored, popped, irrelevant_tasks) of
 # solve_sequential on G(n, p, 1..1000, seed), sides n//2 | n - n//2.  Any
-# change to a bound, a pruning test or the exploration order moves these.
+# change to a bound, a pruning test, the incumbent or the exploration order
+# moves these.  Where the refined seed is already optimal, every strategy
+# explores the same proof tree.
 # The component rows depend on which children skip the component BFS
 # (lower_bound's cutoff rule), since a skipped child stores a lower bound.
 PINNED_COUNTS = {
     (18, 0.5, 0): {
-        "trivial": {"dfs": (13889, 911, 911, 0), "lb": (13889, 909, 909, 0), "gap": (13889, 1435, 1436, 1)},
-        "rebalance": {"dfs": (13889, 425, 426, 1), "lb": (13889, 422, 552, 130), "gap": (13889, 549, 551, 2)},
-        "highdegree": {"dfs": (13889, 346, 347, 1), "lb": (13889, 343, 437, 94), "gap": (13889, 713, 718, 5)},
-        "component": {"dfs": (13889, 341, 342, 1), "lb": (13889, 340, 435, 95), "gap": (13889, 697, 699, 2)},
+        "trivial": {"dfs": (13889, 909, 909, 0), "lb": (13889, 909, 909, 0), "gap": (13889, 909, 909, 0)},
+        "rebalance": {"dfs": (13889, 422, 422, 0), "lb": (13889, 422, 422, 0), "gap": (13889, 422, 422, 0)},
+        "highdegree": {"dfs": (13889, 343, 343, 0), "lb": (13889, 343, 343, 0), "gap": (13889, 343, 343, 0)},
+        "component": {"dfs": (13889, 338, 338, 0), "lb": (13889, 338, 338, 0), "gap": (13889, 338, 338, 0)},
     },
     (18, 0.5, 1): {
-        "trivial": {"dfs": (11442, 850, 850, 0), "lb": (11442, 829, 829, 0), "gap": (11442, 1024, 1027, 3)},
-        "rebalance": {"dfs": (11442, 468, 468, 0), "lb": (11442, 460, 489, 29), "gap": (11442, 477, 477, 0)},
-        "highdegree": {"dfs": (11442, 403, 403, 0), "lb": (11442, 396, 417, 21), "gap": (11442, 412, 412, 0)},
-        "component": {"dfs": (11442, 393, 393, 0), "lb": (11442, 385, 407, 22), "gap": (11442, 401, 401, 0)},
+        "trivial": {"dfs": (11442, 829, 829, 0), "lb": (11442, 829, 829, 0), "gap": (11442, 829, 829, 0)},
+        "rebalance": {"dfs": (11442, 460, 460, 0), "lb": (11442, 460, 460, 0), "gap": (11442, 460, 460, 0)},
+        "highdegree": {"dfs": (11442, 396, 396, 0), "lb": (11442, 396, 396, 0), "gap": (11442, 396, 396, 0)},
+        "component": {"dfs": (11442, 385, 385, 0), "lb": (11442, 385, 385, 0), "gap": (11442, 385, 385, 0)},
     },
     (18, 0.5, 2): {
-        "trivial": {"dfs": (12629, 754, 754, 0), "lb": (12629, 743, 743, 0), "gap": (12629, 1157, 1158, 1)},
-        "rebalance": {"dfs": (12629, 397, 397, 0), "lb": (12629, 385, 458, 73), "gap": (12629, 562, 562, 0)},
-        "highdegree": {"dfs": (12629, 331, 331, 0), "lb": (12629, 316, 387, 71), "gap": (12629, 438, 439, 1)},
-        "component": {"dfs": (12629, 327, 327, 0), "lb": (12629, 316, 387, 71), "gap": (12629, 437, 438, 1)},
+        "trivial": {"dfs": (12629, 743, 743, 0), "lb": (12629, 743, 743, 0), "gap": (12629, 743, 743, 0)},
+        "rebalance": {"dfs": (12629, 385, 385, 0), "lb": (12629, 385, 385, 0), "gap": (12629, 385, 385, 0)},
+        "highdegree": {"dfs": (12629, 316, 316, 0), "lb": (12629, 316, 316, 0), "gap": (12629, 316, 316, 0)},
+        "component": {"dfs": (12629, 316, 316, 0), "lb": (12629, 316, 316, 0), "gap": (12629, 316, 316, 0)},
     },
     (22, 0.2, 0): {
-        "trivial": {"dfs": (4041, 560, 561, 1), "lb": (4041, 515, 519, 4), "gap": (4041, 646, 652, 6)},
-        "rebalance": {"dfs": (4041, 334, 335, 1), "lb": (4041, 305, 327, 22), "gap": (4041, 410, 416, 6)},
-        "highdegree": {"dfs": (4041, 334, 335, 1), "lb": (4041, 305, 327, 22), "gap": (4041, 408, 414, 6)},
-        "component": {"dfs": (4041, 309, 309, 0), "lb": (4041, 288, 310, 22), "gap": (4041, 385, 388, 3)},
+        "trivial": {"dfs": (4041, 516, 516, 0), "lb": (4041, 515, 519, 4), "gap": (4041, 530, 530, 0)},
+        "rebalance": {"dfs": (4041, 311, 311, 0), "lb": (4041, 305, 314, 9), "gap": (4041, 312, 312, 0)},
+        "highdegree": {"dfs": (4041, 311, 311, 0), "lb": (4041, 305, 314, 9), "gap": (4041, 312, 312, 0)},
+        "component": {"dfs": (4041, 290, 290, 0), "lb": (4041, 284, 294, 10), "gap": (4041, 287, 287, 0)},
     },
     (22, 0.2, 1): {
         "trivial": {"dfs": (5667, 637, 637, 0), "lb": (5667, 637, 637, 0), "gap": (5667, 637, 637, 0)},
@@ -206,10 +213,10 @@ PINNED_COUNTS = {
         "component": {"dfs": (5667, 246, 246, 0), "lb": (5667, 246, 246, 0), "gap": (5667, 246, 246, 0)},
     },
     (22, 0.2, 2): {
-        "trivial": {"dfs": (3932, 1364, 1364, 0), "lb": (3932, 1096, 1096, 0), "gap": (3932, 1367, 1371, 4)},
-        "rebalance": {"dfs": (3932, 786, 787, 1), "lb": (3932, 590, 666, 76), "gap": (3932, 757, 762, 5)},
-        "highdegree": {"dfs": (3932, 783, 784, 1), "lb": (3932, 589, 665, 76), "gap": (3932, 756, 761, 5)},
-        "component": {"dfs": (3932, 706, 707, 1), "lb": (3932, 557, 632, 75), "gap": (3932, 672, 675, 3)},
+        "trivial": {"dfs": (3932, 1096, 1096, 0), "lb": (3932, 1096, 1096, 0), "gap": (3932, 1096, 1096, 0)},
+        "rebalance": {"dfs": (3932, 590, 590, 0), "lb": (3932, 590, 590, 0), "gap": (3932, 590, 590, 0)},
+        "highdegree": {"dfs": (3932, 589, 589, 0), "lb": (3932, 589, 589, 0), "gap": (3932, 589, 589, 0)},
+        "component": {"dfs": (3932, 546, 546, 0), "lb": (3932, 546, 546, 0), "gap": (3932, 546, 546, 0)},
     },
 }
 
@@ -260,22 +267,22 @@ IRREGULAR_INSTANCES = {
 # Same layout as PINNED_COUNTS, for IRREGULAR_INSTANCES.
 PINNED_COUNTS_IRREGULAR = {
     "components 7+6+5, sides 9|9": {
-        "trivial": {"dfs": (1234, 88, 90, 2), "lb": (1234, 59, 69, 10), "gap": (1234, 75, 88, 13)},
-        "rebalance": {"dfs": (1234, 74, 75, 1), "lb": (1234, 47, 63, 16), "gap": (1234, 69, 80, 11)},
-        "highdegree": {"dfs": (1234, 58, 59, 1), "lb": (1234, 35, 69, 34), "gap": (1234, 64, 74, 10)},
-        "component": {"dfs": (1234, 59, 60, 1), "lb": (1234, 35, 69, 34), "gap": (1234, 64, 74, 10)},
+        "trivial": {"dfs": (1234, 85, 86, 1), "lb": (1234, 59, 65, 6), "gap": (1234, 56, 62, 6)},
+        "rebalance": {"dfs": (1234, 69, 69, 0), "lb": (1234, 47, 53, 6), "gap": (1234, 48, 53, 5)},
+        "highdegree": {"dfs": (1234, 53, 53, 0), "lb": (1234, 35, 46, 11), "gap": (1234, 43, 48, 5)},
+        "component": {"dfs": (1234, 54, 54, 0), "lb": (1234, 36, 47, 11), "gap": (1234, 43, 48, 5)},
     },
     "components 9+6+4+1, sides 6|14": {
-        "trivial": {"dfs": (0, 124, 126, 2), "lb": (0, 24, 43, 19), "gap": (0, 34, 49, 15)},
-        "rebalance": {"dfs": (0, 100, 102, 2), "lb": (0, 16, 31, 15), "gap": (0, 30, 43, 13)},
-        "highdegree": {"dfs": (0, 100, 102, 2), "lb": (0, 16, 31, 15), "gap": (0, 30, 43, 13)},
-        "component": {"dfs": (0, 100, 102, 2), "lb": (0, 16, 31, 15), "gap": (0, 30, 43, 13)},
+        "trivial": {"dfs": (0, 32, 33, 1), "lb": (0, 24, 43, 19), "gap": (0, 34, 47, 13)},
+        "rebalance": {"dfs": (0, 27, 28, 1), "lb": (0, 16, 31, 15), "gap": (0, 29, 42, 13)},
+        "highdegree": {"dfs": (0, 27, 28, 1), "lb": (0, 16, 31, 15), "gap": (0, 29, 42, 13)},
+        "component": {"dfs": (0, 27, 28, 1), "lb": (0, 16, 31, 15), "gap": (0, 29, 42, 13)},
     },
     "G(18, 0.5, 0), sides 6|12": {
-        "trivial": {"dfs": (11798, 1112, 1112, 0), "lb": (11798, 918, 943, 25), "gap": (11798, 997, 997, 0)},
-        "rebalance": {"dfs": (11798, 540, 541, 1), "lb": (11798, 421, 617, 196), "gap": (11798, 421, 422, 1)},
-        "highdegree": {"dfs": (11798, 480, 481, 1), "lb": (11798, 369, 555, 186), "gap": (11798, 369, 370, 1)},
-        "component": {"dfs": (11798, 466, 466, 0), "lb": (11798, 368, 546, 178), "gap": (11798, 359, 360, 1)},
+        "trivial": {"dfs": (11798, 918, 918, 0), "lb": (11798, 918, 918, 0), "gap": (11798, 918, 918, 0)},
+        "rebalance": {"dfs": (11798, 419, 419, 0), "lb": (11798, 419, 419, 0), "gap": (11798, 419, 419, 0)},
+        "highdegree": {"dfs": (11798, 367, 367, 0), "lb": (11798, 367, 367, 0), "gap": (11798, 367, 367, 0)},
+        "component": {"dfs": (11798, 356, 356, 0), "lb": (11798, 356, 356, 0), "gap": (11798, 356, 356, 0)},
     },
 }
 
@@ -379,7 +386,7 @@ def test_search_keeps_only_fully_maintained_children(preset):
         g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
                         rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
         s0 = rng.randint(1, n - 1)
-        best = greedy_initial_solution(g, s0, n - s0).value
+        best = max_adjacency_split(g, s0, n - s0).value
         root = root_subproblem(g, s0, n - s0)
         root.lb = lower_bound(root, cfg)
         stack = [root]
