@@ -2,20 +2,22 @@
 entry points, and the search loop they both run.
 
 The loop keeps one priority heap keyed by (-priority, push number) for
-every strategy: ties go to the earlier push and side 0 is pushed first, so
-dfs pops in plain stack order.  It pops the best subproblem, drops it when
+every strategy: ties go to the earlier push, so dfs pops the first child
+of the deepest branching first.  It pops the best subproblem, drops it when
 its stored lower bound no longer beats the incumbent (counted separately
 as an irrelevant task), otherwise tries the completion rules and, failing
-those, branches on the free vertex with the largest guaranteed bound
-increase.  One Subproblem.assign call gives both children and never builds
-one whose fixed cut + basic already reaches the incumbent.  The bounds of
-the others are computed once, cheapest term first against the incumbent,
-and stored with the child; a child whose bound reaches the incumbent is
-dropped on the spot, before its high-degree terms, component BFS or gap
-estimate are computed.  A completion that beats the incumbent is refined
-by Kernighan-Lin before it replaces it.  The loop can stop after a node
-budget and resume on the same heap, which is how the parallel solver runs
-it.
+those, branches on the free vertex with the most weight the cheap bound
+terms cannot see yet (see branch_vertex).  One Subproblem.assign call gives
+both children and never builds one whose fixed cut + basic already reaches
+the incumbent.  The bounds of the others are computed once, cheapest term
+first against the incumbent, and stored with the child; a child whose
+bound reaches the incumbent is dropped on the spot, before its high-degree
+terms, component BFS or gap estimate are computed.  The surviving children
+are pushed lower stored bound first, side 0 first on a tie, so dfs dives
+into the more promising child.  A completion that beats the incumbent is
+refined by Kernighan-Lin before it replaces it.  The loop can stop after a
+node budget and resume on the same heap, which is how the parallel solver
+runs it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, cut_value
 from .subproblem import Subproblem, root_subproblem
 from .bounds import BoundConfig, lower_bound
 from .completion import (
@@ -59,20 +61,21 @@ class SolveResult:
 
 
 def branch_vertex(sp: Subproblem) -> int:
-    """Free vertex with the largest |d1 - d0| gap.
+    """Free vertex v with the largest total_weight[v] - 2 min(d0[v], d1[v]).
 
-    Fixing it on its worse side raises the bound by that gap.  Ties are
-    broken by larger d0 + d1, then by smaller vertex id.
+    That is |d1 - d0|, what fixing v on its worse side adds to the bound at
+    once, plus v's weight to free vertices, which basic and rebalance cannot
+    charge for until branching turns it into fixed-free weight.  Ties go to
+    the smallest vertex id.
     """
-    d0, d1 = sp.d0, sp.d1
+    d0, d1, tw = sp.d0, sp.d1, sp.graph.total_weight
     best = -1
-    best_gap = -1
-    best_sum = -1
+    best_key = -1
     for v in sp.free_list:
         a, b = d0[v], d1[v]
-        gap = b - a if b >= a else a - b
-        if gap > best_gap or (gap == best_gap and a + b > best_sum):
-            best, best_gap, best_sum = v, gap, a + b
+        key = tw[v] - 2 * (a if a < b else b)
+        if key > best_key:
+            best, best_key = v, key
     return best
 
 
@@ -97,11 +100,11 @@ def expand(sp, cfg, cutoff):
     Returns (solution, None) when a completion rule fired on a completion
     below `cutoff`, (None, []) when one fired on a completion that cannot
     beat it (a leaf), otherwise (None, children) with each child's lower
-    bound stored on it.  `cutoff` is the incumbent value.  A child whose
-    fixed cut + basic reaches it is not built and not returned; a returned
-    child whose stored bound is >= cutoff holds only that certificate,
-    since the bound terms after the one that reached the cutoff were
-    skipped.
+    bound stored on it, in non-decreasing stored bound (side 0 first on a
+    tie).  `cutoff` is the incumbent value.  A child whose fixed cut +
+    basic reaches it is not built and not returned; a returned child whose
+    stored bound is >= cutoff holds only that certificate, since the bound
+    terms after the one that reached the cutoff were skipped.
     """
     sol = try_complete(sp, cutoff)
     if sol is not None:
@@ -110,6 +113,8 @@ def expand(sp, cfg, cutoff):
                 if c is not None]
     for child in children:
         child.lb = lower_bound(child, cfg, cutoff)
+    if len(children) == 2 and children[1].lb < children[0].lb:
+        children.reverse()
     return None, children
 
 
@@ -192,7 +197,9 @@ def start_search(graph, s0, s1, cfg, strategy, initial, initial_value):
     """Checks, incumbent seed and root shared by both search entry points.
 
     The incumbent is `initial` when given, else the greedy heuristic
-    refined by Kernighan-Lin.  An `initial_value` at or below its value
+    refined by Kernighan-Lin.  An `initial` that is not an (s0, s1)
+    bipartition of the graph, or whose value is not its cut, raises
+    ValueError.  An `initial_value` at or below the incumbent's value
     replaces it without an assignment: best is then None, and the solve
     proves that nothing beats `initial_value` unless it finds something
     that does.  The root carries its full lower bound.
@@ -200,8 +207,15 @@ def start_search(graph, s0, s1, cfg, strategy, initial, initial_value):
     t_start = time.perf_counter()
     if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
         raise ValueError(f"invalid sizes ({s0},{s1}) for n={graph.n}")
-    if initial is not None and len(initial.assignment) != graph.n:
-        raise ValueError("initial solution does not match the graph")
+    if initial is not None:
+        sides = initial.assignment
+        if (len(sides) != graph.n or not set(sides) <= {0, 1}
+                or sides.count(0) != s0
+                or initial.value != cut_value(graph, sides)):
+            raise ValueError(
+                f"initial solution is not a {s0}|{s1} bipartition of the "
+                f"graph with its cut value"
+            )
     best = initial if initial is not None else greedy_initial_solution(
         graph, s0, s1
     )

@@ -209,11 +209,12 @@ def test_criterion_5_rebalancing_reduction():
     # The rebalancing term is what cuts the search, and its effect grows
     # with instance size.  It is not asked for a fixed factor: criterion 2
     # shows basic + rebalance is already the exact fixed-free minimum, so
-    # no faithful rebalancing bound can prune more on the same tree, and on
-    # these n=40 instances the ratio is a property of the instances (about
-    # 2.1-2.7 for every DFS side order, branching rule, incumbent seeding
-    # and strategy tried; no single instance above 3.13 under the shipped
-    # order).  The median grows with n: 2.28 at n=40, 2.86 at n=44.
+    # no faithful rebalancing bound can prune more on the same tree, and
+    # the ratio depends on the tree the branching rule builds.  Branching
+    # on the largest |d1 - d0|, the n=40 median stayed at about 2.1-2.7 for
+    # every DFS side order, incumbent seeding and strategy tried.  Branching
+    # on the vertex with the most weight basic + rebalance cannot see yet,
+    # the median is 4.28 at n=40 and 9.09 at n=44.
     t0 = time.time()
     counts40 = _rebalancing_counts(40)
     counts44 = _rebalancing_counts(44)

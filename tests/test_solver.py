@@ -1,14 +1,16 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import assert_equivalent, oracle_of, solve_parallel_checked
+from checks import (assert_equivalent, irregular_graph, oracle_of,
+                    random_partial_assignment, solve_parallel_checked)
 
 import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS, lower_bound
-from bipart.completion import (greedy_initial_solution, make_solution,
-                               max_adjacency_split)
+from bipart.completion import (Solution, greedy_initial_solution,
+                               make_solution, max_adjacency_split)
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import solve_parallel
@@ -31,6 +33,19 @@ def complete_unweighted(n):
     return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
 
 
+def reference_branch_vertex(sp):
+    """The smallest free v maximising |d1 - d0| + v's weight to free
+    vertices, every term counted by direct edge enumeration."""
+    side = {v: sp.side_of(v) for v in range(sp.graph.n)}
+    key = {v: [0, 0, 0] for v in sp.free_list}  # to side 0, side 1, free
+    for u, v, w in sp.graph.edges():
+        for x, y in ((u, v), (v, u)):
+            if side[x] is None:
+                key[x][2 if side[y] is None else side[y]] += w
+    keys = {v: abs(k[1] - k[0]) + k[2] for v, k in key.items()}
+    return min(keys, key=lambda v: (-keys[v], v)), keys
+
+
 class TestBranchVertex:
     def test_single_candidate(self):
         sp = recompute_from_scratch(
@@ -38,20 +53,62 @@ class TestBranchVertex:
         )
         assert branch_vertex(sp) == 1
 
-    def test_argmax_abs_delta(self):
-        g = build_graph(7, [(0, 4, 7), (1, 5, 3), (1, 6, 3)])
-        sp = recompute_from_scratch(g, [4], [5, 6], 3, 4)
-        # deltas over free {0,1,2,3}: 0 -> -7, 1 -> +6, others 0
-        assert branch_vertex(sp) == 0
+    def test_free_weight_outweighs_a_smaller_gap(self):
+        # Free 1..4.  Vertex 1 has the largest |d1 - d0|, 5, and no free
+        # edges; vertex 2 has gap 0 but 8 of weight to free vertices, which
+        # no cheap bound term sees until it is fixed.
+        g = build_graph(5, [(0, 1, 5), (2, 3, 4), (2, 4, 4)])
+        sp = recompute_from_scratch(g, [0], [], 2, 3)
+        assert [abs(sp.d1[v] - sp.d0[v]) for v in sp.free_list] == [5, 0, 0, 0]
+        assert branch_vertex(sp) == 2  # keys 5, 8, 4, 4
 
-    def test_tie_break_by_d_sum_then_id(self):
-        g = build_graph(6, [(0, 4, 2), (0, 5, 2), (1, 4, 1), (1, 5, 1)])
-        sp = recompute_from_scratch(g, [4], [5], 3, 3)
-        # free 0..3 all have delta 0; vertex 0 has the largest d0+d1
+    def test_gap_and_free_weight_add_up(self):
+        # Vertex 1: gap 6, no free edges.  Vertex 2: gap 3 and free weight
+        # 4 (key 7) beats it, though either term alone is smaller.
+        g = build_graph(5, [(0, 1, 6), (0, 2, 3), (2, 3, 4)])
+        sp = recompute_from_scratch(g, [0], [4], 2, 3)
+        assert branch_vertex(sp) == 2
+
+    def test_ties_go_to_the_smallest_id(self):
+        # Vertex 0: gap 2, free weight 0.  Vertex 1: gap 0, free weight 2
+        # (the edge to 2, whose key is also 2).  All tie at key 2.
+        g = build_graph(5, [(0, 3, 2), (1, 2, 2)])
+        sp = recompute_from_scratch(g, [3], [4], 2, 3)
         assert branch_vertex(sp) == 0
-        g2 = build_graph(4, [])
-        sp2 = recompute_from_scratch(g2, [], [], 2, 2)
-        assert branch_vertex(sp2) == 0  # full tie: smallest id
+        sp2 = recompute_from_scratch(build_graph(4, []), [], [], 2, 2)
+        assert branch_vertex(sp2) == 0  # every key is 0
+
+    def check_states(self, rng, graphs):
+        ties = 0
+        for g, s0 in graphs:
+            for _ in range(8):
+                sp = random_partial_assignment(rng, g, s0, g.n - s0)
+                if not sp.free_list:
+                    continue
+                expected, keys = reference_branch_vertex(sp)
+                assert branch_vertex(sp) == expected
+                ties += list(keys.values()).count(keys[expected]) > 1
+        assert ties > 0  # the tie-break was exercised
+
+    def test_matches_edge_enumeration_on_random_states(self):
+        rng = random.Random(41)
+        graphs = []
+        for _ in range(100):
+            n = rng.randint(2, 14)
+            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            graphs.append((g, rng.randint(1, n - 1)))
+        self.check_states(rng, graphs)
+
+    def test_matches_edge_enumeration_on_irregular_states(self):
+        rng = random.Random(42)
+        graphs = []
+        for _ in range(100):
+            n = rng.randint(2, 14)
+            graphs.append((irregular_graph(rng, n), rng.randint(1, n - 1)))
+        assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
+        assert any(0 in g.degrees for g, _ in graphs)
+        self.check_states(rng, graphs)
 
 
 class TestPriority:
@@ -127,6 +184,9 @@ class TestSolveSequential:
         assert r.optimum == 7
         assert r.best is seed_sol
         assert r.solutions_found == 1
+        r = solve_parallel_checked(g, 2, 2, initial=seed_sol, threads=2)
+        assert r.optimum == 7
+        assert r.best is seed_sol
 
     def test_initial_value_proves_optimality(self):
         # The max-adjacency split puts {0,1} on side 0 here (cut 9), and
@@ -167,6 +227,20 @@ class TestSolveSequential:
             assert r.popped == r.subproblems_explored + r.irrelevant_tasks
             assert r.time_total >= r.time_to_optimum >= 0.0
 
+    @pytest.mark.parametrize("solve", [
+        solve_sequential, partial(solve_parallel_checked, threads=2),
+    ], ids=["sequential", "parallel"])
+    @pytest.mark.parametrize("initial", [
+        Solution((0, 0, 0, 1), 4),  # 3|1 sides, a cut below the optimum 7
+        Solution((0, 0, 2, 1), 11),  # a side outside 0/1
+        Solution((0, 0, 1, 1), 5),  # the cut is 7
+        Solution((0, 0, 1), 7),  # too short
+    ], ids=["3|1 sides", "side 2", "wrong value", "too short"])
+    def test_an_infeasible_or_misvalued_initial_is_rejected(self, solve,
+                                                            initial):
+        with pytest.raises(ValueError, match="initial solution"):
+            solve(example_graph(), 2, 2, initial=initial)
+
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValueError):
             solve_sequential(example_graph(), 0, 4)
@@ -183,40 +257,40 @@ class TestSolveSequential:
 # (lower_bound's cutoff rule), since a skipped child stores a lower bound.
 PINNED_COUNTS = {
     (18, 0.5, 0): {
-        "trivial": {"dfs": (13889, 909, 909, 0), "lb": (13889, 909, 909, 0), "gap": (13889, 909, 909, 0)},
-        "rebalance": {"dfs": (13889, 422, 422, 0), "lb": (13889, 422, 422, 0), "gap": (13889, 422, 422, 0)},
-        "highdegree": {"dfs": (13889, 343, 343, 0), "lb": (13889, 343, 343, 0), "gap": (13889, 343, 343, 0)},
-        "component": {"dfs": (13889, 338, 338, 0), "lb": (13889, 338, 338, 0), "gap": (13889, 338, 338, 0)},
+        "trivial": {"dfs": (13889, 525, 525, 0), "lb": (13889, 525, 525, 0), "gap": (13889, 525, 525, 0)},
+        "rebalance": {"dfs": (13889, 180, 180, 0), "lb": (13889, 180, 180, 0), "gap": (13889, 180, 180, 0)},
+        "highdegree": {"dfs": (13889, 179, 179, 0), "lb": (13889, 179, 179, 0), "gap": (13889, 179, 179, 0)},
+        "component": {"dfs": (13889, 172, 172, 0), "lb": (13889, 172, 172, 0), "gap": (13889, 172, 172, 0)},
     },
     (18, 0.5, 1): {
-        "trivial": {"dfs": (11442, 829, 829, 0), "lb": (11442, 829, 829, 0), "gap": (11442, 829, 829, 0)},
-        "rebalance": {"dfs": (11442, 460, 460, 0), "lb": (11442, 460, 460, 0), "gap": (11442, 460, 460, 0)},
-        "highdegree": {"dfs": (11442, 396, 396, 0), "lb": (11442, 396, 396, 0), "gap": (11442, 396, 396, 0)},
-        "component": {"dfs": (11442, 385, 385, 0), "lb": (11442, 385, 385, 0), "gap": (11442, 385, 385, 0)},
+        "trivial": {"dfs": (11442, 473, 473, 0), "lb": (11442, 473, 473, 0), "gap": (11442, 473, 473, 0)},
+        "rebalance": {"dfs": (11442, 200, 200, 0), "lb": (11442, 200, 200, 0), "gap": (11442, 200, 200, 0)},
+        "highdegree": {"dfs": (11442, 198, 198, 0), "lb": (11442, 198, 198, 0), "gap": (11442, 198, 198, 0)},
+        "component": {"dfs": (11442, 192, 192, 0), "lb": (11442, 192, 192, 0), "gap": (11442, 192, 192, 0)},
     },
     (18, 0.5, 2): {
-        "trivial": {"dfs": (12629, 743, 743, 0), "lb": (12629, 743, 743, 0), "gap": (12629, 743, 743, 0)},
-        "rebalance": {"dfs": (12629, 385, 385, 0), "lb": (12629, 385, 385, 0), "gap": (12629, 385, 385, 0)},
-        "highdegree": {"dfs": (12629, 316, 316, 0), "lb": (12629, 316, 316, 0), "gap": (12629, 316, 316, 0)},
-        "component": {"dfs": (12629, 316, 316, 0), "lb": (12629, 316, 316, 0), "gap": (12629, 316, 316, 0)},
+        "trivial": {"dfs": (12629, 471, 471, 0), "lb": (12629, 471, 471, 0), "gap": (12629, 471, 471, 0)},
+        "rebalance": {"dfs": (12629, 134, 134, 0), "lb": (12629, 134, 134, 0), "gap": (12629, 134, 134, 0)},
+        "highdegree": {"dfs": (12629, 126, 126, 0), "lb": (12629, 126, 126, 0), "gap": (12629, 126, 126, 0)},
+        "component": {"dfs": (12629, 126, 126, 0), "lb": (12629, 126, 126, 0), "gap": (12629, 126, 126, 0)},
     },
     (22, 0.2, 0): {
-        "trivial": {"dfs": (4041, 516, 516, 0), "lb": (4041, 515, 519, 4), "gap": (4041, 530, 530, 0)},
-        "rebalance": {"dfs": (4041, 311, 311, 0), "lb": (4041, 305, 314, 9), "gap": (4041, 312, 312, 0)},
-        "highdegree": {"dfs": (4041, 311, 311, 0), "lb": (4041, 305, 314, 9), "gap": (4041, 312, 312, 0)},
-        "component": {"dfs": (4041, 290, 290, 0), "lb": (4041, 284, 294, 10), "gap": (4041, 287, 287, 0)},
+        "trivial": {"dfs": (4041, 339, 339, 0), "lb": (4041, 290, 321, 31), "gap": (4041, 338, 338, 0)},
+        "rebalance": {"dfs": (4041, 143, 143, 0), "lb": (4041, 119, 143, 24), "gap": (4041, 141, 141, 0)},
+        "highdegree": {"dfs": (4041, 143, 143, 0), "lb": (4041, 119, 143, 24), "gap": (4041, 141, 141, 0)},
+        "component": {"dfs": (4041, 134, 135, 1), "lb": (4041, 110, 135, 25), "gap": (4041, 134, 135, 1)},
     },
     (22, 0.2, 1): {
-        "trivial": {"dfs": (5667, 637, 637, 0), "lb": (5667, 637, 637, 0), "gap": (5667, 637, 637, 0)},
-        "rebalance": {"dfs": (5667, 268, 268, 0), "lb": (5667, 268, 268, 0), "gap": (5667, 268, 268, 0)},
-        "highdegree": {"dfs": (5667, 267, 267, 0), "lb": (5667, 267, 267, 0), "gap": (5667, 267, 267, 0)},
-        "component": {"dfs": (5667, 246, 246, 0), "lb": (5667, 246, 246, 0), "gap": (5667, 246, 246, 0)},
+        "trivial": {"dfs": (5667, 421, 421, 0), "lb": (5667, 421, 421, 0), "gap": (5667, 421, 421, 0)},
+        "rebalance": {"dfs": (5667, 103, 103, 0), "lb": (5667, 103, 103, 0), "gap": (5667, 103, 103, 0)},
+        "highdegree": {"dfs": (5667, 103, 103, 0), "lb": (5667, 103, 103, 0), "gap": (5667, 103, 103, 0)},
+        "component": {"dfs": (5667, 101, 101, 0), "lb": (5667, 101, 101, 0), "gap": (5667, 101, 101, 0)},
     },
     (22, 0.2, 2): {
-        "trivial": {"dfs": (3932, 1096, 1096, 0), "lb": (3932, 1096, 1096, 0), "gap": (3932, 1096, 1096, 0)},
-        "rebalance": {"dfs": (3932, 590, 590, 0), "lb": (3932, 590, 590, 0), "gap": (3932, 590, 590, 0)},
-        "highdegree": {"dfs": (3932, 589, 589, 0), "lb": (3932, 589, 589, 0), "gap": (3932, 589, 589, 0)},
-        "component": {"dfs": (3932, 546, 546, 0), "lb": (3932, 546, 546, 0), "gap": (3932, 546, 546, 0)},
+        "trivial": {"dfs": (3932, 681, 681, 0), "lb": (3932, 681, 681, 0), "gap": (3932, 681, 681, 0)},
+        "rebalance": {"dfs": (3932, 193, 193, 0), "lb": (3932, 193, 193, 0), "gap": (3932, 193, 193, 0)},
+        "highdegree": {"dfs": (3932, 193, 193, 0), "lb": (3932, 193, 193, 0), "gap": (3932, 193, 193, 0)},
+        "component": {"dfs": (3932, 189, 189, 0), "lb": (3932, 189, 189, 0), "gap": (3932, 189, 189, 0)},
     },
 }
 
@@ -267,22 +341,22 @@ IRREGULAR_INSTANCES = {
 # Same layout as PINNED_COUNTS, for IRREGULAR_INSTANCES.
 PINNED_COUNTS_IRREGULAR = {
     "components 7+6+5, sides 9|9": {
-        "trivial": {"dfs": (1234, 85, 86, 1), "lb": (1234, 59, 65, 6), "gap": (1234, 56, 62, 6)},
-        "rebalance": {"dfs": (1234, 69, 69, 0), "lb": (1234, 47, 53, 6), "gap": (1234, 48, 53, 5)},
-        "highdegree": {"dfs": (1234, 53, 53, 0), "lb": (1234, 35, 46, 11), "gap": (1234, 43, 48, 5)},
-        "component": {"dfs": (1234, 54, 54, 0), "lb": (1234, 36, 47, 11), "gap": (1234, 43, 48, 5)},
+        "trivial": {"dfs": (1234, 85, 85, 0), "lb": (1234, 65, 76, 11), "gap": (1234, 95, 95, 0)},
+        "rebalance": {"dfs": (1234, 35, 35, 0), "lb": (1234, 35, 36, 1), "gap": (1234, 41, 41, 0)},
+        "highdegree": {"dfs": (1234, 35, 35, 0), "lb": (1234, 35, 36, 1), "gap": (1234, 41, 41, 0)},
+        "component": {"dfs": (1234, 35, 35, 0), "lb": (1234, 35, 36, 1), "gap": (1234, 41, 41, 0)},
     },
     "components 9+6+4+1, sides 6|14": {
-        "trivial": {"dfs": (0, 32, 33, 1), "lb": (0, 24, 43, 19), "gap": (0, 34, 47, 13)},
-        "rebalance": {"dfs": (0, 27, 28, 1), "lb": (0, 16, 31, 15), "gap": (0, 29, 42, 13)},
-        "highdegree": {"dfs": (0, 27, 28, 1), "lb": (0, 16, 31, 15), "gap": (0, 29, 42, 13)},
-        "component": {"dfs": (0, 27, 28, 1), "lb": (0, 16, 31, 15), "gap": (0, 29, 42, 13)},
+        "trivial": {"dfs": (0, 77, 88, 11), "lb": (0, 26, 49, 23), "gap": (0, 76, 91, 15)},
+        "rebalance": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 52, 67, 15)},
+        "highdegree": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 52, 67, 15)},
+        "component": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 52, 67, 15)},
     },
     "G(18, 0.5, 0), sides 6|12": {
-        "trivial": {"dfs": (11798, 918, 918, 0), "lb": (11798, 918, 918, 0), "gap": (11798, 918, 918, 0)},
-        "rebalance": {"dfs": (11798, 419, 419, 0), "lb": (11798, 419, 419, 0), "gap": (11798, 419, 419, 0)},
-        "highdegree": {"dfs": (11798, 367, 367, 0), "lb": (11798, 367, 367, 0), "gap": (11798, 367, 367, 0)},
-        "component": {"dfs": (11798, 356, 356, 0), "lb": (11798, 356, 356, 0), "gap": (11798, 356, 356, 0)},
+        "trivial": {"dfs": (11798, 601, 601, 0), "lb": (11798, 601, 601, 0), "gap": (11798, 601, 601, 0)},
+        "rebalance": {"dfs": (11798, 193, 193, 0), "lb": (11798, 193, 193, 0), "gap": (11798, 193, 193, 0)},
+        "highdegree": {"dfs": (11798, 190, 190, 0), "lb": (11798, 190, 190, 0), "gap": (11798, 190, 190, 0)},
+        "component": {"dfs": (11798, 182, 182, 0), "lb": (11798, 182, 182, 0), "gap": (11798, 182, 182, 0)},
     },
 }
 
@@ -406,3 +480,39 @@ def test_search_keeps_only_fully_maintained_children(preset):
                 stack.append(child)
         assert best == brute_force_optimum(g, s0, n - s0).optimum
     assert kept > 0
+
+
+@pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
+def test_expand_returns_children_lower_bound_first(preset):
+    """Both children survive: the one of lower stored bound comes first,
+    side 0 on a tie, so dfs dives into it."""
+    cfg = CONFIG_PRESETS[preset]
+    rng = random.Random(515)
+    order = {"side 1 first": 0, "tie": 0}
+    for i in range(30):
+        n = rng.randint(4, 14)
+        g = (irregular_graph(rng, n) if i % 2 else
+             generate_er(n, rng.choice([0.2, 0.5]), 1, rng.choice([1, 1000]),
+                         seed=rng.randint(0, 10**9)))
+        s0 = rng.randint(1, n - 1)
+        best = max_adjacency_split(g, s0, n - s0).value
+        root = root_subproblem(g, s0, n - s0)
+        root.lb = lower_bound(root, cfg)
+        stack = [root]
+        while stack:
+            sp = stack.pop()
+            if sp.lb >= best:
+                continue
+            sol, children = expand(sp, cfg, best)
+            if sol is not None:
+                best = min(best, sol.value)
+                continue
+            if len(children) == 2:
+                first, second = children
+                assert first.lb <= second.lb
+                if first.a0 == sp.a0:
+                    order["side 1 first"] += 1
+                    assert first.lb < second.lb
+                order["tie"] += first.lb == second.lb
+            stack.extend(reversed(children))
+    assert all(order.values()), order

@@ -3,9 +3,11 @@
     PYTHONPATH=src python3 tools/pool_speedup.py            # pool forced
     PYTHONPATH=src python3 tools/pool_speedup.py --budget 5000
 
-Solves G(44, 0.1, 1..1000, seeds 0..2) with sides 22|22 under `rebalance`
+Solves G(52, 0.1, 1..1000, seeds 0..2) with sides 26|26 under `rebalance`
 and `component`, DFS, with solve_sequential and solve_parallel(threads=2),
-alternating the two in each of --rounds rounds.  ``--budget`` sets
+alternating the two in each of --rounds rounds.  The instances are sized so
+that every solve explores well past the default NODE_BUDGET, and so reaches
+the pool with ``--budget 5000`` too.  ``--budget`` sets
 ``bipart.parallel.NODE_BUDGET`` (default 0, so every solve goes to the
 pool).  Prints each solve's best time on both sides and node counts, and
 the ratio of the summed best times; exits nonzero if an optimum differs.
@@ -36,14 +38,14 @@ def main(argv=None) -> int:
     total_seq = total_par = 0.0
     same = True
     for seed in range(3):
-        g = generate_er(44, 0.1, 1, 1000, seed)
+        g = generate_er(52, 0.1, 1, 1000, seed)
         for preset in ("rebalance", "component"):
             cfg = CONFIG_PRESETS[preset]
             seq, par = [], []
             for _ in range(args.rounds):
-                seq.append(timed(lambda: solve_sequential(g, 22, 22, cfg)))
+                seq.append(timed(lambda: solve_sequential(g, 26, 26, cfg)))
                 par.append(timed(lambda: bipart.parallel.solve_parallel(
-                    g, 22, 22, cfg, threads=2)))
+                    g, 26, 26, cfg, threads=2)))
             same &= len({r.optimum for _, r in seq + par}) == 1
             t_seq, r_seq = min(seq, key=lambda x: x[0])
             t_par, r_par = min(par, key=lambda x: x[0])
