@@ -99,25 +99,16 @@ def rebalance_bound(sp: Subproblem) -> list[int]:
     return sorted(sp.free_list, key=lambda v: (d1[v] - d0[v], v))
 
 
-def _remaining(sp: Subproblem) -> tuple[int, int]:
-    """(f_big, f_small): the larger and smaller count still to place."""
-    if sp.f0 >= sp.f1:
-        return sp.f0, sp.f1
-    return sp.f1, sp.f0
-
-
 def high_degree_bound(sp: Subproblem) -> int:
     """High-degree contribution in half-units (twice the weight bound).
 
     A free v of free degree d >= f_big keeps at most f_big - 1 free
     neighbours on the big side, so placed there it cuts at least its
     d - f_big + 1 cheapest free edges; their weights are summed from the
-    front of its weight-sorted adjacency.  Skipped (0) unless the inherited
-    maximum free-degree estimate exceeds the smaller side's remaining count.
+    front of its weight-sorted adjacency.  O(f) when no free degree
+    reaches f_big; lower_bound skips the call then.
     """
-    f_big, f_small = _remaining(sp)
-    if sp.approx_max_free_degree <= f_small:
-        return 0
+    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
     adj_nbr, adj_w = sp.graph.adj_nbr, sp.graph.adj_w
     free_mask = sp.free_mask
     deg = sp.free_degree
@@ -146,9 +137,7 @@ def high_degree_rebalance(sp: Subproblem) -> int:
     penalties are counted.  (f_small >= 1 whenever some v qualifies: with
     f_small = 0, f_big is the free count, which no free degree reaches.)
     """
-    f_big, f_small = _remaining(sp)
-    if sp.approx_max_free_degree <= f_small:
-        return 0
+    f_big, f_small = (sp.f0, sp.f1) if sp.f0 >= sp.f1 else (sp.f1, sp.f0)
     deg = sp.free_degree
     high = [v for v in sp.free_list if deg[v] >= f_big]
     surplus = len(high) - f_big
@@ -178,19 +167,17 @@ def component_bound(sp: Subproblem) -> int:
     """Lightest edge of a free component larger than the bigger side.
 
     Runs a BFS over the free-induced subgraph, refreshing the owner's
-    cached largest-component size and maximum free-degree estimates as a
-    side effect.  Skipped (0) unless the inherited component-size estimate
-    exceeds f_big.  The result is at most the graph's heaviest edge weight.
+    cached largest-component size as a side effect.  Skipped (0) unless the
+    inherited component-size estimate exceeds f_big.  The result is at most
+    the graph's heaviest edge weight.
     """
-    f_big, f_small = _remaining(sp)
+    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
     if sp.approx_max_component <= f_big:
         return 0
     g = sp.graph
     free_mask = sp.free_mask
-    deg = sp.free_degree
     visited = 0
     largest = 0
-    max_deg = 0
     result = 0
     for start in sp.free_list:
         if (visited >> start) & 1:
@@ -204,8 +191,6 @@ def component_bound(sp: Subproblem) -> int:
             x = queue[i]
             i += 1
             size += 1
-            if deg[x] > max_deg:
-                max_deg = deg[x]
             a_n = g.adj_nbr[x]
             a_w = g.adj_w[x]
             for j in range(len(a_n)):
@@ -222,7 +207,6 @@ def component_bound(sp: Subproblem) -> int:
         if size > f_big:
             result = min_w if min_w > 0 else 0
     sp.approx_max_component = largest
-    sp.approx_max_free_degree = max_deg
     return result
 
 
@@ -265,7 +249,7 @@ def lower_bound(
 
 def _has_high_degree_vertex(sp: Subproblem) -> bool:
     """Whether some free vertex has free degree >= f_big, without which both
-    high-degree terms are 0; the inherited estimate often decides alone."""
+    high-degree terms are 0; one O(f) pass over the exact free degrees."""
     f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    return sp.approx_max_free_degree >= f_big and max(
-        map(sp.free_degree.__getitem__, sp.free_list), default=-1) >= f_big
+    return max(map(sp.free_degree.__getitem__, sp.free_list),
+               default=-1) >= f_big

@@ -93,6 +93,8 @@ def _write_rows(stream, rows):
 
 def cmd_generate(args) -> int:
     wmax = args.wmax if args.wmax is not None else args.wmin
+    if args.n < 0:
+        raise UsageError(f"-n must be at least 0, got {args.n}")
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"-p must be in [0,1], got {args.p}")
     if not 1 <= args.wmin <= wmax:
@@ -168,6 +170,8 @@ _CAMPAIGN_DEFAULTS = {
     "reps": 1,
     "with_optimal": False,
 }
+_SWITCH_VALUES = {"yes": True, "true": True, "1": True, "on": True,
+                  "no": False, "false": False, "0": False, "off": False}
 
 
 def parse_campaign(text: str) -> dict:
@@ -197,7 +201,11 @@ def parse_campaign(text: str) -> dict:
         elif key in ("wmin", "reps"):
             campaign[key] = int(value)
         elif key == "with_optimal":
-            campaign[key] = value.lower() in ("yes", "true", "1", "on")
+            if value.lower() not in _SWITCH_VALUES:
+                raise ValueError(
+                    f"campaign line {lineno}: with_optimal must be yes/true/1/on"
+                    f" or no/false/0/off, got {value!r}")
+            campaign[key] = _SWITCH_VALUES[value.lower()]
         else:
             raise ValueError(f"campaign line {lineno}: unknown key {key!r}")
     if "n" not in seen:

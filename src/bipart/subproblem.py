@@ -8,6 +8,9 @@ incrementally maintained quantities the lower bounds read:
 * basic and sum_d0: the sums over free v of min(d0[v], d1[v]) and of
   d0[v], which the basic and rebalancing bound terms read.
 * free_degree[v]: degree of free v in the subgraph induced by free vertices.
+* approx_max_component: an upper estimate of the largest free component's
+  size, inherited from the parent and refreshed by the component BFS; the
+  component term skips its BFS while the estimate is at most f_big.
 
 The high-degree terms keep no state here.  The paper maintains per-vertex
 seen counters for them; measured here, that upkeep cost more than the term
@@ -21,9 +24,9 @@ basic already reaches the caller's cutoff.  The two siblings share one
 copy of the free set (free_list, free_mask, free_degree and the zero-degree
 count), and a child shares a D array with its parent when v's entry there
 is already 0.  That is safe because no array of a subproblem is written
-after assign or recompute_from_scratch builds it; only the scalar
-estimates, lb and ub_est are set later, on the subproblem's own slots.  A
-subproblem is owned by one worker at a time.
+after assign or recompute_from_scratch builds it; only
+approx_max_component, lb and ub_est are set later, on the subproblem's own
+slots.  A subproblem is owned by one worker at a time.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ class Subproblem:
     __slots__ = (
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
-        "free_degree", "zero_free_degree_count",
-        "approx_max_free_degree", "approx_max_component",
+        "free_degree", "zero_free_degree_count", "approx_max_component",
         "depth", "lb", "ub_est",
     )
 
@@ -132,7 +134,6 @@ class Subproblem:
             c.free_list = free_list
             c.free_degree = deg
             c.zero_free_degree_count = zero_cnt
-            c.approx_max_free_degree = self.approx_max_free_degree
             c.approx_max_component = self.approx_max_component
             c.depth = depth
             c.lb = None
@@ -160,7 +161,6 @@ class Subproblem:
             c.free_list = free_list
             c.free_degree = deg
             c.zero_free_degree_count = zero_cnt
-            c.approx_max_free_degree = self.approx_max_free_degree
             c.approx_max_component = self.approx_max_component
             c.depth = depth
             c.lb = None
@@ -187,9 +187,9 @@ def root_subproblem(
 
     When s0 == s1 the two sides are interchangeable, so vertex 0 is
     pre-assigned to side 0 to avoid enumerating mirrored solutions.  Built
-    by recompute_from_scratch, so its estimates are exact.  maintain_hd is
-    ignored: no state depends on it any more, and the benchmark still
-    passes it.
+    by recompute_from_scratch, so its component-size estimate is exact.
+    maintain_hd is ignored: no state depends on it any more, and the
+    benchmark still passes it.
     """
     sp = recompute_from_scratch(graph, [0] if s0 == s1 else [], [], s0, s1)
     sp.depth = 0
@@ -207,8 +207,8 @@ def recompute_from_scratch(
 
     u0 and u1 are iterables of vertex ids.  This builds the root, and it is
     the oracle for the incremental maintenance in assign(): every derived
-    quantity is computed by a fresh O(n + m) pass, and the estimate fields
-    are set to their exact current values.
+    quantity is computed by a fresh O(n + m) pass, and the component-size
+    estimate is set to its exact current value.
     """
     n = graph.n
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
@@ -258,10 +258,6 @@ def recompute_from_scratch(
     sp.free_degree = free_degree
     sp.zero_free_degree_count = sum(
         1 for v in sp.free_list if free_degree[v] == 0
-    )
-
-    sp.approx_max_free_degree = max(
-        (free_degree[v] for v in sp.free_list), default=0
     )
     sp.approx_max_component = _largest_free_component(sp)
     return sp

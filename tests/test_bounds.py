@@ -174,23 +174,14 @@ class TestHighDegree:
         assert high_degree_bound(sp) == 0
 
     def test_soundness_on_random_subproblems(self):
-        rng = random.Random(515)
-        for _ in range(300):
-            sp = random_subproblem(rng)
-            half = high_degree_bound(sp) + high_degree_rebalance(sp)
-            assert (half + 1) // 2 <= brute_force_free_free_min(sp)
+        for seed in (515, 516):
+            rng = random.Random(seed)
+            for _ in range(300):
+                sp = random_subproblem(rng)
+                half = high_degree_bound(sp) + high_degree_rebalance(sp)
+                assert (half + 1) // 2 <= brute_force_free_free_min(sp)
 
-    def test_ungated_terms_stay_sound(self):
-        # With the free-degree estimate forced to n, the gate inside both
-        # terms never skips them, so this checks the terms themselves.
-        rng = random.Random(516)
-        for _ in range(300):
-            sp = random_subproblem(rng)
-            sp.approx_max_free_degree = sp.graph.n
-            half = high_degree_bound(sp) + high_degree_rebalance(sp)
-            assert (half + 1) // 2 <= brute_force_free_free_min(sp)
-
-    def test_counters_vs_recomputation_after_branching(self):
+    def test_terms_match_recomputation_after_branching(self):
         rng = random.Random(99)
         for _ in range(40):
             n = rng.randint(4, 14)
@@ -208,10 +199,6 @@ class TestHighDegree:
                 s0,
                 n - s0,
             )
-            # Equalize the computation triggers (the inherited estimate may
-            # be staler than the recomputed one); the counter sums must agree.
-            sp.approx_max_free_degree = g.n
-            rc.approx_max_free_degree = g.n
             assert high_degree_bound(sp) == high_degree_bound(rc)
             assert high_degree_rebalance(sp) == high_degree_rebalance(rc)
 
@@ -221,10 +208,8 @@ def reference_high_degree(sp):
     free degree d >= f_big, sort its free-edge weights; the bound sums the
     cheapest d - f_big + 1, the penalty is the cheapest d - max(f_small, 1)
     + 1 less that, and the rebalancing term sums the smallest penalties of
-    the vertices beyond f_big.  The inherited-estimate gate applies."""
+    the vertices beyond f_big."""
     f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
-    if sp.approx_max_free_degree <= f_small:
-        return 0, 0
     bound, penalties = 0, []
     for v in sp.free_list:
         ws = sorted(w for u, w in sp.graph.neighbors(v) if sp.is_free(u))
@@ -239,21 +224,23 @@ def reference_high_degree(sp):
 
 class TestHighDegreeOracle:
     """Both terms, summed on demand from the weight-sorted adjacency, equal
-    the sort-and-sum definition on every state of random assign chains,
-    with the gate as inherited and forced open."""
+    the sort-and-sum definition on every state of random assign chains.
+    The walks must reach states with f0 == f1 whose largest free degree is
+    exactly f_big and whose bound is nonzero: a gate that skipped the terms
+    when the largest free degree is <= f_small would return 0 there."""
 
     def check_walks(self, rng, graphs):
-        seen = {"f0 == f1": 0, "f_small == 1": 0, "f_small == 0": 0}
+        seen = {"f0 == f1, top == f_big": 0, "f_small == 1": 0,
+                "f_small == 0": 0}
         for g, s0 in graphs:
             for sp in assign_walk(rng, g, s0):
                 terms = (high_degree_bound(sp), high_degree_rebalance(sp))
                 assert terms == reference_high_degree(sp)
-                sp.approx_max_free_degree = g.n  # open the gate
-                terms = (high_degree_bound(sp), high_degree_rebalance(sp))
-                assert terms == reference_high_degree(sp)
                 f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
                 high = sum(sp.free_degree[v] >= f_big for v in sp.free_list)
-                seen["f0 == f1"] += sp.f0 == sp.f1 and high > 0
+                top = max((sp.free_degree[v] for v in sp.free_list), default=0)
+                seen["f0 == f1, top == f_big"] += (
+                    sp.f0 == sp.f1 and top == f_big and terms[0] > 0)
                 seen["f_small == 1"] += f_small == 1 and high > f_big
                 seen["f_small == 0"] += f_small == 0 and sp.f > 0
         assert all(seen.values()), seen
@@ -300,10 +287,8 @@ class TestComponent:
         g = build_graph(5, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])  # vertex 4 isolated
         sp = recompute_from_scratch(g, [], [], 3, 2)
         sp.approx_max_component = 5
-        sp.approx_max_free_degree = 4
         component_bound(sp)
         assert sp.approx_max_component == 4
-        assert sp.approx_max_free_degree == 2
 
     def test_soundness_on_random_subproblems(self):
         rng = random.Random(616)

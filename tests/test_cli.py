@@ -47,6 +47,12 @@ class TestGenerate:
         assert code == 1
         assert "usage error" in err
 
+    def test_negative_vertex_count_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "-n", "-2", "-p", "0.5")
+        assert code == 1
+        assert "usage error" in err and "-n" in err
+        assert out == ""
+
 
 class TestSolve:
     @pytest.fixture
@@ -226,6 +232,7 @@ threads = 1
         ("wmin = 5\nwmax = 1, 10", "maximum weight"),
         ("reps = -2", "reps"),
         ("reps = 0", "reps"),
+        ("with_optimal = ture", "with_optimal"),
     ])
     def test_out_of_range_campaign_values_rejected_before_any_cell(
         self, tmp_path, capsys, monkeypatch, line, message
@@ -257,6 +264,14 @@ threads = 1
         assert code == 1
         assert "--reps" in err
         assert not solves
+
+    def test_with_optimal_accepts_both_spellings_of_each_switch(self):
+        for value in ("yes", "true", "1", "on", "YES", "On"):
+            assert parse_campaign(f"n = 6\nwith_optimal = {value}\n")[
+                "with_optimal"] is True
+        for value in ("no", "false", "0", "off", "FALSE", "Off"):
+            assert parse_campaign(f"n = 6\nwith_optimal = {value}\n")[
+                "with_optimal"] is False
 
     def test_parse_campaign_defaults(self):
         plan = parse_campaign("n = 6\n")

@@ -234,9 +234,8 @@ class TestAssignKernel:
 
 def read_everything(sp):
     """Every reader of a subproblem the search runs, with both high-degree
-    terms and the component BFS forced to do their full work."""
+    terms called directly and the component BFS forced to do its full work."""
     lower_bound(sp, CONFIG_PRESETS["component"])
-    sp.approx_max_free_degree = sp.graph.n
     high_degree_bound(sp)
     high_degree_rebalance(sp)
     sp.approx_max_component = sp.graph.n

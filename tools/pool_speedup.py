@@ -34,6 +34,10 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, got {args.rounds}")
+    if args.budget < 0:
+        parser.error(f"--budget must be at least 0, got {args.budget}")
     bipart.parallel.NODE_BUDGET = args.budget
     total_seq = total_par = 0.0
     same = True
