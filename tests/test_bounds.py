@@ -174,12 +174,27 @@ class TestHighDegree:
         assert high_degree_bound(sp) == 0
 
     def test_soundness_on_random_subproblems(self):
-        for seed in (515, 516):
-            rng = random.Random(seed)
-            for _ in range(300):
-                sp = random_subproblem(rng)
-                half = high_degree_bound(sp) + high_degree_rebalance(sp)
-                assert (half + 1) // 2 <= brute_force_free_free_min(sp)
+        rng = random.Random(515)
+        for _ in range(300):
+            sp = random_subproblem(rng)
+            half = high_degree_bound(sp) + high_degree_rebalance(sp)
+            assert (half + 1) // 2 <= brute_force_free_free_min(sp)
+
+    def test_ungated_terms_stay_sound(self):
+        # Neither term has a gate of its own (lower_bound's exact free-degree
+        # check is the only one), so every sampled state reaches the sums.
+        # The sample must include states where the sums are nonzero with
+        # f0 == f1 and the largest free degree exactly f_big, which a gate
+        # skipping the terms at a largest free degree <= f_small would zero.
+        rng = random.Random(516)
+        at_gate = 0
+        for _ in range(300):
+            sp = random_subproblem(rng)
+            half = high_degree_bound(sp) + high_degree_rebalance(sp)
+            assert (half + 1) // 2 <= brute_force_free_free_min(sp)
+            top = max((sp.free_degree[v] for v in sp.free_list), default=0)
+            at_gate += sp.f0 == sp.f1 and top == sp.f0 and half > 0
+        assert at_gate > 0
 
     def test_terms_match_recomputation_after_branching(self):
         rng = random.Random(99)
