@@ -69,11 +69,20 @@ def fixed_free_minimum(sp: Subproblem) -> int:
 
     Placing the f0 free vertices of smallest delta = d1 - d0 on side 0 and
     the rest on side 1 costs sum_d0 plus those f0 deltas; O(f log f).
+    When both sides have room, the f0-th and (f0+1)-th smallest deltas,
+    the last on side 0 and the first on side 1, are recorded on sp as
+    delta_lo and delta_hi: moving a free v across that split costs the
+    difference between its delta and one of them, which the search reads
+    to find forced vertices.
     """
     d0, d1 = sp.d0, sp.d1
     deltas = [d1[v] - d0[v] for v in sp.free_list]
     deltas.sort()
-    return sp.sum_d0 + sum(deltas[:sp.f0])
+    f0 = sp.f0
+    if 0 < f0 < len(deltas):
+        sp.delta_lo = deltas[f0 - 1]
+        sp.delta_hi = deltas[f0]
+    return sp.sum_d0 + sum(deltas[:f0])
 
 
 def rebalance_value(sp: Subproblem) -> int:

@@ -62,8 +62,10 @@ def _default_threads() -> int:
     return value
 
 
-def _result_row(result, *, n=None, p=None, wmax=None, seed=None,
+def _result_row(result, *, threads, n=None, p=None, wmax=None, seed=None,
                 config_name="", with_optimal=None, time_total=None):
+    """One CSV row; `threads` is the requested count, like the failure row
+    of a campaign cell, not the processes that searched."""
     return {
         "n": n,
         "p": p,
@@ -71,7 +73,7 @@ def _result_row(result, *, n=None, p=None, wmax=None, seed=None,
         "seed": seed,
         "config": config_name,
         "strategy": result.strategy.value,
-        "threads": result.threads,
+        "threads": threads,
         "time_total": result.time_total if time_total is None else time_total,
         "cut": result.optimum,
         "solutions_found": result.solutions_found,
@@ -150,7 +152,7 @@ def cmd_solve(args) -> int:
         with_optimal = seeded.subproblems_explored
     _write_rows(
         sys.stdout,
-        [_result_row(result, n=graph.n, config_name=name,
+        [_result_row(result, threads=threads, n=graph.n, config_name=name,
                      with_optimal=with_optimal)],
     )
     return 0
@@ -174,6 +176,16 @@ _SWITCH_VALUES = {"yes": True, "true": True, "1": True, "on": True,
                   "no": False, "false": False, "0": False, "off": False}
 
 
+def _number(convert, text: str, lineno: int, key: str):
+    """convert(text), or a ValueError naming the campaign line and key."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "a number" if convert is float else "an integer"
+        raise ValueError(f"campaign line {lineno}: {key} must be {kind}, "
+                         f"got {text!r}") from None
+
+
 def parse_campaign(text: str) -> dict:
     """Campaign file: 'key = value' lines, list values comma-separated."""
     campaign = dict(_CAMPAIGN_DEFAULTS)
@@ -193,13 +205,13 @@ def parse_campaign(text: str) -> dict:
             if not items:
                 raise ValueError(f"campaign line {lineno}: empty list for {key}")
             if key in ("p",):
-                campaign[key] = [float(x) for x in items]
+                campaign[key] = [_number(float, x, lineno, key) for x in items]
             elif key in ("configs", "strategies"):
                 campaign[key] = items
             else:
-                campaign[key] = [int(x) for x in items]
+                campaign[key] = [_number(int, x, lineno, key) for x in items]
         elif key in ("wmin", "reps"):
-            campaign[key] = int(value)
+            campaign[key] = _number(int, value, lineno, key)
         elif key == "with_optimal":
             if value.lower() not in _SWITCH_VALUES:
                 raise ValueError(
@@ -256,7 +268,8 @@ def run_campaign(campaign: dict, reps: int | None = None):
         ):
             cfg = CONFIG_PRESETS[config_name]
             strategy = STRATEGIES[strat_name]
-            meta = dict(n=n, p=p, wmax=wmax, seed=seed, config_name=config_name)
+            meta = dict(n=n, p=p, wmax=wmax, seed=seed, config_name=config_name,
+                        threads=threads)
             try:
                 times = []
                 result = None

@@ -180,15 +180,19 @@ def solve_parallel(
     thread, one CPU or a daemonic caller, is solve_sequential, counts
     included.  A larger one continues in worker_count(threads) forked
     workers, its counts varying with scheduling; none is left running when
-    this returns or raises.  Threads outside 1..MAX_THREADS: ValueError.
+    this returns or raises.  The result's `threads` is the number of
+    processes that searched: the forked workers, or 1 when none was
+    started.  Threads outside 1..MAX_THREADS: ValueError.
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
     search = start_search(graph, s0, s1, cfg, strategy, initial, initial_value)
     workers = worker_count(threads)
+    searched = 1
     if workers > 1 and not search.run(NODE_BUDGET):
         tasks = _split(search, TASKS_PER_WORKER * workers)
         if tasks:
             _search_in_pool(search, graph, s0, s1, tasks, workers)
+            searched = workers
     search.run()  # all of a one-worker solve; else the frontier is empty
-    return search.result(threads)
+    return search.result(searched)

@@ -5,11 +5,13 @@ The loop keeps one priority heap keyed by (-priority, push number) for
 every strategy: ties go to the earlier push, so dfs pops the first child
 of the deepest branching first.  It pops the best subproblem, drops it when
 its stored lower bound no longer beats the incumbent (counted separately
-as an irrelevant task), otherwise tries the completion rules and, failing
-those, branches on the free vertex with the most weight the cheap bound
-terms cannot see yet (see branch_vertex).  One Subproblem.assign call gives
-both children and never builds one whose fixed cut + basic already reaches
-the incumbent.  The bounds of the others are computed once, cheapest term
+as an irrelevant task), otherwise tries the completion rules.  Failing
+those, it fixes in one batch every free vertex that the stored bound and
+the rebalancing order already force to one side (see expand), and branches
+on the free vertex with the most weight the cheap bound terms cannot see
+yet (see branch_vertex).  One Subproblem.assign call gives both children
+and never builds one whose fixed cut + basic already reaches the
+incumbent.  The bounds of the others are computed once, cheapest term
 first against the incumbent, and stored with the child; a child whose
 bound reaches the incumbent is dropped on the spot, before its high-degree
 terms, component BFS or gap estimate are computed.  The surviving children
@@ -57,7 +59,7 @@ class SolveResult:
     time_to_optimum: float
     config: BoundConfig
     strategy: SearchStrategy
-    threads: int
+    threads: int  # processes that searched: forked workers, else 1
 
 
 def branch_vertex(sp: Subproblem) -> int:
@@ -99,16 +101,58 @@ def expand(sp, cfg, cutoff):
 
     Returns (solution, None) when a completion rule fired on a completion
     below `cutoff`, (None, []) when one fired on a completion that cannot
-    beat it (a leaf), otherwise (None, children) with each child's lower
-    bound stored on it, in non-decreasing stored bound (side 0 first on a
-    tie).  `cutoff` is the incumbent value.  A child whose fixed cut +
-    basic reaches it is not built and not returned; a returned child whose
-    stored bound is >= cutoff holds only that certificate, since the bound
-    terms after the one that reached the cutoff were skipped.
+    beat it or when no completion can (a leaf), otherwise (None, children)
+    with each child's lower bound stored on it, in non-decreasing stored
+    bound (side 0 first on a tie).  `cutoff` is the incumbent value, and
+    sp.lb must be below it.  A child whose fixed cut + basic reaches it is
+    not built and not returned; a returned child whose stored bound is >=
+    cutoff holds only that certificate, since the bound terms after the
+    one that reached the cutoff were skipped.
+
+    Before branching, every free vertex whose other side would lift the
+    stored bound to the cutoff is fixed, all in one Subproblem.fix, and
+    the children are those of that state.  With gap = cutoff - sp.lb and
+    delta = d1 - d0, under rebalancing v is forced to side 0 when delta
+    <= delta_hi - gap and to side 1 when delta >= delta_lo + gap (the
+    (f0+1)-th and f0-th smallest delta, recorded by the bound's sort);
+    without it, to its cheaper side when |delta| >= gap.  This is sound:
+    the price of v on its wrong side, the difference to delta_hi or
+    delta_lo (or |delta| alone), is exactly what the fixed-free part of the
+    bound rises by when v must go there.  The high-degree and component
+    terms inside sp.lb bound only the free-free edges, which every
+    completion pays however v is placed.  So sp.lb plus that price bounds
+    every completion with v on its wrong side, each forced vertex holds in
+    every completion below the cutoff, and so does the batch jointly.  A
+    batch that puts more vertices on a side than it has room for leaves no
+    such completion.
     """
     sol = try_complete(sp, cutoff)
     if sol is not None:
         return (sol, None) if isinstance(sol, Solution) else (None, [])
+    gap = cutoff - sp.lb
+    if cfg.enable_rebalance:
+        lo, hi = sp.delta_hi - gap, sp.delta_lo + gap
+    else:
+        lo, hi = -gap, gap
+    d0, d1 = sp.d0, sp.d1
+    forced = []
+    to0 = 0
+    for v in sp.free_list:
+        delta = d1[v] - d0[v]
+        if delta <= lo:
+            forced.append((v, 0))
+            to0 += 1
+        elif delta >= hi:
+            forced.append((v, 1))
+    if forced:
+        if to0 > sp.f0 or len(forced) - to0 > sp.f1:
+            return None, []
+        sp = sp.fix(forced)
+        if sp.fixed_cut + sp.basic >= cutoff:
+            return None, []
+        sol = try_complete(sp, cutoff)
+        if sol is not None:
+            return (sol, None) if isinstance(sol, Solution) else (None, [])
     children = [c for c in sp.assign(branch_vertex(sp), cutoff)
                 if c is not None]
     for child in children:

@@ -214,7 +214,10 @@ def test_criterion_5_rebalancing_reduction():
     # on the largest |d1 - d0|, the n=40 median stayed at about 2.1-2.7 for
     # every DFS side order, incumbent seeding and strategy tried.  Branching
     # on the vertex with the most weight basic + rebalance cannot see yet,
-    # the median is 4.28 at n=40 and 9.09 at n=44.
+    # the median was 4.28 at n=40 and 9.09 at n=44.  Fixing the vertices the
+    # stored bound forces, which prunes under trivial as well, and spending
+    # the side symmetry on the first branching vertex bring it to 3.83 at
+    # n=40 (ratios 2.16-5.07) and 7.92 at n=44.
     t0 = time.time()
     counts40 = _rebalancing_counts(40)
     counts44 = _rebalancing_counts(44)

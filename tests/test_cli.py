@@ -250,6 +250,21 @@ threads = 1
         assert message in err
         assert not solves and not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("seeds = x", "campaign line 2: seeds must be an integer, got 'x'"),
+        ("n = 8, eight", "campaign line 2: n must be an integer, got 'eight'"),
+        ("p = 0.5, half", "campaign line 2: p must be a number, got 'half'"),
+        ("reps = 2.5", "campaign line 2: reps must be an integer, got '2.5'"),
+    ])
+    def test_non_numeric_value_names_its_line_and_key(
+        self, tmp_path, capsys, line, message
+    ):
+        campaign = tmp_path / "c.txt"
+        campaign.write_text(f"n = 8\n{line}\n")
+        code, _, err = run_cli(capsys, "bench", "--campaign", str(campaign))
+        assert code == 2
+        assert err.strip() == f"bipart: input error: {message}"
+
     @pytest.mark.parametrize("reps", ["0", "-2"])
     def test_reps_below_one_is_usage_error(self, tmp_path, capsys,
                                            monkeypatch, reps):

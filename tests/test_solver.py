@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 
@@ -10,8 +11,9 @@ from checks import (assert_equivalent, irregular_graph, oracle_of,
 import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS, lower_bound
 from bipart.completion import (Solution, greedy_initial_solution,
-                               make_solution, max_adjacency_split)
-from bipart.graph import build_graph, generate_er
+                               make_solution, max_adjacency_split,
+                               try_complete)
+from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import solve_parallel
 from bipart.solver import (
@@ -22,7 +24,7 @@ from bipart.solver import (
     solve_sequential,
     start_search,
 )
-from bipart.subproblem import recompute_from_scratch, root_subproblem
+from bipart.subproblem import Subproblem, recompute_from_scratch, root_subproblem
 
 
 def example_graph():
@@ -257,40 +259,40 @@ class TestSolveSequential:
 # (lower_bound's cutoff rule), since a skipped child stores a lower bound.
 PINNED_COUNTS = {
     (18, 0.5, 0): {
-        "trivial": {"dfs": (13889, 525, 525, 0), "lb": (13889, 525, 525, 0), "gap": (13889, 525, 525, 0)},
-        "rebalance": {"dfs": (13889, 180, 180, 0), "lb": (13889, 180, 180, 0), "gap": (13889, 180, 180, 0)},
-        "highdegree": {"dfs": (13889, 179, 179, 0), "lb": (13889, 179, 179, 0), "gap": (13889, 179, 179, 0)},
-        "component": {"dfs": (13889, 172, 172, 0), "lb": (13889, 172, 172, 0), "gap": (13889, 172, 172, 0)},
+        "trivial": {"dfs": (13889, 371, 371, 0), "lb": (13889, 371, 371, 0), "gap": (13889, 371, 371, 0)},
+        "rebalance": {"dfs": (13889, 130, 130, 0), "lb": (13889, 130, 130, 0), "gap": (13889, 130, 130, 0)},
+        "highdegree": {"dfs": (13889, 128, 128, 0), "lb": (13889, 128, 128, 0), "gap": (13889, 128, 128, 0)},
+        "component": {"dfs": (13889, 125, 125, 0), "lb": (13889, 125, 125, 0), "gap": (13889, 125, 125, 0)},
     },
     (18, 0.5, 1): {
-        "trivial": {"dfs": (11442, 473, 473, 0), "lb": (11442, 473, 473, 0), "gap": (11442, 473, 473, 0)},
-        "rebalance": {"dfs": (11442, 200, 200, 0), "lb": (11442, 200, 200, 0), "gap": (11442, 200, 200, 0)},
-        "highdegree": {"dfs": (11442, 198, 198, 0), "lb": (11442, 198, 198, 0), "gap": (11442, 198, 198, 0)},
-        "component": {"dfs": (11442, 192, 192, 0), "lb": (11442, 192, 192, 0), "gap": (11442, 192, 192, 0)},
+        "trivial": {"dfs": (11442, 362, 362, 0), "lb": (11442, 362, 362, 0), "gap": (11442, 362, 362, 0)},
+        "rebalance": {"dfs": (11442, 149, 149, 0), "lb": (11442, 149, 149, 0), "gap": (11442, 149, 149, 0)},
+        "highdegree": {"dfs": (11442, 147, 147, 0), "lb": (11442, 147, 147, 0), "gap": (11442, 147, 147, 0)},
+        "component": {"dfs": (11442, 145, 145, 0), "lb": (11442, 145, 145, 0), "gap": (11442, 145, 145, 0)},
     },
     (18, 0.5, 2): {
-        "trivial": {"dfs": (12629, 471, 471, 0), "lb": (12629, 471, 471, 0), "gap": (12629, 471, 471, 0)},
-        "rebalance": {"dfs": (12629, 134, 134, 0), "lb": (12629, 134, 134, 0), "gap": (12629, 134, 134, 0)},
-        "highdegree": {"dfs": (12629, 126, 126, 0), "lb": (12629, 126, 126, 0), "gap": (12629, 126, 126, 0)},
-        "component": {"dfs": (12629, 126, 126, 0), "lb": (12629, 126, 126, 0), "gap": (12629, 126, 126, 0)},
+        "trivial": {"dfs": (12629, 307, 307, 0), "lb": (12629, 307, 307, 0), "gap": (12629, 307, 307, 0)},
+        "rebalance": {"dfs": (12629, 98, 98, 0), "lb": (12629, 98, 98, 0), "gap": (12629, 98, 98, 0)},
+        "highdegree": {"dfs": (12629, 93, 93, 0), "lb": (12629, 93, 93, 0), "gap": (12629, 93, 93, 0)},
+        "component": {"dfs": (12629, 91, 91, 0), "lb": (12629, 91, 91, 0), "gap": (12629, 91, 91, 0)},
     },
     (22, 0.2, 0): {
-        "trivial": {"dfs": (4041, 339, 339, 0), "lb": (4041, 290, 321, 31), "gap": (4041, 338, 338, 0)},
-        "rebalance": {"dfs": (4041, 143, 143, 0), "lb": (4041, 119, 143, 24), "gap": (4041, 141, 141, 0)},
-        "highdegree": {"dfs": (4041, 143, 143, 0), "lb": (4041, 119, 143, 24), "gap": (4041, 141, 141, 0)},
-        "component": {"dfs": (4041, 134, 135, 1), "lb": (4041, 110, 135, 25), "gap": (4041, 134, 135, 1)},
+        "trivial": {"dfs": (4041, 171, 171, 0), "lb": (4041, 164, 179, 15), "gap": (4041, 159, 159, 0)},
+        "rebalance": {"dfs": (4041, 77, 77, 0), "lb": (4041, 73, 81, 8), "gap": (4041, 69, 69, 0)},
+        "highdegree": {"dfs": (4041, 77, 77, 0), "lb": (4041, 73, 81, 8), "gap": (4041, 69, 69, 0)},
+        "component": {"dfs": (4041, 73, 73, 0), "lb": (4041, 70, 76, 6), "gap": (4041, 68, 68, 0)},
     },
     (22, 0.2, 1): {
-        "trivial": {"dfs": (5667, 421, 421, 0), "lb": (5667, 421, 421, 0), "gap": (5667, 421, 421, 0)},
-        "rebalance": {"dfs": (5667, 103, 103, 0), "lb": (5667, 103, 103, 0), "gap": (5667, 103, 103, 0)},
-        "highdegree": {"dfs": (5667, 103, 103, 0), "lb": (5667, 103, 103, 0), "gap": (5667, 103, 103, 0)},
-        "component": {"dfs": (5667, 101, 101, 0), "lb": (5667, 101, 101, 0), "gap": (5667, 101, 101, 0)},
+        "trivial": {"dfs": (5667, 201, 201, 0), "lb": (5667, 201, 201, 0), "gap": (5667, 201, 201, 0)},
+        "rebalance": {"dfs": (5667, 47, 47, 0), "lb": (5667, 47, 47, 0), "gap": (5667, 47, 47, 0)},
+        "highdegree": {"dfs": (5667, 47, 47, 0), "lb": (5667, 47, 47, 0), "gap": (5667, 47, 47, 0)},
+        "component": {"dfs": (5667, 46, 46, 0), "lb": (5667, 46, 46, 0), "gap": (5667, 46, 46, 0)},
     },
     (22, 0.2, 2): {
-        "trivial": {"dfs": (3932, 681, 681, 0), "lb": (3932, 681, 681, 0), "gap": (3932, 681, 681, 0)},
-        "rebalance": {"dfs": (3932, 193, 193, 0), "lb": (3932, 193, 193, 0), "gap": (3932, 193, 193, 0)},
-        "highdegree": {"dfs": (3932, 193, 193, 0), "lb": (3932, 193, 193, 0), "gap": (3932, 193, 193, 0)},
-        "component": {"dfs": (3932, 189, 189, 0), "lb": (3932, 189, 189, 0), "gap": (3932, 189, 189, 0)},
+        "trivial": {"dfs": (3932, 202, 202, 0), "lb": (3932, 202, 202, 0), "gap": (3932, 202, 202, 0)},
+        "rebalance": {"dfs": (3932, 76, 76, 0), "lb": (3932, 76, 76, 0), "gap": (3932, 76, 76, 0)},
+        "highdegree": {"dfs": (3932, 76, 76, 0), "lb": (3932, 76, 76, 0), "gap": (3932, 76, 76, 0)},
+        "component": {"dfs": (3932, 74, 74, 0), "lb": (3932, 74, 74, 0), "gap": (3932, 74, 74, 0)},
     },
 }
 
@@ -341,22 +343,22 @@ IRREGULAR_INSTANCES = {
 # Same layout as PINNED_COUNTS, for IRREGULAR_INSTANCES.
 PINNED_COUNTS_IRREGULAR = {
     "components 7+6+5, sides 9|9": {
-        "trivial": {"dfs": (1234, 85, 85, 0), "lb": (1234, 65, 76, 11), "gap": (1234, 95, 95, 0)},
-        "rebalance": {"dfs": (1234, 35, 35, 0), "lb": (1234, 35, 36, 1), "gap": (1234, 41, 41, 0)},
-        "highdegree": {"dfs": (1234, 35, 35, 0), "lb": (1234, 35, 36, 1), "gap": (1234, 41, 41, 0)},
-        "component": {"dfs": (1234, 35, 35, 0), "lb": (1234, 35, 36, 1), "gap": (1234, 41, 41, 0)},
+        "trivial": {"dfs": (1234, 42, 42, 0), "lb": (1234, 38, 49, 11), "gap": (1234, 26, 26, 0)},
+        "rebalance": {"dfs": (1234, 11, 11, 0), "lb": (1234, 12, 13, 1), "gap": (1234, 11, 11, 0)},
+        "highdegree": {"dfs": (1234, 11, 11, 0), "lb": (1234, 12, 13, 1), "gap": (1234, 11, 11, 0)},
+        "component": {"dfs": (1234, 11, 11, 0), "lb": (1234, 12, 13, 1), "gap": (1234, 11, 11, 0)},
     },
     "components 9+6+4+1, sides 6|14": {
-        "trivial": {"dfs": (0, 77, 88, 11), "lb": (0, 26, 49, 23), "gap": (0, 76, 91, 15)},
-        "rebalance": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 52, 67, 15)},
-        "highdegree": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 52, 67, 15)},
-        "component": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 52, 67, 15)},
+        "trivial": {"dfs": (0, 30, 41, 11), "lb": (0, 26, 49, 23), "gap": (0, 35, 50, 15)},
+        "rebalance": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 25, 39, 14)},
+        "highdegree": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 25, 39, 14)},
+        "component": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 25, 39, 14)},
     },
     "G(18, 0.5, 0), sides 6|12": {
-        "trivial": {"dfs": (11798, 601, 601, 0), "lb": (11798, 601, 601, 0), "gap": (11798, 601, 601, 0)},
-        "rebalance": {"dfs": (11798, 193, 193, 0), "lb": (11798, 193, 193, 0), "gap": (11798, 193, 193, 0)},
-        "highdegree": {"dfs": (11798, 190, 190, 0), "lb": (11798, 190, 190, 0), "gap": (11798, 190, 190, 0)},
-        "component": {"dfs": (11798, 182, 182, 0), "lb": (11798, 182, 182, 0), "gap": (11798, 182, 182, 0)},
+        "trivial": {"dfs": (11798, 431, 431, 0), "lb": (11798, 431, 431, 0), "gap": (11798, 431, 431, 0)},
+        "rebalance": {"dfs": (11798, 141, 141, 0), "lb": (11798, 141, 141, 0), "gap": (11798, 141, 141, 0)},
+        "highdegree": {"dfs": (11798, 138, 138, 0), "lb": (11798, 138, 138, 0), "gap": (11798, 138, 138, 0)},
+        "component": {"dfs": (11798, 135, 135, 0), "lb": (11798, 135, 135, 0), "gap": (11798, 135, 135, 0)},
     },
 }
 
@@ -449,15 +451,26 @@ def test_irregular_inputs_match_oracle(instance):
 
 
 @pytest.mark.parametrize("preset", ["highdegree", "component"])
-def test_search_keeps_only_fully_maintained_children(preset):
-    """A DFS through expand: every kept child matches the from-scratch
-    oracle, and the search reaches the brute-force optimum.  The floor on
-    checked children keeps that coverage from shrinking silently: a change
-    that shrinks the tree below it should widen the inputs, not lower it."""
+def test_search_keeps_only_fully_maintained_children(preset, monkeypatch):
+    """A DFS through expand: every kept child and every state a batch of
+    forced vertices builds matches the from-scratch oracle, and the search
+    reaches the brute-force optimum.  The floors on checked states keep
+    that coverage from shrinking silently: a change that shrinks the tree
+    below them should widen the inputs, not lower them."""
     cfg = CONFIG_PRESETS[preset]
+    fixed = []
+    real_fix = Subproblem.fix
+
+    def checked_fix(sp, pairs):
+        state = real_fix(sp, pairs)
+        assert_equivalent(state, oracle_of(state))
+        fixed.append(state)
+        return state
+
+    monkeypatch.setattr(Subproblem, "fix", checked_fix)
     rng = random.Random(727)
     kept = 0
-    for _ in range(25):
+    for _ in range(40):
         n = rng.randint(4, 16)
         g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
                         rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
@@ -481,7 +494,7 @@ def test_search_keeps_only_fully_maintained_children(preset):
                 kept += 1
                 stack.append(child)
         assert best == brute_force_optimum(g, s0, n - s0).optimum
-    assert kept >= 150, kept
+    assert kept >= 150 and len(fixed) >= 50, (kept, len(fixed))
 
 
 @pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
@@ -512,9 +525,77 @@ def test_expand_returns_children_lower_bound_first(preset):
             if len(children) == 2:
                 first, second = children
                 assert first.lb <= second.lb
-                if first.a0 == sp.a0:
+                if first.a1 > second.a1:  # siblings differ in one vertex
                     order["side 1 first"] += 1
                     assert first.lb < second.lb
                 order["tie"] += first.lb == second.lb
             stack.extend(reversed(children))
     assert all(order.values()), order
+
+
+def balanced_completions(g, s0):
+    """(side-0 bitmask, cut) of every s0 | n - s0 bipartition of g."""
+    out = []
+    for side0 in itertools.combinations(range(g.n), s0):
+        sides = [1] * g.n
+        for v in side0:
+            sides[v] = 0
+        out.append((sum(1 << v for v in side0), cut_value(g, sides)))
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
+def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
+        preset, monkeypatch):
+    """By enumeration, at every node a DFS through expand reaches: each
+    forced (v, side) holds in every completion of the node whose cut is
+    below the cutoff; a node expand closes without a solution has no such
+    completion; and each such completion lies under one returned child."""
+    cfg = CONFIG_PRESETS[preset]
+    batches = []
+    real_fix = Subproblem.fix
+
+    def recording_fix(sp, pairs):
+        batches.append(pairs)
+        return real_fix(sp, pairs)
+
+    monkeypatch.setattr(Subproblem, "fix", recording_fix)
+    rng = random.Random(929)
+    seen = {"forced": 0, "closed": 0, "overfull": 0}
+    for i in range(60):
+        n = rng.randint(4, 12)
+        g = (irregular_graph(rng, n) if i % 3 == 2 else
+             generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                         rng.choice([1, 1000]), seed=rng.randint(0, 10**9)))
+        s0 = rng.randint(1, n - 1)
+        completions = balanced_completions(g, s0)
+        best = max_adjacency_split(g, s0, n - s0).value
+        root = root_subproblem(g, s0, n - s0)
+        root.lb = lower_bound(root, cfg)
+        stack = [root]
+        while stack:
+            sp = stack.pop()
+            if sp.lb >= best:
+                continue
+            below = [m for m, cut in completions if cut < best
+                     and not sp.a0 & ~m and not sp.a1 & m]
+            batches.clear()
+            sol, children = expand(sp, cfg, best)
+            for pairs in batches:
+                seen["forced"] += len(pairs)
+                for v, side in pairs:
+                    assert all((m >> v & 1) == (side == 0) for m in below)
+            if sol is not None:
+                best = min(best, sol.value)
+                continue
+            if not children:
+                assert not below
+                seen["closed"] += 1
+                seen["overfull"] += (
+                    not batches and try_complete(sp, best) is None)
+            for m in below:
+                assert any(not c.a0 & ~m and not c.a1 & m for c in children)
+            stack.extend(reversed(children))
+    assert seen["forced"] and seen["closed"], seen
+    if preset == "trivial":
+        assert seen["overfull"], seen

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from checks import (
-    assert_equivalent, assign_walk, irregular_graph, oracle_of)
+    assert_equivalent, assign_walk, irregular_graph, oracle_of,
+    random_partial_assignment)
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -35,6 +36,20 @@ class TestRoot:
         assert (sp.f0, sp.f1) == (1, 2)
         assert all(sp.d0[v] == 1 for v in (1, 2, 3))
         assert all(sp.d1[v] == 0 for v in (1, 2, 3))
+
+    def test_pre_assigns_the_first_branching_vertex(self):
+        # The empty state's branching vertex is the heaviest one, smallest
+        # id on a tie; K4 above ties everywhere and gives vertex 0.
+        rng = random.Random(32)
+        for i in range(60):
+            n = 2 * rng.randint(1, 7)
+            g = (irregular_graph(rng, n) if i % 2 else
+                 generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                             rng.choice([1, 1000]), seed=rng.randint(0, 10**9)))
+            first = branch_vertex(recompute_from_scratch(g, [], [], n // 2, n // 2))
+            assert root_subproblem(g, n // 2, n // 2).a0 == 1 << first
+        g = build_graph(4, [(0, 1, 1), (2, 3, 5), (1, 3, 1)])
+        assert root_subproblem(g, 2, 2).a0 == 1 << 3
 
     def test_no_fix_on_unequal_sizes(self):
         g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
@@ -94,6 +109,71 @@ class TestAssign:
                 sp = sp.assign(rng.choice(sp.free_list))[side]
             sides = [sp.side_of(v) for v in range(n)]
             assert sp.fixed_cut == cut_value(g, sides)
+
+
+class TestFix:
+    """fix(pairs) against the from-scratch oracle on random states and
+    random batches, edges inside the batch included."""
+
+    @staticmethod
+    def random_batch(rng, sp):
+        room = [sp.f0, sp.f1]
+        pairs = []
+        for v in rng.sample(sp.free_list, rng.randint(1, sp.f)):
+            sides = [s for s in (0, 1) if room[s]]
+            if not sides:
+                break
+            side = rng.choice(sides)
+            room[side] -= 1
+            pairs.append((v, side))
+        return pairs
+
+    def check_states(self, rng, graphs):
+        checked = inner = 0
+        for g, s0 in graphs:
+            for _ in range(10):
+                sp = random_partial_assignment(rng, g, s0, g.n - s0)
+                if not sp.free_list:
+                    continue
+                pairs = self.random_batch(rng, sp)
+                batch = {v for v, _ in pairs}
+                inner += any(u in batch for v in batch
+                             for u in g.adj_nbr[v])
+                fixed = sp.fix(pairs)
+                rc = oracle_of(fixed)
+                assert_equivalent(fixed, rc)
+                assert fixed.depth == sp.depth
+                assert all(fixed.side_of(v) == side for v, side in pairs)
+                assert_equivalent(sp, oracle_of(sp))  # parent untouched
+                checked += 1
+        assert checked > 1000 and inner > 100, (checked, inner)
+
+    def test_random_states(self):
+        rng = random.Random(64)
+        graphs = []
+        for _ in range(120):
+            n = rng.randint(2, 14)
+            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            graphs.append((g, rng.randint(1, n - 1)))
+        self.check_states(rng, graphs)
+
+    def test_irregular_states(self):
+        rng = random.Random(65)
+        graphs = []
+        for _ in range(120):
+            n = rng.randint(2, 14)
+            graphs.append((irregular_graph(rng, n), rng.randint(1, n - 1)))
+        assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
+        assert any(0 in g.degrees for g, _ in graphs)
+        self.check_states(rng, graphs)
+
+    def test_a_fixed_vertex_or_an_overfilled_side_is_rejected(self):
+        sp = root_subproblem(k4(), 2, 2)  # vertex 0 on side 0
+        with pytest.raises(ValueError, match="not free"):
+            sp.fix([(1, 1), (0, 1)])
+        with pytest.raises(ValueError, match="overfills"):
+            sp.fix([(1, 0), (2, 0)])
 
 
 class TestRecompute:
