@@ -57,38 +57,27 @@ def try_complete(
     """Solve the subproblem without branching when a completion rule fires.
 
     In priority order:
-      1. side-full: one side needs no more vertices, everything free goes
-         to the other side (the unique completion), at value fixed_cut +
-         the sum of d_full over free vertices.
-      2. one-missing: one side needs exactly one vertex; the best choice
-         minimizes key = d_other - d_own + (weight of its free edges, which
-         all end up crossing), at value fixed_cut + the sum of d_own over
-         free vertices + that key.  Ties broken by vertex id.
-      3. degree-zero: no free-free edges remain, so the rebalancing
-         completion is optimal, at value fixed_cut + fixed_free_minimum.
+      1. one-missing: one side needs exactly one vertex and the other at
+         least one; the best choice minimizes key = d_other - d_own +
+         (weight of its free edges, which all end up crossing), at value
+         fixed_cut + the sum of d_own over free vertices + that key.  Ties
+         broken by vertex id.
+      2. rebalancing: one side needs no more vertices, or no free-free
+         edges remain, so the rebalancing completion is optimal, at value
+         fixed_cut + fixed_free_minimum.  With a side full it is the unique
+         completion, everything free on the other side.
 
     Returns None when no rule applies.  Otherwise the rule's value is
-    computed first, in O(f) (O(f log f) for degree-zero), and the Solution
+    computed first, in O(f) (O(f log f) for rebalancing), and the Solution
     is built, with its cut re-evaluated edge by edge, only when that value
     is below `cutoff` (always without one); else the value alone is
     returned, an int, as the completion cannot beat the incumbent.
     """
     g = sp.graph
     free = sp.free_list
-    if sp.f0 == 0 or sp.f1 == 0:
-        full = 0 if sp.f0 == 0 else 1
-        other = 1 - full
-        value = sp.fixed_cut + (
-            sp.sum_d0 if full == 0 else sum(map(sp.d1.__getitem__, free)))
-        if cutoff is not None and value >= cutoff:
-            return value
-        sides = _sides_template(sp)
-        for v in free:
-            sides[v] = other
-        return make_solution(g, sides, sp.s0, sp.s1)
-
-    if sp.f0 == 1 or sp.f1 == 1:
-        short = 0 if sp.f0 == 1 else 1
+    f0, f1 = sp.f0, sp.f1
+    if f0 == 1 and f1 or f1 == 1 and f0:
+        short = 0 if f0 == 1 else 1
         d_own = sp.d0 if short == 0 else sp.d1
         d_other = sp.d1 if short == 0 else sp.d0
         tw = g.total_weight
@@ -109,14 +98,14 @@ def try_complete(
         sides[best_v] = short
         return make_solution(g, sides, sp.s0, sp.s1)
 
-    if sp.zero_free_degree_count == sp.f:
+    if not f0 or not f1 or sp.zero_free_degree_count == len(free):
         value = sp.fixed_cut + fixed_free_minimum(sp)
         if cutoff is not None and value >= cutoff:
             return value
         order = rebalance_bound(sp)
         sides = _sides_template(sp)
         for i, v in enumerate(order):
-            sides[v] = 0 if i < sp.f0 else 1
+            sides[v] = 0 if i < f0 else 1
         return make_solution(g, sides, sp.s0, sp.s1)
 
     return None

@@ -11,13 +11,14 @@ import sys
 import threading
 
 from .graph import WeightedGraph
-from .bounds import BoundConfig, lower_bound
+from .bounds import BoundConfig, lower_bound  # noqa: F401
 from .completion import Solution, greedy_initial_solution  # noqa: F401
 from .solver import (Search, SearchStrategy, SolveResult,  # noqa: F401
                      expand, start_search)
-from .subproblem import recompute_from_scratch, root_subproblem  # noqa: F401
+from .subproblem import Subproblem, root_subproblem  # noqa: F401
 
-# expand, greedy_initial_solution, root_subproblem: for perfbench/layers.py.
+# expand, greedy_initial_solution, lower_bound, root_subproblem: for
+# perfbench/layers.py.
 
 # A larger count is a usage error; no more workers than CPUs ever start.
 MAX_THREADS = 64
@@ -69,9 +70,10 @@ def worker_count(threads: int) -> int:
     return min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-def _split(search: Search, count: int) -> list[tuple[int, int]]:
+def _split(search: Search, count: int) -> list[Subproblem]:
     """Expand the shallowest open subproblems until `count` are open or none
-    is; take them off the frontier as (a0, a1) bitmasks, in its order."""
+    is; take them off the frontier, with their stored bounds, in its
+    order."""
     shallow = sorted((sp.depth, push, key, sp)
                      for key, push, sp in search.frontier)
     while shallow and len(shallow) < count:
@@ -82,14 +84,15 @@ def _split(search: Search, count: int) -> list[tuple[int, int]]:
             heapq.heappush(shallow, (sp.depth, push, key, sp))
     search.frontier = []
     shallow.sort(key=lambda entry: (entry[2], entry[1]))
-    return [(sp.a0, sp.a1) for *_, sp in shallow]
+    return [sp for *_, sp in shallow]
 
 
-def _worker(conn, graph, s0, s1, search, tasks, claim, shared, lock):
-    """Forked worker: claim tasks in order, search each in slices on this
-    copy of `search`, send one result or error and leave through os._exit,
-    past the caller's flushes and finalizers.  The caller may run other
-    threads, so it imports nothing and takes no lock but `lock`."""
+def _worker(conn, search, tasks, claim, shared, lock):
+    """Forked worker: claim tasks in order and search each, as the fork
+    holds it with its stored bound, in slices on this copy of `search`;
+    send one result or error and leave through os._exit, past the caller's
+    flushes and finalizers.  The caller may run other threads, so it
+    imports nothing and takes no lock but `lock`."""
     try:
         search.best = None
         search.explored = search.popped = search.irrelevant = 0
@@ -99,11 +102,7 @@ def _worker(conn, graph, s0, s1, search, tasks, claim, shared, lock):
                 claim.value = i + 1
             if i >= len(tasks):
                 break
-            u0, u1 = ([v for v in range(graph.n) if mask >> v & 1]
-                      for mask in tasks[i])
-            root = recompute_from_scratch(graph, u0, u1, s0, s1)
-            root.lb = lower_bound(root, search.cfg, search.best_value)
-            search.frontier = [(0, 0, root)]
+            search.frontier = [(0, 0, tasks[i])]
             while search.frontier:
                 search.run(SLICE)
                 with lock:  # publish a better value, or prune with one
@@ -119,7 +118,7 @@ def _worker(conn, graph, s0, s1, search, tasks, claim, shared, lock):
         os._exit(0)
 
 
-def _search_in_pool(search: Search, graph, s0, s1, tasks, workers) -> None:
+def _search_in_pool(search: Search, tasks, workers) -> None:
     """Search `tasks` in `workers` forked processes, merging into `search`."""
     import multiprocessing
     from multiprocessing.connection import wait
@@ -134,7 +133,7 @@ def _search_in_pool(search: Search, graph, s0, s1, tasks, workers) -> None:
         for _ in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker, daemon=True, args=(
-                writer, graph, s0, s1, search, tasks, claim, shared, lock))
+                writer, search, tasks, claim, shared, lock))
             proc.start()
             writer.close()
             pool.append((proc, reader))
@@ -192,7 +191,7 @@ def solve_parallel(
     if workers > 1 and not search.run(NODE_BUDGET):
         tasks = _split(search, TASKS_PER_WORKER * workers)
         if tasks:
-            _search_in_pool(search, graph, s0, s1, tasks, workers)
+            _search_in_pool(search, tasks, workers)
             searched = workers
     search.run()  # all of a one-worker solve; else the frontier is empty
     return search.result(searched)

@@ -84,16 +84,15 @@ def branch_vertex(sp: Subproblem) -> int:
 def priority(sp: Subproblem, strategy: SearchStrategy) -> float:
     """Scheduling priority of a subproblem; larger means processed earlier.
 
-    Requires sp.lb to be set (dfs aside); the gap strategy's estimated
-    upper bound is computed on first use and cached on the subproblem.
+    Requires sp.lb to be set (dfs aside).  The gap strategy's priority is
+    minus the gap between the rebalancing completion's value, a feasible
+    upper bound, and sp.lb; it is read once, when sp is pushed.
     """
     if strategy is SearchStrategy.DFS:
         return sp.depth
     if strategy is SearchStrategy.BEST_FIRST_LB:
         return -sp.lb
-    if sp.ub_est is None:
-        sp.ub_est = rebalancing_completion_value(sp)
-    return -(sp.ub_est - sp.lb)
+    return sp.lb - rebalancing_completion_value(sp)
 
 
 def expand(sp, cfg, cutoff):

@@ -27,11 +27,13 @@ basic already reaches the caller's cutoff.  The two siblings share one
 copy of the free set (free_list, free_mask, free_degree and the zero-degree
 count), and a child shares a D array with its parent when v's entry there
 is already 0.  Subproblem.fix builds the state with a whole batch of
-forced vertices fixed, in one copy of each array.  Sharing is safe because
-no array of a subproblem is written after assign, fix or
-recompute_from_scratch builds it; only approx_max_component, lb, ub_est,
-delta_lo and delta_hi are set later, on the subproblem's own slots.  A
-subproblem is owned by one worker at a time.
+forced vertices fixed, in one copy of each array and one pass for the sums.
+Sharing is safe because no array of a subproblem is written after assign,
+fix or recompute_from_scratch builds it; only approx_max_component, lb,
+delta_lo and delta_hi are set later, by the bound, on the subproblem's own
+slots.  A subproblem is owned by one worker at a time: the process pool
+hands open subproblems to its forked workers as they are, each in its own
+copy of the memory, with their stored bounds.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ class Subproblem:
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
         "free_degree", "zero_free_degree_count", "approx_max_component",
-        "depth", "lb", "ub_est", "delta_lo", "delta_hi",
+        "depth", "lb", "delta_lo", "delta_hi",
     )
 
     # Instances are made in three places: recompute_from_scratch, which
-    # root_subproblem calls, assign, for the children of a branching, and
-    # fix, for a batch of forced vertices.
+    # root_subproblem and the tests' oracle call, assign, for the children
+    # of a branching, and fix, for a batch of forced vertices.
     # Direct construction is not part of the API.
 
     # -- basic queries ---------------------------------------------------
@@ -142,7 +144,7 @@ class Subproblem:
             c.zero_free_degree_count = zero_cnt
             c.approx_max_component = self.approx_max_component
             c.depth = depth
-            c.lb = c.ub_est = c.delta_lo = c.delta_hi = None
+            c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut0
             c.basic = basic0
             # v's free edges all land on d0 of its free neighbours.
@@ -168,7 +170,7 @@ class Subproblem:
             c.zero_free_degree_count = zero_cnt
             c.approx_max_component = self.approx_max_component
             c.depth = depth
-            c.lb = c.ub_est = c.delta_lo = c.delta_hi = None
+            c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut1
             c.basic = basic1
             c.sum_d0 = self.sum_d0 - dv0
@@ -187,62 +189,55 @@ class Subproblem:
         """The subproblem with every (v, side) of `pairs` fixed at once.
 
         Each v must be free, and no side may receive more vertices than it
-        has room for.  One copy of d0, d1, the free degrees and the free
-        list, then one pass over the free neighbours of each v in batch
-        order: an edge between two batch vertices first lands on the later
-        one's D entry, and counts toward the fixed cut when that one is
-        fixed.  O(n + the batch's degrees).  The parent is not modified,
-        and the result inherits its component-size estimate, which fixing
-        can only make looser.  A fix is not a branching, so depth stays the
-        parent's.
+        has room for.  One copy of d0, d1 and the free degrees, then one
+        pass over the free neighbours of each v in batch order, which only
+        moves v's free edges into its side's D entries and lowers free
+        degrees: an edge between two batch vertices first lands on the
+        later one's D entry, and counts toward the fixed cut when that one
+        is fixed.  basic, sum_d0 and the zero-degree count are then summed
+        in one pass over the new free list.  O(n + the batch's degrees).
+        The parent is not modified, and the result inherits its
+        component-size estimate, which fixing can only make looser.  A fix
+        is not a branching, so depth stays the parent's.
         """
         g = self.graph
         adj_nbr, adj_w = g.adj_nbr, g.adj_w
         d0, d1, deg = self.d0.copy(), self.d1.copy(), self.free_degree.copy()
         free_mask, a0, a1 = self.free_mask, self.a0, self.a1
-        fixed_cut, basic, sum_d0 = self.fixed_cut, self.basic, self.sum_d0
-        zero_cnt = self.zero_free_degree_count
+        fixed_cut = self.fixed_cut
         for v, side in pairs:
             bit = 1 << v
             if not free_mask & bit:
                 raise ValueError(f"vertex {v} is not free")
             free_mask ^= bit
-            x, y = d0[v], d1[v]
-            basic -= x if x < y else y
-            sum_d0 -= x
-            d0[v] = d1[v] = 0
             if side:
                 a1 |= bit
-                fixed_cut += x
+                fixed_cut += d0[v]
             else:
                 a0 |= bit
-                fixed_cut += y
-            if not deg[v]:
-                zero_cnt -= 1
-                continue
-            deg[v] = 0
-            own = d1 if side else d0
-            for u, w in zip(adj_nbr[v], adj_w[v]):
-                if (free_mask >> u) & 1:
-                    x, y = d0[u], d1[u]
-                    # u gains w on v's side; min(x, y) rises by at most w.
-                    if side:
-                        if y < x:
-                            basic += w if y + w <= x else x - y
-                    else:
-                        sum_d0 += w
-                        if x < y:
-                            basic += w if x + w <= y else y - x
-                    own[u] += w
-                    deg[u] -= 1
-                    if not deg[u]:
-                        zero_cnt += 1
+                fixed_cut += d1[v]
+            d0[v] = d1[v] = 0
+            if deg[v]:
+                deg[v] = 0
+                own = d1 if side else d0
+                for u, w in zip(adj_nbr[v], adj_w[v]):
+                    if (free_mask >> u) & 1:
+                        own[u] += w
+                        deg[u] -= 1
+        free_list = [u for u in self.free_list if (free_mask >> u) & 1]
+        basic = sum_d0 = zero_cnt = 0
+        for u in free_list:
+            x, y = d0[u], d1[u]
+            basic += x if x < y else y
+            sum_d0 += x
+            if not deg[u]:
+                zero_cnt += 1
         c = Subproblem.__new__(Subproblem)
         c.graph = g
         c.s0, c.s1 = self.s0, self.s1
         c.a0, c.a1 = a0, a1
         c.free_mask = free_mask
-        c.free_list = [u for u in self.free_list if (free_mask >> u) & 1]
+        c.free_list = free_list
         c.f0 = self.f0 - (a0 ^ self.a0).bit_count()
         c.f1 = self.f1 - (a1 ^ self.a1).bit_count()
         if c.f0 < 0 or c.f1 < 0:
@@ -253,7 +248,7 @@ class Subproblem:
         c.zero_free_degree_count = zero_cnt
         c.approx_max_component = self.approx_max_component
         c.depth = self.depth
-        c.lb = c.ub_est = c.delta_lo = c.delta_hi = None
+        c.lb = c.delta_lo = c.delta_hi = None
         return c
 
 
@@ -304,7 +299,7 @@ def recompute_from_scratch(
         raise ValueError("assignment exceeds a target size")
 
     sp = Subproblem.__new__(Subproblem)
-    sp.lb = sp.ub_est = sp.delta_lo = sp.delta_hi = None
+    sp.lb = sp.delta_lo = sp.delta_hi = None
     sp.graph = graph
     sp.s0, sp.s1 = s0, s1
     sp.a0 = sum(1 << v for v in set0)

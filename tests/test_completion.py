@@ -116,7 +116,8 @@ class TestTryComplete:
 
 
 def completion_rule(sp):
-    """The rule try_complete applies first, by its documented order."""
+    """Which case of try_complete's rules sp falls under: a full side, one
+    vertex missing on a side, or no free-free edge left."""
     if sp.f0 == 0 or sp.f1 == 0:
         return "side_full"
     if sp.f0 == 1 or sp.f1 == 1:

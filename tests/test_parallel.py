@@ -1,16 +1,18 @@
+import itertools
 import multiprocessing
 import os
 import random
 import threading
+from unittest import mock
 
 import pytest
 
-from checks import solve_parallel_checked
+from checks import irregular_graph, solve_parallel_checked
 
 import bipart.parallel
 import bipart.solver
 from bipart.bounds import CONFIG_PRESETS
-from bipart.completion import Solution
+from bipart.completion import Solution, make_solution
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel, worker_count
@@ -169,6 +171,29 @@ class TestSolveParallel:
                     g, 7, 7, CONFIG_PRESETS["component"], strategy, threads=2
                 )
                 assert r.optimum == r.best.value == expected
+
+    def test_irregular_inputs_reach_the_pool(self, force_pool, monkeypatch):
+        """Zero weights, isolated vertices, several components and sides of
+        size 1, every preset and strategy in turn: each solve is exact, and
+        the open subproblems of most of them are searched by the workers.
+        The incumbent starts at the split of the first s0 vertices, so that
+        a tree stays open to hand off; the floor on pool runs keeps that
+        coverage from shrinking silently."""
+        pool = mock.Mock(wraps=bipart.parallel._search_in_pool)
+        monkeypatch.setattr(bipart.parallel, "_search_in_pool", pool)
+        pairs = list(itertools.product(CONFIG_PRESETS.values(), SearchStrategy))
+        rng = random.Random(1515)
+        for i in range(48):
+            n = rng.randint(8, 12)
+            g = irregular_graph(rng, n)
+            s0 = rng.randint(1, n - 1)
+            expected = brute_force_optimum(g, s0, n - s0).optimum
+            first = make_solution(g, [0] * s0 + [1] * (n - s0), s0, n - s0)
+            cfg, strategy = pairs[i % len(pairs)]
+            r = solve_parallel_checked(g, s0, n - s0, cfg, strategy,
+                                       threads=2, initial=first)
+            assert r.optimum == r.best.value == expected
+        assert pool.call_count >= 24 or worker_count(2) == 1
 
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,9 @@ import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS, lower_bound
 from bipart.completion import (Solution, greedy_initial_solution,
                                make_solution, max_adjacency_split,
-                               try_complete)
+                               rebalancing_completion_value, try_complete)
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
-from bipart.parallel import solve_parallel
 from bipart.solver import (
     SearchStrategy,
     branch_vertex,
@@ -129,11 +129,10 @@ class TestPriority:
 
     def test_gap_tight_subproblem_is_maximal(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
-        sp.lb = 4
-        sp.ub_est = 4
+        sp.lb = rebalancing_completion_value(sp)
         assert priority(sp, SearchStrategy.GAP) == 0
         loose = sp.assign(1)[0]
-        loose.lb, loose.ub_est = 4, 9
+        loose.lb = rebalancing_completion_value(loose) - 5
         assert priority(loose, SearchStrategy.GAP) < 0
 
 
@@ -436,18 +435,30 @@ def irregular_instances(draw):
     return build_graph(n, edges), s0, n - s0
 
 
-@given(irregular_instances())
+@given(irregular_instances(),
+       st.sampled_from(list(itertools.product(CONFIG_PRESETS.values(),
+                                              SearchStrategy))))
 @settings(max_examples=300, deadline=None)
-def test_irregular_inputs_match_oracle(instance):
+def test_irregular_inputs_match_oracle(instance, pool_pair):
+    """Every preset and strategy reaches the oracle's optimum.  One pair
+    per example also solves through the process pool: with no in-process
+    budget and one task per worker, the open subproblems of the first
+    expansions go to forked workers.  Its incumbent starts at the split
+    of the first s0 vertices, not at the heuristic's, so that more trees
+    stay open long enough to be handed off."""
     g, s0, s1 = instance
     expected = brute_force_optimum(g, s0, s1).optimum
     for cfg in CONFIG_PRESETS.values():
         for strategy in SearchStrategy:
             r = solve_sequential(g, s0, s1, cfg, strategy)
             assert r.optimum == r.best.value == expected
-            assert solve_parallel(
-                g, s0, s1, cfg, strategy, threads=2
-            ).optimum == expected
+    cfg, strategy = pool_pair
+    first = make_solution(g, [0] * s0 + [1] * s1, s0, s1)
+    with mock.patch.object(bipart.parallel, "NODE_BUDGET", 0), \
+            mock.patch.object(bipart.parallel, "TASKS_PER_WORKER", 1):
+        r = solve_parallel_checked(g, s0, s1, cfg, strategy, threads=2,
+                                   initial=first)
+    assert r.optimum == r.best.value == expected
 
 
 @pytest.mark.parametrize("preset", ["highdegree", "component"])
