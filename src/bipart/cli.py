@@ -139,8 +139,11 @@ def cmd_solve(args) -> int:
         raise UsageError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
     with open(args.graph, "r", encoding="utf-8") as fh:
         graph = parse_graph(fh.read())
-    s0 = args.s0 if args.s0 is not None else graph.n // 2
-    s1 = args.s1 if args.s1 is not None else graph.n - s0
+    s0, s1 = args.s0, args.s1
+    if s0 is None:
+        s0 = graph.n // 2 if s1 is None else graph.n - s1
+    if s1 is None:
+        s1 = graph.n - s0
     strategy = STRATEGIES[args.strategy]
     result = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
     with_optimal = None
@@ -337,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve one instance from a file")
     s.add_argument("graph", help="edge-list file")
-    s.add_argument("--s0", type=int, default=None, help="side-0 size (default n//2)")
+    s.add_argument("--s0", type=int, default=None,
+                   help="side-0 size (default n-s1 if --s1 is given, else n//2)")
     s.add_argument("--s1", type=int, default=None, help="side-1 size (default n-s0)")
     s.add_argument("--rebalance", action="store_true")
     s.add_argument("--high-degree", action="store_true")

@@ -217,7 +217,9 @@ def test_criterion_5_rebalancing_reduction():
     # the median was 4.28 at n=40 and 9.09 at n=44.  Fixing the vertices the
     # stored bound forces, which prunes under trivial as well, and spending
     # the side symmetry on the first branching vertex bring it to 3.83 at
-    # n=40 (ratios 2.16-5.07) and 7.92 at n=44.
+    # n=40 (ratios 2.16-5.07) and 7.92 at n=44.  Counting the weight to
+    # free vertices twice in the branching key gives 3.68 at n=40 (ratios
+    # 2.09-5.22) and 10.20 at n=44.
     t0 = time.time()
     counts40 = _rebalancing_counts(40)
     counts44 = _rebalancing_counts(44)

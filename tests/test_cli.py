@@ -120,6 +120,15 @@ class TestSolve:
         assert code == 2
         assert "line 2" in err
 
+    def test_s1_alone_gives_s0_the_rest(self, tmp_path, capsys):
+        # Path 0-1-2-3-4.  With --s1 4, s0 is 1 rather than n // 2 = 2, and
+        # the cheapest single vertex to cut off is vertex 4 (weight 2).
+        path = tmp_path / "p5.g"
+        path.write_text("5 4\n0 1 3\n1 2 4\n2 3 4\n3 4 2\n")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--s1", "4")
+        assert code == 0
+        assert read_rows(out)[0]["cut"] == "2"
+
     def test_infeasible_sizes_is_input_error(self, example_file, capsys):
         code, _, _ = run_cli(
             capsys, "solve", example_file, "--s0", "4", "--s1", "0"

@@ -36,7 +36,7 @@ def complete_unweighted(n):
 
 
 def reference_branch_vertex(sp):
-    """The smallest free v maximising |d1 - d0| + v's weight to free
+    """The smallest free v maximising |d1 - d0| + 2 × v's weight to free
     vertices, every term counted by direct edge enumeration."""
     side = {v: sp.side_of(v) for v in range(sp.graph.n)}
     key = {v: [0, 0, 0] for v in sp.free_list}  # to side 0, side 1, free
@@ -44,7 +44,7 @@ def reference_branch_vertex(sp):
         for x, y in ((u, v), (v, u)):
             if side[x] is None:
                 key[x][2 if side[y] is None else side[y]] += w
-    keys = {v: abs(k[1] - k[0]) + k[2] for v, k in key.items()}
+    keys = {v: abs(k[1] - k[0]) + 2 * k[2] for v, k in key.items()}
     return min(keys, key=lambda v: (-keys[v], v)), keys
 
 
@@ -58,27 +58,37 @@ class TestBranchVertex:
     def test_free_weight_outweighs_a_smaller_gap(self):
         # Free 1..4.  Vertex 1 has the largest |d1 - d0|, 5, and no free
         # edges; vertex 2 has gap 0 but 8 of weight to free vertices, which
-        # no cheap bound term sees until it is fixed.
+        # no cheap bound term sees until it is fixed; the key counts it
+        # twice.
         g = build_graph(5, [(0, 1, 5), (2, 3, 4), (2, 4, 4)])
         sp = recompute_from_scratch(g, [0], [], 2, 3)
         assert [abs(sp.d1[v] - sp.d0[v]) for v in sp.free_list] == [5, 0, 0, 0]
-        assert branch_vertex(sp) == 2  # keys 5, 8, 4, 4
+        assert branch_vertex(sp) == 2  # keys 5, 16, 8, 8
 
     def test_gap_and_free_weight_add_up(self):
-        # Vertex 1: gap 6, no free edges.  Vertex 2: gap 3 and free weight
-        # 4 (key 7) beats it, though either term alone is smaller.
-        g = build_graph(5, [(0, 1, 6), (0, 2, 3), (2, 3, 4)])
+        # Vertex 1: gap 10, no free edges.  Vertex 2: gap 3 and free weight
+        # 4 (key 3 + 2 × 4 = 11) beats it, though either term alone is
+        # smaller; vertex 3 has only the free weight (key 8).
+        g = build_graph(5, [(0, 1, 10), (0, 2, 3), (2, 3, 4)])
         sp = recompute_from_scratch(g, [0], [4], 2, 3)
         assert branch_vertex(sp) == 2
 
     def test_ties_go_to_the_smallest_id(self):
-        # Vertex 0: gap 2, free weight 0.  Vertex 1: gap 0, free weight 2
-        # (the edge to 2, whose key is also 2).  All tie at key 2.
-        g = build_graph(5, [(0, 3, 2), (1, 2, 2)])
+        # Vertex 0: gap 4, free weight 0.  Vertex 1: gap 0, free weight 2
+        # (the edge to 2, whose key is also 4).  All tie at key 4.
+        g = build_graph(5, [(0, 3, 4), (1, 2, 2)])
         sp = recompute_from_scratch(g, [3], [4], 2, 3)
         assert branch_vertex(sp) == 0
         sp2 = recompute_from_scratch(build_graph(4, []), [], [], 2, 2)
         assert branch_vertex(sp2) == 0  # every key is 0
+
+    def test_free_weight_counts_twice(self):
+        # Vertex 1: gap 5, no free edges (key 5).  Vertices 2 and 3: gap 0
+        # and free weight 3 (key 6).  Counting the free weight once, vertex
+        # 1 would win 5 to 3.
+        g = build_graph(4, [(0, 1, 5), (2, 3, 3)])
+        sp = recompute_from_scratch(g, [0], [], 2, 2)
+        assert branch_vertex(sp) == 2
 
     def check_states(self, rng, graphs):
         ties = 0
@@ -258,40 +268,40 @@ class TestSolveSequential:
 # (lower_bound's cutoff rule), since a skipped child stores a lower bound.
 PINNED_COUNTS = {
     (18, 0.5, 0): {
-        "trivial": {"dfs": (13889, 371, 371, 0), "lb": (13889, 371, 371, 0), "gap": (13889, 371, 371, 0)},
-        "rebalance": {"dfs": (13889, 130, 130, 0), "lb": (13889, 130, 130, 0), "gap": (13889, 130, 130, 0)},
-        "highdegree": {"dfs": (13889, 128, 128, 0), "lb": (13889, 128, 128, 0), "gap": (13889, 128, 128, 0)},
-        "component": {"dfs": (13889, 125, 125, 0), "lb": (13889, 125, 125, 0), "gap": (13889, 125, 125, 0)},
+        "trivial": {"dfs": (13889, 375, 375, 0), "lb": (13889, 375, 375, 0), "gap": (13889, 375, 375, 0)},
+        "rebalance": {"dfs": (13889, 116, 116, 0), "lb": (13889, 116, 116, 0), "gap": (13889, 116, 116, 0)},
+        "highdegree": {"dfs": (13889, 115, 115, 0), "lb": (13889, 115, 115, 0), "gap": (13889, 115, 115, 0)},
+        "component": {"dfs": (13889, 113, 113, 0), "lb": (13889, 113, 113, 0), "gap": (13889, 113, 113, 0)},
     },
     (18, 0.5, 1): {
-        "trivial": {"dfs": (11442, 362, 362, 0), "lb": (11442, 362, 362, 0), "gap": (11442, 362, 362, 0)},
-        "rebalance": {"dfs": (11442, 149, 149, 0), "lb": (11442, 149, 149, 0), "gap": (11442, 149, 149, 0)},
-        "highdegree": {"dfs": (11442, 147, 147, 0), "lb": (11442, 147, 147, 0), "gap": (11442, 147, 147, 0)},
-        "component": {"dfs": (11442, 145, 145, 0), "lb": (11442, 145, 145, 0), "gap": (11442, 145, 145, 0)},
+        "trivial": {"dfs": (11442, 344, 344, 0), "lb": (11442, 344, 344, 0), "gap": (11442, 344, 344, 0)},
+        "rebalance": {"dfs": (11442, 127, 127, 0), "lb": (11442, 127, 127, 0), "gap": (11442, 127, 127, 0)},
+        "highdegree": {"dfs": (11442, 124, 124, 0), "lb": (11442, 124, 124, 0), "gap": (11442, 124, 124, 0)},
+        "component": {"dfs": (11442, 122, 122, 0), "lb": (11442, 122, 122, 0), "gap": (11442, 122, 122, 0)},
     },
     (18, 0.5, 2): {
-        "trivial": {"dfs": (12629, 307, 307, 0), "lb": (12629, 307, 307, 0), "gap": (12629, 307, 307, 0)},
-        "rebalance": {"dfs": (12629, 98, 98, 0), "lb": (12629, 98, 98, 0), "gap": (12629, 98, 98, 0)},
-        "highdegree": {"dfs": (12629, 93, 93, 0), "lb": (12629, 93, 93, 0), "gap": (12629, 93, 93, 0)},
-        "component": {"dfs": (12629, 91, 91, 0), "lb": (12629, 91, 91, 0), "gap": (12629, 91, 91, 0)},
+        "trivial": {"dfs": (12629, 303, 303, 0), "lb": (12629, 303, 303, 0), "gap": (12629, 303, 303, 0)},
+        "rebalance": {"dfs": (12629, 91, 91, 0), "lb": (12629, 91, 91, 0), "gap": (12629, 91, 91, 0)},
+        "highdegree": {"dfs": (12629, 88, 88, 0), "lb": (12629, 88, 88, 0), "gap": (12629, 88, 88, 0)},
+        "component": {"dfs": (12629, 87, 87, 0), "lb": (12629, 87, 87, 0), "gap": (12629, 87, 87, 0)},
     },
     (22, 0.2, 0): {
-        "trivial": {"dfs": (4041, 171, 171, 0), "lb": (4041, 164, 179, 15), "gap": (4041, 159, 159, 0)},
-        "rebalance": {"dfs": (4041, 77, 77, 0), "lb": (4041, 73, 81, 8), "gap": (4041, 69, 69, 0)},
-        "highdegree": {"dfs": (4041, 77, 77, 0), "lb": (4041, 73, 81, 8), "gap": (4041, 69, 69, 0)},
-        "component": {"dfs": (4041, 73, 73, 0), "lb": (4041, 70, 76, 6), "gap": (4041, 68, 68, 0)},
+        "trivial": {"dfs": (4041, 145, 145, 0), "lb": (4041, 136, 143, 7), "gap": (4041, 137, 137, 0)},
+        "rebalance": {"dfs": (4041, 59, 59, 0), "lb": (4041, 58, 62, 4), "gap": (4041, 60, 60, 0)},
+        "highdegree": {"dfs": (4041, 59, 59, 0), "lb": (4041, 58, 62, 4), "gap": (4041, 60, 60, 0)},
+        "component": {"dfs": (4041, 58, 58, 0), "lb": (4041, 57, 60, 3), "gap": (4041, 57, 57, 0)},
     },
     (22, 0.2, 1): {
-        "trivial": {"dfs": (5667, 201, 201, 0), "lb": (5667, 201, 201, 0), "gap": (5667, 201, 201, 0)},
-        "rebalance": {"dfs": (5667, 47, 47, 0), "lb": (5667, 47, 47, 0), "gap": (5667, 47, 47, 0)},
-        "highdegree": {"dfs": (5667, 47, 47, 0), "lb": (5667, 47, 47, 0), "gap": (5667, 47, 47, 0)},
-        "component": {"dfs": (5667, 46, 46, 0), "lb": (5667, 46, 46, 0), "gap": (5667, 46, 46, 0)},
+        "trivial": {"dfs": (5667, 206, 206, 0), "lb": (5667, 206, 206, 0), "gap": (5667, 206, 206, 0)},
+        "rebalance": {"dfs": (5667, 44, 44, 0), "lb": (5667, 44, 44, 0), "gap": (5667, 44, 44, 0)},
+        "highdegree": {"dfs": (5667, 44, 44, 0), "lb": (5667, 44, 44, 0), "gap": (5667, 44, 44, 0)},
+        "component": {"dfs": (5667, 43, 43, 0), "lb": (5667, 43, 43, 0), "gap": (5667, 43, 43, 0)},
     },
     (22, 0.2, 2): {
-        "trivial": {"dfs": (3932, 202, 202, 0), "lb": (3932, 202, 202, 0), "gap": (3932, 202, 202, 0)},
-        "rebalance": {"dfs": (3932, 76, 76, 0), "lb": (3932, 76, 76, 0), "gap": (3932, 76, 76, 0)},
-        "highdegree": {"dfs": (3932, 76, 76, 0), "lb": (3932, 76, 76, 0), "gap": (3932, 76, 76, 0)},
-        "component": {"dfs": (3932, 74, 74, 0), "lb": (3932, 74, 74, 0), "gap": (3932, 74, 74, 0)},
+        "trivial": {"dfs": (3932, 190, 190, 0), "lb": (3932, 190, 190, 0), "gap": (3932, 190, 190, 0)},
+        "rebalance": {"dfs": (3932, 62, 62, 0), "lb": (3932, 62, 62, 0), "gap": (3932, 62, 62, 0)},
+        "highdegree": {"dfs": (3932, 62, 62, 0), "lb": (3932, 62, 62, 0), "gap": (3932, 62, 62, 0)},
+        "component": {"dfs": (3932, 61, 61, 0), "lb": (3932, 61, 61, 0), "gap": (3932, 61, 61, 0)},
     },
 }
 
@@ -342,22 +352,22 @@ IRREGULAR_INSTANCES = {
 # Same layout as PINNED_COUNTS, for IRREGULAR_INSTANCES.
 PINNED_COUNTS_IRREGULAR = {
     "components 7+6+5, sides 9|9": {
-        "trivial": {"dfs": (1234, 42, 42, 0), "lb": (1234, 38, 49, 11), "gap": (1234, 26, 26, 0)},
-        "rebalance": {"dfs": (1234, 11, 11, 0), "lb": (1234, 12, 13, 1), "gap": (1234, 11, 11, 0)},
-        "highdegree": {"dfs": (1234, 11, 11, 0), "lb": (1234, 12, 13, 1), "gap": (1234, 11, 11, 0)},
-        "component": {"dfs": (1234, 11, 11, 0), "lb": (1234, 12, 13, 1), "gap": (1234, 11, 11, 0)},
+        "trivial": {"dfs": (1234, 41, 41, 0), "lb": (1234, 37, 45, 8), "gap": (1234, 25, 25, 0)},
+        "rebalance": {"dfs": (1234, 9, 10, 1), "lb": (1234, 10, 12, 2), "gap": (1234, 9, 10, 1)},
+        "highdegree": {"dfs": (1234, 9, 10, 1), "lb": (1234, 10, 12, 2), "gap": (1234, 9, 10, 1)},
+        "component": {"dfs": (1234, 9, 10, 1), "lb": (1234, 10, 12, 2), "gap": (1234, 9, 10, 1)},
     },
     "components 9+6+4+1, sides 6|14": {
-        "trivial": {"dfs": (0, 30, 41, 11), "lb": (0, 26, 49, 23), "gap": (0, 35, 50, 15)},
-        "rebalance": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 25, 39, 14)},
-        "highdegree": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 25, 39, 14)},
-        "component": {"dfs": (0, 16, 31, 15), "lb": (0, 17, 33, 16), "gap": (0, 25, 39, 14)},
+        "trivial": {"dfs": (0, 45, 53, 8), "lb": (0, 53, 95, 42), "gap": (0, 36, 50, 14)},
+        "rebalance": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 21, 30, 9)},
+        "highdegree": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 21, 30, 9)},
+        "component": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 21, 30, 9)},
     },
     "G(18, 0.5, 0), sides 6|12": {
-        "trivial": {"dfs": (11798, 431, 431, 0), "lb": (11798, 431, 431, 0), "gap": (11798, 431, 431, 0)},
-        "rebalance": {"dfs": (11798, 141, 141, 0), "lb": (11798, 141, 141, 0), "gap": (11798, 141, 141, 0)},
-        "highdegree": {"dfs": (11798, 138, 138, 0), "lb": (11798, 138, 138, 0), "gap": (11798, 138, 138, 0)},
-        "component": {"dfs": (11798, 135, 135, 0), "lb": (11798, 135, 135, 0), "gap": (11798, 135, 135, 0)},
+        "trivial": {"dfs": (11798, 406, 406, 0), "lb": (11798, 406, 406, 0), "gap": (11798, 406, 406, 0)},
+        "rebalance": {"dfs": (11798, 122, 122, 0), "lb": (11798, 122, 122, 0), "gap": (11798, 122, 122, 0)},
+        "highdegree": {"dfs": (11798, 121, 121, 0), "lb": (11798, 121, 121, 0), "gap": (11798, 121, 121, 0)},
+        "component": {"dfs": (11798, 121, 121, 0), "lb": (11798, 121, 121, 0), "gap": (11798, 121, 121, 0)},
     },
 }
 
@@ -459,6 +469,55 @@ def test_irregular_inputs_match_oracle(instance, pool_pair):
         r = solve_parallel_checked(g, s0, s1, cfg, strategy, threads=2,
                                    initial=first)
     assert r.optimum == r.best.value == expected
+
+
+def path_optimum(weights, s0):
+    """Least cut of the path with edge weights `weights` split into s0 |
+    n - s0, by dynamic programming over (position, side-0 count, side of
+    the last vertex)."""
+    inf = float("inf")
+    best = [[inf, inf] for _ in range(s0 + 1)]  # [side-0 count][last side]
+    best[0][1] = 0
+    best[1][0] = 0
+    for w in weights:
+        nxt = [[inf, inf] for _ in range(s0 + 1)]
+        for count in range(s0 + 1):
+            for last in (0, 1):
+                for side in (0, 1):
+                    c = count + (side == 0)
+                    if c <= s0:
+                        cut = best[count][last] + (w if side != last else 0)
+                        nxt[c][side] = min(nxt[c][side], cut)
+        best = nxt
+    return min(best[s0])
+
+
+@pytest.mark.parametrize("n", [70, 100, 130])
+def test_paths_whose_masks_span_several_words(n, monkeypatch):
+    """A weighted path of more than 64 vertices, so the side masks span
+    several machine words: every preset and strategy reaches the optimum
+    of the path DP, and so does one solve through the process pool, with
+    no in-process budget and one task per worker.  Seed 6 keeps the three
+    paths near a second in all; at n = 130 some seeds take the lb solves
+    past 20,000 nodes, since no bound term sees the path's free-free
+    edges."""
+    rng = random.Random(6)
+    weights = [rng.randint(1, 1000) for _ in range(n - 1)]
+    g = build_graph(n, [(v, v + 1, w) for v, w in enumerate(weights)])
+    s0 = n // 2
+    expected = path_optimum(weights, s0)
+    for cfg in CONFIG_PRESETS.values():
+        for strategy in SearchStrategy:
+            r = solve_sequential(g, s0, n - s0, cfg, strategy)
+            assert r.optimum == r.best.value == expected
+    pool = mock.Mock(wraps=bipart.parallel._search_in_pool)
+    monkeypatch.setattr(bipart.parallel, "_search_in_pool", pool)
+    with mock.patch.object(bipart.parallel, "NODE_BUDGET", 0), \
+            mock.patch.object(bipart.parallel, "TASKS_PER_WORKER", 1):
+        r = solve_parallel_checked(g, s0, n - s0, CONFIG_PRESETS["component"],
+                                   SearchStrategy.DFS, threads=2)
+    assert r.optimum == r.best.value == expected
+    assert pool.called or bipart.parallel.worker_count(2) == 1
 
 
 @pytest.mark.parametrize("preset", ["highdegree", "component"])

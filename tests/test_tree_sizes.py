@@ -30,7 +30,7 @@ def test_reports_each_configuration_and_the_total(capsys):
     matches = [_ROW.fullmatch(row) for row in rows]
     assert all(matches), rows
     counts = {m[1]: number(m[2]) for m in matches}
-    assert counts == {"rebalance": 19277, "highdegree": 18812,
-                      "component": 18668}
+    assert counts == {"rebalance": 17260, "highdegree": 16999,
+                      "component": 16877}
     assert {number(m[3]) for m in matches} == {2118194}
-    assert total == "dense-dfs seed 0 total: 56,757 subproblems"
+    assert total == "dense-dfs seed 0 total: 51,136 subproblems"
