@@ -127,7 +127,12 @@ def expand(sp, cfg, cutoff):
     every completion with v on its wrong side, each forced vertex holds in
     every completion below the cutoff, and so does the batch jointly.  A
     batch that puts more vertices on a side than it has room for leaves no
-    such completion.
+    such completion; that is checked before the batch is built, since fix
+    does not examine the pairs after it stops.  fix gets the cutoff and
+    returns None as soon as fixed cut + basic reaches it, which closes the
+    node.  That sum never falls during a batch, so this closes exactly the
+    nodes whose fully built batch reaches the cutoff, without building the
+    rest of the batch.
     """
     sol = try_complete(sp, cutoff)
     if sol is not None:
@@ -150,8 +155,8 @@ def expand(sp, cfg, cutoff):
     if forced:
         if to0 > sp.f0 or len(forced) - to0 > sp.f1:
             return None, []
-        sp = sp.fix(forced)
-        if sp.fixed_cut + sp.basic >= cutoff:
+        sp = sp.fix(forced, cutoff)
+        if sp is None:
             return None, []
         sol = try_complete(sp, cutoff)
         if sol is not None:

@@ -22,18 +22,22 @@ vertex from the weight-sorted adjacency when they are read (figures in the
 bounds module docstring).
 
 Subproblem.assign is the branching kernel: one call builds both children
-of a branching, and skips a child whose side is full or whose fixed cut +
-basic already reaches the caller's cutoff.  The two siblings share one
-copy of the free set (free_list, free_mask, free_degree and the zero-degree
-count), and a child shares a D array with its parent when v's entry there
-is already 0.  Subproblem.fix builds the state with a whole batch of
-forced vertices fixed, in one copy of each array and one pass for the sums.
-Sharing is safe because no array of a subproblem is written after assign,
-fix or recompute_from_scratch builds it; only approx_max_component, lb,
-delta_lo and delta_hi are set later, by the bound, on the subproblem's own
-slots.  A subproblem is owned by one worker at a time: the process pool
-hands open subproblems to its forked workers as they are, each in its own
-copy of the memory, with their stored bounds.
+of a branching in one loop over v's adjacency, and skips a child whose
+side is full or whose fixed cut + basic already reaches the caller's
+cutoff.  The two siblings share one copy of the free set (free_list,
+free_mask, free_degree and the zero-degree count).  Each child gets a
+fresh copy of its own side's D array, which holds v's free edges, and
+shares the parent's other-side D array when v's entry there is already 0.
+Subproblem.fix builds the state with a whole batch of forced vertices
+fixed, in one copy of each array, keeping the sums up to date after each
+vertex; given a cutoff, it stops and returns None as soon as fixed cut +
+basic reaches it, which then holds for the whole batch.  Sharing is safe
+because no array of a subproblem is written after assign, fix or
+recompute_from_scratch builds it; only approx_max_component, lb, delta_lo
+and delta_hi are set later, by the bound, on the subproblem's own slots.
+A subproblem is owned by one worker at a time: the process pool hands open
+subproblems to its forked workers as they are, each in its own copy of the
+memory, with their stored bounds.
 """
 
 from __future__ import annotations
@@ -79,12 +83,16 @@ class Subproblem:
 
         child_s has v fixed to side s.  It is None, and never built, when
         side s is full or when its fixed cut + basic reaches `cutoff`.  One
-        pass over v's free neighbours gives both children's basic
-        increments.  The children share one copy of the free set (free
-        list, mask, free degrees, zero-degree count) and each gets its own
-        D arrays, so a branching costs O(deg v) plus at most six O(n)
-        copies.  No array of a subproblem is written after it is built,
-        which makes the sharing safe; the parent is not modified.
+        loop over v's adjacency does all the per-neighbour work: it tests
+        the free bit, adds the neighbour's basic increment to the child it
+        belongs to, writes the edge weight into both children's own-side D
+        copies, and lowers the free degree, counting the neighbours it
+        leaves at zero.  Both own-side copies are made before the cutoff
+        test, since a copy costs far less than a loop.  The children share
+        one copy of the free set (free list, mask, free degrees,
+        zero-degree count), so a branching costs O(deg v) plus at most six
+        O(n) copies.  No array of a subproblem is written after it is
+        built, which makes the sharing safe; the parent is not modified.
         """
         if not self.is_free(v):
             raise ValueError(f"vertex {v} is not free")
@@ -97,16 +105,26 @@ class Subproblem:
         # of the two children.
         basic0 = basic1 = self.basic - (dv0 if dv0 < dv1 else dv1)
         zero_cnt = self.zero_free_degree_count
-        nbrs = [(u, w) for u, w in zip(g.adj_nbr[v], g.adj_w[v])
-                if (free_mask >> u) & 1]
-        for u, w in nbrs:
-            x, y = d0[u], d1[u]
-            if x < y:
-                basic0 += w if x + w <= y else y - x
-            elif y < x:
-                basic1 += w if y + w <= x else x - y
-            if deg[u] == 1:
-                zero_cnt += 1
+        own0, own1 = d0.copy(), d1.copy()
+        own0[v] = own1[v] = 0
+        if deg[v]:
+            deg = deg.copy()
+            deg[v] = 0
+            for u, w in zip(g.adj_nbr[v], g.adj_w[v]):
+                if (free_mask >> u) & 1:
+                    x, y = d0[u], d1[u]
+                    if x < y:
+                        basic0 += w if x + w <= y else y - x
+                    elif y < x:
+                        basic1 += w if y + w <= x else x - y
+                    own0[u] = x + w
+                    own1[u] = y + w
+                    k = deg[u] - 1
+                    deg[u] = k
+                    if not k:
+                        zero_cnt += 1
+        else:
+            zero_cnt -= 1  # v itself had free degree 0
         cut0 = self.fixed_cut + dv1
         cut1 = self.fixed_cut + dv0
         keep0 = self.f0 > 0 and (cutoff is None or cut0 + basic0 < cutoff)
@@ -119,16 +137,9 @@ class Subproblem:
         free_mask &= ~bit
         free_list = self.free_list.copy()
         free_list.remove(v)
-        if nbrs:
-            deg = deg.copy()
-            deg[v] = 0
-            for u, _ in nbrs:
-                deg[u] -= 1
-        else:
-            zero_cnt -= 1  # v itself had free degree 0
 
-        # Each child copies the D array of its own side, where v's free
-        # edges land, and clears v's entry in the other one, which it
+        # Each child takes the D array of its own side, where v's free
+        # edges landed, and clears v's entry in the other one, which it
         # shares with the parent when that entry is already 0.
         child0 = child1 = None
         depth = self.depth + 1
@@ -149,10 +160,7 @@ class Subproblem:
             c.basic = basic0
             # v's free edges all land on d0 of its free neighbours.
             c.sum_d0 = self.sum_d0 - dv0 + g.total_weight[v] - dv0 - dv1
-            c.d0 = own = d0.copy()
-            own[v] = 0
-            for u, w in nbrs:
-                own[u] += w
+            c.d0 = own0
             if dv1:
                 c.d1 = other = d1.copy()
                 other[v] = 0
@@ -174,10 +182,7 @@ class Subproblem:
             c.fixed_cut = cut1
             c.basic = basic1
             c.sum_d0 = self.sum_d0 - dv0
-            c.d1 = own = d1.copy()
-            own[v] = 0
-            for u, w in nbrs:
-                own[u] += w
+            c.d1 = own1
             if dv0:
                 c.d0 = other = d0.copy()
                 other[v] = 0
@@ -185,17 +190,26 @@ class Subproblem:
                 c.d0 = d0
         return child0, child1
 
-    def fix(self, pairs) -> "Subproblem":
-        """The subproblem with every (v, side) of `pairs` fixed at once.
+    def fix(self, pairs, cutoff: float | None = None) -> "Subproblem | None":
+        """The subproblem with every (v, side) of `pairs` fixed at once, or
+        None once its fixed cut + basic reaches `cutoff`.
 
-        Each v must be free, and no side may receive more vertices than it
-        has room for.  One copy of d0, d1 and the free degrees, then one
-        pass over the free neighbours of each v in batch order, which only
-        moves v's free edges into its side's D entries and lowers free
-        degrees: an edge between two batch vertices first lands on the
-        later one's D entry, and counts toward the fixed cut when that one
-        is fixed.  basic, sum_d0 and the zero-degree count are then summed
-        in one pass over the new free list.  O(n + the batch's degrees).
+        One copy of d0, d1 and the free degrees, then one pass over the
+        free neighbours of each v in batch order, which moves v's free
+        edges into its side's D entries and lowers free degrees, keeping
+        fixed_cut, basic, sum_d0 and the zero-degree count up to date after
+        each fixed vertex, as assign does.  An edge between two batch
+        vertices first lands on the later one's D entry, and counts toward
+        the fixed cut when that one is fixed.  O(n + the batch's degrees).
+
+        During a batch fixed cut + basic never falls: fixing v adds v's
+        other-side weight to the cut and takes at most that much out of
+        basic, and a neighbour's min(d0, d1) can only grow.  So with a
+        `cutoff`, fix returns None as soon as a fixed vertex lifts the sum
+        to it, and the pairs after that vertex are not examined.  Each v
+        that is examined must be free, else ValueError; a batch that runs
+        to its end must not give a side more vertices than it has room
+        for, else ValueError.  Without a cutoff every pair is examined.
         The parent is not modified, and the result inherits its
         component-size estimate, which fixing can only make looser.  A fix
         is not a branching, so depth stays the parent's.
@@ -204,44 +218,55 @@ class Subproblem:
         adj_nbr, adj_w = g.adj_nbr, g.adj_w
         d0, d1, deg = self.d0.copy(), self.d1.copy(), self.free_degree.copy()
         free_mask, a0, a1 = self.free_mask, self.a0, self.a1
-        fixed_cut = self.fixed_cut
+        fixed_cut, basic = self.fixed_cut, self.basic
+        sum_d0, zero_cnt = self.sum_d0, self.zero_free_degree_count
         for v, side in pairs:
             bit = 1 << v
             if not free_mask & bit:
                 raise ValueError(f"vertex {v} is not free")
             free_mask ^= bit
+            x, y = d0[v], d1[v]
+            d0[v] = d1[v] = 0
+            basic -= x if x < y else y
+            sum_d0 -= x
             if side:
                 a1 |= bit
-                fixed_cut += d0[v]
+                fixed_cut += x
             else:
                 a0 |= bit
-                fixed_cut += d1[v]
-            d0[v] = d1[v] = 0
-            if deg[v]:
+                fixed_cut += y
+            if not deg[v]:
+                zero_cnt -= 1
+            else:
                 deg[v] = 0
-                own = d1 if side else d0
                 for u, w in zip(adj_nbr[v], adj_w[v]):
                     if (free_mask >> u) & 1:
-                        own[u] += w
-                        deg[u] -= 1
-        free_list = [u for u in self.free_list if (free_mask >> u) & 1]
-        basic = sum_d0 = zero_cnt = 0
-        for u in free_list:
-            x, y = d0[u], d1[u]
-            basic += x if x < y else y
-            sum_d0 += x
-            if not deg[u]:
-                zero_cnt += 1
+                        x, y = d0[u], d1[u]
+                        if side:
+                            d1[u] = y + w
+                            if y < x:
+                                basic += w if y + w <= x else x - y
+                        else:
+                            d0[u] = x + w
+                            sum_d0 += w
+                            if x < y:
+                                basic += w if x + w <= y else y - x
+                        k = deg[u] - 1
+                        deg[u] = k
+                        if not k:
+                            zero_cnt += 1
+            if cutoff is not None and fixed_cut + basic >= cutoff:
+                return None
         c = Subproblem.__new__(Subproblem)
         c.graph = g
         c.s0, c.s1 = self.s0, self.s1
         c.a0, c.a1 = a0, a1
-        c.free_mask = free_mask
-        c.free_list = free_list
         c.f0 = self.f0 - (a0 ^ self.a0).bit_count()
         c.f1 = self.f1 - (a1 ^ self.a1).bit_count()
         if c.f0 < 0 or c.f1 < 0:
             raise ValueError("the batch overfills a side")
+        c.free_mask = free_mask
+        c.free_list = [u for u in self.free_list if (free_mask >> u) & 1]
         c.d0, c.d1 = d0, d1
         c.fixed_cut, c.basic, c.sum_d0 = fixed_cut, basic, sum_d0
         c.free_degree = deg

@@ -531,10 +531,15 @@ def test_search_keeps_only_fully_maintained_children(preset, monkeypatch):
     fixed = []
     real_fix = Subproblem.fix
 
-    def checked_fix(sp, pairs):
-        state = real_fix(sp, pairs)
-        assert_equivalent(state, oracle_of(state))
-        fixed.append(state)
+    def checked_fix(sp, pairs, cutoff=None):
+        state = built = real_fix(sp, pairs, cutoff)
+        if state is None:
+            # Stopped at the cutoff: the whole batch, built without one,
+            # reaches it too.
+            built = real_fix(sp, pairs)
+            assert built.fixed_cut + built.basic >= cutoff
+        assert_equivalent(built, oracle_of(built))
+        fixed.append(built)
         return state
 
     monkeypatch.setattr(Subproblem, "fix", checked_fix)
@@ -625,9 +630,9 @@ def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
     batches = []
     real_fix = Subproblem.fix
 
-    def recording_fix(sp, pairs):
+    def recording_fix(sp, pairs, cutoff=None):
         batches.append(pairs)
-        return real_fix(sp, pairs)
+        return real_fix(sp, pairs, cutoff)
 
     monkeypatch.setattr(Subproblem, "fix", recording_fix)
     rng = random.Random(929)

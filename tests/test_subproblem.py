@@ -113,7 +113,9 @@ class TestAssign:
 
 class TestFix:
     """fix(pairs) against the from-scratch oracle on random states and
-    random batches, edges inside the batch included."""
+    random batches, edges inside the batch included; fix(pairs, cutoff)
+    is None exactly when the whole batch's fixed cut + basic reaches the
+    cutoff, and the oracle's state otherwise."""
 
     @staticmethod
     def random_batch(rng, sp):
@@ -144,6 +146,14 @@ class TestFix:
                 assert_equivalent(fixed, rc)
                 assert fixed.depth == sp.depth
                 assert all(fixed.side_of(v) == side for v, side in pairs)
+                total = rc.fixed_cut + rc.basic
+                for cutoff in (total - 1, total, total + 1):
+                    stopped = sp.fix(pairs, cutoff)
+                    if total >= cutoff:
+                        assert stopped is None
+                    else:
+                        assert_equivalent(stopped, rc)
+                        assert stopped.depth == sp.depth
                 assert_equivalent(sp, oracle_of(sp))  # parent untouched
                 checked += 1
         assert checked > 1000 and inner > 100, (checked, inner)
@@ -174,6 +184,14 @@ class TestFix:
             sp.fix([(1, 1), (0, 1)])
         with pytest.raises(ValueError, match="overfills"):
             sp.fix([(1, 0), (2, 0)])
+
+    def test_the_pairs_after_the_cutoff_are_not_examined(self):
+        # Vertex 1 on side 1 gives fixed cut 1 and basic 2 (vertices 2, 3).
+        sp = root_subproblem(k4(), 2, 2)  # vertex 0 on side 0
+        assert sp.fix([(1, 1), (0, 1)], cutoff=3) is None
+        assert sp.fix([(1, 1), (2, 1), (3, 1)], cutoff=3) is None
+        with pytest.raises(ValueError, match="not free"):
+            sp.fix([(1, 1), (0, 1)], cutoff=4)
 
 
 class TestRecompute:
