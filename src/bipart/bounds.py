@@ -175,18 +175,16 @@ def high_degree_rebalance(sp: Subproblem) -> int:
 def component_bound(sp: Subproblem) -> int:
     """Lightest edge of a free component larger than the bigger side.
 
-    Runs a BFS over the free-induced subgraph, refreshing the owner's
-    cached largest-component size as a side effect.  Skipped (0) unless the
-    inherited component-size estimate exceeds f_big.  The result is at most
-    the graph's heaviest edge weight.
+    A BFS over the free-induced subgraph; sp is not modified.  Skipped (0)
+    when a side is full, since then no free component can be larger than
+    f_big.  The result is at most the graph's heaviest edge weight.
     """
     f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    if sp.approx_max_component <= f_big:
+    if len(sp.free_list) <= f_big:
         return 0
     g = sp.graph
     free_mask = sp.free_mask
     visited = 0
-    largest = 0
     result = 0
     for start in sp.free_list:
         if (visited >> start) & 1:
@@ -211,11 +209,8 @@ def component_bound(sp: Subproblem) -> int:
                     if not (visited >> u) & 1:
                         visited |= 1 << u
                         queue.append(u)
-        if size > largest:
-            largest = size
         if size > f_big:
             result = min_w if min_w > 0 else 0
-    sp.approx_max_component = largest
     return result
 
 

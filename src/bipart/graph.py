@@ -8,6 +8,7 @@ high-degree bound relies on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -58,14 +59,22 @@ class WeightedGraph:
 def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
     """Build a WeightedGraph from an edge list, validating the contract.
 
-    Rejects self-loops, duplicate edges (as unordered pairs), negative
-    weights and out-of-range endpoints.
+    Rejects endpoints and weights that are not integers (the bounds round
+    half-units up, which is sound only for integer cuts), self-loops,
+    duplicate edges (as unordered pairs), negative weights and out-of-range
+    endpoints.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     seen: set[tuple[int, int]] = set()
     raw: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in edges:
+        try:
+            u, v, w = operator.index(u), operator.index(v), operator.index(w)
+        except TypeError:
+            raise ValueError(
+                f"edge ({u},{v}) with weight {w!r}: endpoints and weight "
+                "must be integers") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

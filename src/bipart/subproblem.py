@@ -8,9 +8,6 @@ incrementally maintained quantities the lower bounds read:
 * basic and sum_d0: the sums over free v of min(d0[v], d1[v]) and of
   d0[v], which the basic and rebalancing bound terms read.
 * free_degree[v]: degree of free v in the subgraph induced by free vertices.
-* approx_max_component: an upper estimate of the largest free component's
-  size, inherited from the parent and refreshed by the component BFS; the
-  component term skips its BFS while the estimate is at most f_big.
 * delta_lo and delta_hi: the f0-th and (f0+1)-th smallest delta = d1 - d0
   over the free vertices, recorded by the rebalancing sort when the lower
   bound is computed; the search reads them to find forced vertices.
@@ -33,8 +30,8 @@ fixed, in one copy of each array, keeping the sums up to date after each
 vertex; given a cutoff, it stops and returns None as soon as fixed cut +
 basic reaches it, which then holds for the whole batch.  Sharing is safe
 because no array of a subproblem is written after assign, fix or
-recompute_from_scratch builds it; only approx_max_component, lb, delta_lo
-and delta_hi are set later, by the bound, on the subproblem's own slots.
+recompute_from_scratch builds it; only lb, delta_lo and delta_hi are set
+later, by the bound, on the subproblem's own slots.
 A subproblem is owned by one worker at a time: the process pool hands open
 subproblems to its forked workers as they are, each in its own copy of the
 memory, with their stored bounds.
@@ -49,8 +46,8 @@ class Subproblem:
     __slots__ = (
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
-        "free_degree", "zero_free_degree_count", "approx_max_component",
-        "depth", "lb", "delta_lo", "delta_hi",
+        "free_degree", "zero_free_degree_count", "depth", "lb", "delta_lo",
+        "delta_hi",
     )
 
     # Instances are made in three places: recompute_from_scratch, which
@@ -62,6 +59,15 @@ class Subproblem:
 
     @property
     def f(self) -> int:
+        return len(self.free_list)
+
+    @property
+    def approx_max_component(self) -> int:
+        """An upper bound on the size of any free component: the free count.
+
+        Only perfbench's per-layer trace reads it, to count the component
+        BFS runs; it goes with the next change to the benchmark.
+        """
         return len(self.free_list)
 
     def side_of(self, v: int) -> int | None:
@@ -153,7 +159,6 @@ class Subproblem:
             c.free_list = free_list
             c.free_degree = deg
             c.zero_free_degree_count = zero_cnt
-            c.approx_max_component = self.approx_max_component
             c.depth = depth
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut0
@@ -176,7 +181,6 @@ class Subproblem:
             c.free_list = free_list
             c.free_degree = deg
             c.zero_free_degree_count = zero_cnt
-            c.approx_max_component = self.approx_max_component
             c.depth = depth
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut1
@@ -210,9 +214,8 @@ class Subproblem:
         that is examined must be free, else ValueError; a batch that runs
         to its end must not give a side more vertices than it has room
         for, else ValueError.  Without a cutoff every pair is examined.
-        The parent is not modified, and the result inherits its
-        component-size estimate, which fixing can only make looser.  A fix
-        is not a branching, so depth stays the parent's.
+        The parent is not modified.  A fix is not a branching, so depth
+        stays the parent's.
         """
         g = self.graph
         adj_nbr, adj_w = g.adj_nbr, g.adj_w
@@ -271,7 +274,6 @@ class Subproblem:
         c.fixed_cut, c.basic, c.sum_d0 = fixed_cut, basic, sum_d0
         c.free_degree = deg
         c.zero_free_degree_count = zero_cnt
-        c.approx_max_component = self.approx_max_component
         c.depth = self.depth
         c.lb = c.delta_lo = c.delta_hi = None
         return c
@@ -285,8 +287,7 @@ def root_subproblem(
     When s0 == s1 the two sides are interchangeable, so one vertex is
     pre-assigned to side 0 to avoid enumerating mirrored solutions: the
     heaviest one, ties going to the smallest id, which is the vertex
-    solver.branch_vertex would branch on first in the empty state.  Built
-    by recompute_from_scratch, so its component-size estimate is exact.
+    solver.branch_vertex would branch on first in the empty state.
     maintain_hd is ignored: no state depends on it any more, and the
     benchmark still passes it.
     """
@@ -308,8 +309,7 @@ def recompute_from_scratch(
 
     u0 and u1 are iterables of vertex ids.  This builds the root, and it is
     the oracle for the incremental maintenance in assign(): every derived
-    quantity is computed by a fresh O(n + m) pass, and the component-size
-    estimate is set to its exact current value.
+    quantity is computed by a fresh O(n + m) pass.
     """
     n = graph.n
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
@@ -359,27 +359,4 @@ def recompute_from_scratch(
     sp.zero_free_degree_count = sum(
         1 for v in sp.free_list if free_degree[v] == 0
     )
-    sp.approx_max_component = _largest_free_component(sp)
     return sp
-
-
-def _largest_free_component(sp: Subproblem) -> int:
-    g = sp.graph
-    seen = 0
-    best = 0
-    for start in sp.free_list:
-        if (seen >> start) & 1:
-            continue
-        seen |= 1 << start
-        stack = [start]
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            for u in g.adj_nbr[x]:
-                if (sp.free_mask >> u) & 1 and not (seen >> u) & 1:
-                    seen |= 1 << u
-                    stack.append(u)
-        if size > best:
-            best = size
-    return best

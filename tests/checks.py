@@ -9,8 +9,7 @@ from bipart.subproblem import Subproblem, recompute_from_scratch
 
 def assert_equivalent(inc: Subproblem, rc: Subproblem):
     """Incrementally maintained state must match the from-scratch oracle:
-    the maintained sums basic and sum_d0 and everything else exactly, the
-    component-size estimate as an over-approximation."""
+    every maintained field, the sums basic and sum_d0 included, exactly."""
     assert inc.a0 == rc.a0 and inc.a1 == rc.a1
     assert inc.free_mask == rc.free_mask
     assert inc.free_list == rc.free_list
@@ -21,8 +20,6 @@ def assert_equivalent(inc: Subproblem, rc: Subproblem):
     assert (inc.f0, inc.f1) == (rc.f0, rc.f1)
     assert inc.free_degree == rc.free_degree
     assert inc.zero_free_degree_count == rc.zero_free_degree_count
-    # The estimate is a safe over-approximation; recompute yields it exact.
-    assert inc.approx_max_component >= rc.approx_max_component
 
 
 def oracle_of(sp: Subproblem) -> Subproblem:

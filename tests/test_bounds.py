@@ -298,13 +298,6 @@ class TestComponent:
         sp = recompute_from_scratch(g, [], [], 2, 2)
         assert component_bound(sp) == 4
 
-    def test_refreshes_estimates(self):
-        g = build_graph(5, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])  # vertex 4 isolated
-        sp = recompute_from_scratch(g, [], [], 3, 2)
-        sp.approx_max_component = 5
-        component_bound(sp)
-        assert sp.approx_max_component == 4
-
     def test_soundness_on_random_subproblems(self):
         rng = random.Random(616)
         for _ in range(300):
@@ -312,14 +305,17 @@ class TestComponent:
             assert component_bound(sp) <= brute_force_free_free_min(sp)
 
     def test_dominance_high_degree_implies_large_component(self):
+        """A free vertex of free degree >= f_big lies in a free component of
+        more than f_big vertices, and every weight here is at least 1, so
+        the component term fires wherever the high-degree term does."""
         rng = random.Random(717)
+        fired = 0
         for _ in range(200):
             sp = random_subproblem(rng)
             if high_degree_bound(sp) > 0:
-                f_big = max(sp.f0, sp.f1)
-                sp.approx_max_component = sp.f  # force the traversal
-                component_bound(sp)
-                assert sp.approx_max_component >= f_big + 1
+                fired += 1
+                assert component_bound(sp) > 0
+        assert fired
 
 
 class TestLowerBound:

@@ -42,6 +42,8 @@ def test_weight_ties_sorted_by_neighbor_id():
         (3, [(0, 1, 1), (1, 0, 2)], "duplicate"),
         (3, [(0, 1, -4)], "negative"),
         (3, [(0, 5, 1)], "out of range"),
+        (3, [(0, 1, 1.5)], r"edge \(0,1\) .* must be integers"),
+        (3, [(0, 1.0, 1)], r"edge \(0,1.0\) .* must be integers"),
     ],
 )
 def test_build_rejects_bad_edges(n, edges, msg):
@@ -88,6 +90,8 @@ def test_generate_rejects_bad_parameters():
         generate_er(10, 0.5, 5, 2, seed=0)
     with pytest.raises(ValueError):
         generate_er(10, 0.5, 0, 2, seed=0)
+    with pytest.raises(ValueError):
+        generate_er(10, 0.5, 1.5, 3.5, seed=0)
 
 
 def test_validate_rejects_an_unpaired_adjacency_entry():

@@ -332,11 +332,10 @@ class TestAssignKernel:
 
 def read_everything(sp):
     """Every reader of a subproblem the search runs, with both high-degree
-    terms called directly and the component BFS forced to do its full work."""
+    terms and the component BFS called directly."""
     lower_bound(sp, CONFIG_PRESETS["component"])
     high_degree_bound(sp)
     high_degree_rebalance(sp)
-    sp.approx_max_component = sp.graph.n
     component_bound(sp)
     try_complete(sp)
     rebalancing_completion_value(sp)
