@@ -114,16 +114,17 @@ def high_degree_bound(sp: Subproblem) -> int:
     A free v of free degree d >= f_big keeps at most f_big - 1 free
     neighbours on the big side, so placed there it cuts at least its
     d - f_big + 1 cheapest free edges; their weights are summed from the
-    front of its weight-sorted adjacency.  O(f) when no free degree
+    front of its weight-sorted adjacency.  d is read as
+    (nbr_mask[v] & free_mask).bit_count().  O(f) when no free degree
     reaches f_big; lower_bound skips the call then.
     """
     f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    adj_nbr, adj_w = sp.graph.adj_nbr, sp.graph.adj_w
+    g = sp.graph
+    adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
     free_mask = sp.free_mask
-    deg = sp.free_degree
     total = 0
     for v in sp.free_list:
-        k = deg[v] - f_big + 1
+        k = (nbr_mask[v] & free_mask).bit_count() - f_big + 1
         if k <= 0:
             continue
         for u, w in zip(adj_nbr[v], adj_w[v]):
@@ -147,17 +148,18 @@ def high_degree_rebalance(sp: Subproblem) -> int:
     f_small = 0, f_big is the free count, which no free degree reaches.)
     """
     f_big, f_small = (sp.f0, sp.f1) if sp.f0 >= sp.f1 else (sp.f1, sp.f0)
-    deg = sp.free_degree
-    high = [v for v in sp.free_list if deg[v] >= f_big]
+    g = sp.graph
+    adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
+    free_mask = sp.free_mask
+    high = [v for v in sp.free_list
+            if (nbr_mask[v] & free_mask).bit_count() >= f_big]
     surplus = len(high) - f_big
     extra = f_big - f_small
     if surplus <= 0 or extra <= 0:
         return 0
-    adj_nbr, adj_w = sp.graph.adj_nbr, sp.graph.adj_w
-    free_mask = sp.free_mask
     penalties = []
     for v in high:
-        skip = deg[v] - f_big + 1
+        skip = (nbr_mask[v] & free_mask).bit_count() - f_big + 1
         last = skip + extra
         seen = penalty = 0
         for u, w in zip(adj_nbr[v], adj_w[v]):
@@ -253,7 +255,10 @@ def lower_bound(
 
 def _has_high_degree_vertex(sp: Subproblem) -> bool:
     """Whether some free vertex has free degree >= f_big, without which both
-    high-degree terms are 0; one O(f) pass over the exact free degrees."""
+    high-degree terms are 0; one O(f) pass, stopping at the first."""
     f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    return max(map(sp.free_degree.__getitem__, sp.free_list),
-               default=-1) >= f_big
+    nbr_mask, free_mask = sp.graph.nbr_mask, sp.free_mask
+    for v in sp.free_list:
+        if (nbr_mask[v] & free_mask).bit_count() >= f_big:
+            return True
+    return False

@@ -63,7 +63,8 @@ def try_complete(
          fixed_cut + the sum of d_own over free vertices + that key.  Ties
          broken by vertex id.
       2. rebalancing: one side needs no more vertices, or no free-free
-         edges remain, so the rebalancing completion is optimal, at value
+         edge remains (sp.free_edges is 0, whatever the edges' weights),
+         so the rebalancing completion is optimal, at value
          fixed_cut + fixed_free_minimum.  With a side full it is the unique
          completion, everything free on the other side.
 
@@ -98,7 +99,7 @@ def try_complete(
         sides[best_v] = short
         return make_solution(g, sides, sp.s0, sp.s1)
 
-    if not f0 or not f1 or sp.zero_free_degree_count == len(free):
+    if not f0 or not f1 or not sp.free_edges:
         value = sp.fixed_cut + fixed_free_minimum(sp)
         if cutoff is not None and value >= cutoff:
             return value

@@ -28,12 +28,14 @@ class WeightedGraph:
 
     adj_nbr[v] and adj_w[v] are parallel tuples: neighbor id and edge
     weight.
+    nbr_mask[v] is the bitmask of v's neighbors (bit u set for neighbor u).
     max_weight is the heaviest edge weight (0 without edges).
     """
 
     n: int
     adj_nbr: tuple[tuple[int, ...], ...]
     adj_w: tuple[tuple[int, ...], ...]
+    nbr_mask: tuple[int, ...]
     degrees: tuple[int, ...]
     total_weight: tuple[int, ...]  # per-vertex sum of incident edge weights
     max_weight: int
@@ -56,6 +58,21 @@ class WeightedGraph:
         return zip(self.adj_nbr[v], self.adj_w[v])
 
 
+def _check_edge(n: int, u: int, v: int, w: int, seen: set) -> None:
+    """Reject an out-of-range endpoint, a self-loop, a negative weight or a
+    repeat of an unordered pair already in `seen`; else add the pair."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"self-loop ({u},{u}) not allowed")
+    if w < 0:
+        raise ValueError(f"negative weight {w} on edge ({u},{v})")
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
+    seen.add(key)
+
+
 def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
     """Build a WeightedGraph from an edge list, validating the contract.
 
@@ -75,16 +92,7 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
             raise ValueError(
                 f"edge ({u},{v}) with weight {w!r}: endpoints and weight "
                 "must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop ({u},{u}) not allowed")
-        if w < 0:
-            raise ValueError(f"negative weight {w} on edge ({u},{v})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
+        _check_edge(n, u, v, w, seen)
         raw[u].append((w, v))
         raw[v].append((w, u))
 
@@ -101,6 +109,7 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
         n=n,
         adj_nbr=tuple(adj_nbr),
         adj_w=tuple(adj_w),
+        nbr_mask=tuple(sum(1 << u for u in a) for a in adj_nbr),
         degrees=degrees,
         total_weight=total_weight,
         max_weight=max((a[-1] for a in adj_w if a), default=0),
@@ -125,6 +134,8 @@ def validate_graph(g: WeightedGraph) -> None:
                 unpaired.remove((u, v, ws[i]))
             else:
                 unpaired.add((v, u, ws[i]))
+        if g.nbr_mask[v] != sum(1 << u for u in nbrs):
+            raise AssertionError(f"nbr_mask of {v} does not match adj_nbr")
     if unpaired:
         v, u, _ = min(unpaired)
         raise AssertionError(f"edge ({v},{u}) has no matching reverse entry")
@@ -193,6 +204,7 @@ def parse_graph(text: str) -> WeightedGraph:
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -218,12 +230,7 @@ def parse_graph(text: str) -> WeightedGraph:
             raise GraphFormatError("more edges than declared in header", lineno)
         try:
             # Validate incrementally so errors carry the line number.
-            if not (0 <= u < header[0] and 0 <= v < header[0]):
-                raise ValueError(f"edge ({u},{v}) out of range for n={header[0]}")
-            if u == v:
-                raise ValueError(f"self-loop ({u},{u}) not allowed")
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
+            _check_edge(header[0], u, v, w, seen)
         except ValueError as exc:
             raise GraphFormatError(str(exc), lineno) from None
         edges.append((u, v, w))
@@ -233,7 +240,4 @@ def parse_graph(text: str) -> WeightedGraph:
         raise GraphFormatError(
             f"header declares {header[1]} edges, found {len(edges)}"
         )
-    try:
-        return build_graph(header[0], edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return build_graph(header[0], edges)

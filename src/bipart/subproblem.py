@@ -7,7 +7,8 @@ incrementally maintained quantities the lower bounds read:
 * fixed_cut: crossing weight between U0 and U1.
 * basic and sum_d0: the sums over free v of min(d0[v], d1[v]) and of
   d0[v], which the basic and rebalancing bound terms read.
-* free_degree[v]: degree of free v in the subgraph induced by free vertices.
+* free_edges: the number of edges with both ends free.  Free degrees are
+  not kept; a bound reads them from graph.nbr_mask and free_mask.
 * delta_lo and delta_hi: the f0-th and (f0+1)-th smallest delta = d1 - d0
   over the free vertices, recorded by the rebalancing sort when the lower
   bound is computed; the search reads them to find forced vertices.
@@ -21,8 +22,8 @@ bounds module docstring).
 Subproblem.assign is the branching kernel: one call builds both children
 of a branching in one loop over v's adjacency, and skips a child whose
 side is full or whose fixed cut + basic already reaches the caller's
-cutoff.  The two siblings share one copy of the free set (free_list,
-free_mask, free_degree and the zero-degree count).  Each child gets a
+cutoff.  The two siblings share one copy of the free set (free_list and
+free_mask) and the free-edge count.  Each child gets a
 fresh copy of its own side's D array, which holds v's free edges, and
 shares the parent's other-side D array when v's entry there is already 0.
 Subproblem.fix builds the state with a whole batch of forced vertices
@@ -46,8 +47,7 @@ class Subproblem:
     __slots__ = (
         "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
-        "free_degree", "zero_free_degree_count", "depth", "lb", "delta_lo",
-        "delta_hi",
+        "free_edges", "depth", "lb", "delta_lo", "delta_hi",
     )
 
     # Instances are made in three places: recompute_from_scratch, which
@@ -70,6 +70,13 @@ class Subproblem:
         """
         return len(self.free_list)
 
+    @property
+    def zero_free_degree_count(self) -> int:
+        """Free vertices with no free neighbour, counted when read.  Only
+        perfbench's trace reads it; it goes with the next benchmark change."""
+        nbr_mask, free_mask = self.graph.nbr_mask, self.free_mask
+        return sum(1 for v in self.free_list if not nbr_mask[v] & free_mask)
+
     def side_of(self, v: int) -> int | None:
         if (self.a0 >> v) & 1:
             return 0
@@ -91,31 +98,29 @@ class Subproblem:
         side s is full or when its fixed cut + basic reaches `cutoff`.  One
         loop over v's adjacency does all the per-neighbour work: it tests
         the free bit, adds the neighbour's basic increment to the child it
-        belongs to, writes the edge weight into both children's own-side D
-        copies, and lowers the free degree, counting the neighbours it
-        leaves at zero.  Both own-side copies are made before the cutoff
-        test, since a copy costs far less than a loop.  The children share
-        one copy of the free set (free list, mask, free degrees,
-        zero-degree count), so a branching costs O(deg v) plus at most six
-        O(n) copies.  No array of a subproblem is written after it is
+        belongs to, and writes the edge weight into both children's
+        own-side D copies; it is skipped when v has no free neighbour.  Both
+        own-side copies are made before the cutoff test, since a copy costs
+        far less than a loop.  The children share one copy of the free set
+        (free list and mask) and the free-edge count, which falls by v's
+        free degree, so a branching costs O(deg v) plus at most five O(n)
+        copies.  No array of a subproblem is written after it is
         built, which makes the sharing safe; the parent is not modified.
         """
         if not self.is_free(v):
             raise ValueError(f"vertex {v} is not free")
         g = self.graph
         free_mask = self.free_mask
-        d0, d1, deg = self.d0, self.d1, self.free_degree
+        d0, d1 = self.d0, self.d1
         dv0, dv1 = d0[v], d1[v]
         # v leaves the basic sum.  Each free neighbour u gains w on the
         # child's own side, which raises min(d0[u], d1[u]) in at most one
         # of the two children.
         basic0 = basic1 = self.basic - (dv0 if dv0 < dv1 else dv1)
-        zero_cnt = self.zero_free_degree_count
         own0, own1 = d0.copy(), d1.copy()
         own0[v] = own1[v] = 0
-        if deg[v]:
-            deg = deg.copy()
-            deg[v] = 0
+        free_nbrs = g.nbr_mask[v] & free_mask
+        if free_nbrs:
             for u, w in zip(g.adj_nbr[v], g.adj_w[v]):
                 if (free_mask >> u) & 1:
                     x, y = d0[u], d1[u]
@@ -125,12 +130,6 @@ class Subproblem:
                         basic1 += w if y + w <= x else x - y
                     own0[u] = x + w
                     own1[u] = y + w
-                    k = deg[u] - 1
-                    deg[u] = k
-                    if not k:
-                        zero_cnt += 1
-        else:
-            zero_cnt -= 1  # v itself had free degree 0
         cut0 = self.fixed_cut + dv1
         cut1 = self.fixed_cut + dv0
         keep0 = self.f0 > 0 and (cutoff is None or cut0 + basic0 < cutoff)
@@ -143,6 +142,7 @@ class Subproblem:
         free_mask &= ~bit
         free_list = self.free_list.copy()
         free_list.remove(v)
+        free_edges = self.free_edges - free_nbrs.bit_count()
 
         # Each child takes the D array of its own side, where v's free
         # edges landed, and clears v's entry in the other one, which it
@@ -157,8 +157,7 @@ class Subproblem:
             c.f0, c.f1 = self.f0 - 1, self.f1
             c.free_mask = free_mask
             c.free_list = free_list
-            c.free_degree = deg
-            c.zero_free_degree_count = zero_cnt
+            c.free_edges = free_edges
             c.depth = depth
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut0
@@ -179,8 +178,7 @@ class Subproblem:
             c.f0, c.f1 = self.f0, self.f1 - 1
             c.free_mask = free_mask
             c.free_list = free_list
-            c.free_degree = deg
-            c.zero_free_degree_count = zero_cnt
+            c.free_edges = free_edges
             c.depth = depth
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut1
@@ -198,11 +196,10 @@ class Subproblem:
         """The subproblem with every (v, side) of `pairs` fixed at once, or
         None once its fixed cut + basic reaches `cutoff`.
 
-        One copy of d0, d1 and the free degrees, then one pass over the
-        free neighbours of each v in batch order, which moves v's free
-        edges into its side's D entries and lowers free degrees, keeping
-        fixed_cut, basic, sum_d0 and the zero-degree count up to date after
-        each fixed vertex, as assign does.  An edge between two batch
+        One copy of d0 and d1, then one pass over the free neighbours of
+        each v in batch order, which moves v's free edges into its side's D
+        entries, keeping fixed_cut, basic, sum_d0 and free_edges up to date
+        after each fixed vertex, as assign does.  An edge between two batch
         vertices first lands on the later one's D entry, and counts toward
         the fixed cut when that one is fixed.  O(n + the batch's degrees).
 
@@ -218,16 +215,18 @@ class Subproblem:
         stays the parent's.
         """
         g = self.graph
-        adj_nbr, adj_w = g.adj_nbr, g.adj_w
-        d0, d1, deg = self.d0.copy(), self.d1.copy(), self.free_degree.copy()
+        adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
+        d0, d1 = self.d0.copy(), self.d1.copy()
         free_mask, a0, a1 = self.free_mask, self.a0, self.a1
         fixed_cut, basic = self.fixed_cut, self.basic
-        sum_d0, zero_cnt = self.sum_d0, self.zero_free_degree_count
+        sum_d0, free_edges = self.sum_d0, self.free_edges
         for v, side in pairs:
             bit = 1 << v
             if not free_mask & bit:
                 raise ValueError(f"vertex {v} is not free")
             free_mask ^= bit
+            free_nbrs = nbr_mask[v] & free_mask
+            free_edges -= free_nbrs.bit_count()
             x, y = d0[v], d1[v]
             d0[v] = d1[v] = 0
             basic -= x if x < y else y
@@ -238,10 +237,7 @@ class Subproblem:
             else:
                 a0 |= bit
                 fixed_cut += y
-            if not deg[v]:
-                zero_cnt -= 1
-            else:
-                deg[v] = 0
+            if free_nbrs:
                 for u, w in zip(adj_nbr[v], adj_w[v]):
                     if (free_mask >> u) & 1:
                         x, y = d0[u], d1[u]
@@ -254,10 +250,6 @@ class Subproblem:
                             sum_d0 += w
                             if x < y:
                                 basic += w if x + w <= y else y - x
-                        k = deg[u] - 1
-                        deg[u] = k
-                        if not k:
-                            zero_cnt += 1
             if cutoff is not None and fixed_cut + basic >= cutoff:
                 return None
         c = Subproblem.__new__(Subproblem)
@@ -272,8 +264,7 @@ class Subproblem:
         c.free_list = [u for u in self.free_list if (free_mask >> u) & 1]
         c.d0, c.d1 = d0, d1
         c.fixed_cut, c.basic, c.sum_d0 = fixed_cut, basic, sum_d0
-        c.free_degree = deg
-        c.zero_free_degree_count = zero_cnt
+        c.free_edges = free_edges
         c.depth = self.depth
         c.lb = c.delta_lo = c.delta_hi = None
         return c
@@ -338,13 +329,12 @@ def recompute_from_scratch(
     d0 = [0] * n
     d1 = [0] * n
     fixed_cut = 0
-    free_degree = [0] * n
+    free_edges = 0
     for u, v, w in graph.edges():
         su = 0 if u in set0 else 1 if u in set1 else None
         sv = 0 if v in set0 else 1 if v in set1 else None
         if su is None and sv is None:
-            free_degree[u] += 1
-            free_degree[v] += 1
+            free_edges += 1
         elif su is None:
             (d0 if sv == 0 else d1)[u] += w
         elif sv is None:
@@ -355,8 +345,5 @@ def recompute_from_scratch(
     sp.fixed_cut = fixed_cut
     sp.basic = sum(min(d0[v], d1[v]) for v in sp.free_list)
     sp.sum_d0 = sum(d0[v] for v in sp.free_list)
-    sp.free_degree = free_degree
-    sp.zero_free_degree_count = sum(
-        1 for v in sp.free_list if free_degree[v] == 0
-    )
+    sp.free_edges = free_edges
     return sp

@@ -18,8 +18,13 @@ def assert_equivalent(inc: Subproblem, rc: Subproblem):
     assert inc.basic == rc.basic
     assert inc.sum_d0 == rc.sum_d0
     assert (inc.f0, inc.f1) == (rc.f0, rc.f1)
-    assert inc.free_degree == rc.free_degree
-    assert inc.zero_free_degree_count == rc.zero_free_degree_count
+    assert inc.free_edges == rc.free_edges
+
+
+def free_degrees(sp: Subproblem) -> dict[int, int]:
+    """Each free vertex's number of free neighbours, counted from adj_nbr."""
+    return {v: sum(1 for u in sp.graph.adj_nbr[v] if sp.is_free(u))
+            for v in sp.free_list}
 
 
 def oracle_of(sp: Subproblem) -> Subproblem:

@@ -1,6 +1,6 @@
 import random
 
-from checks import assign_walk, irregular_graph
+from checks import assign_walk, free_degrees, irregular_graph
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -192,7 +192,7 @@ class TestHighDegree:
             sp = random_subproblem(rng)
             half = high_degree_bound(sp) + high_degree_rebalance(sp)
             assert (half + 1) // 2 <= brute_force_free_free_min(sp)
-            top = max((sp.free_degree[v] for v in sp.free_list), default=0)
+            top = max(free_degrees(sp).values(), default=0)
             at_gate += sp.f0 == sp.f1 and top == sp.f0 and half > 0
         assert at_gate > 0
 
@@ -252,8 +252,9 @@ class TestHighDegreeOracle:
                 terms = (high_degree_bound(sp), high_degree_rebalance(sp))
                 assert terms == reference_high_degree(sp)
                 f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
-                high = sum(sp.free_degree[v] >= f_big for v in sp.free_list)
-                top = max((sp.free_degree[v] for v in sp.free_list), default=0)
+                degrees = free_degrees(sp).values()
+                high = sum(d >= f_big for d in degrees)
+                top = max(degrees, default=0)
                 seen["f0 == f1, top == f_big"] += (
                     sp.f0 == sp.f1 and top == f_big and terms[0] > 0)
                 seen["f_small == 1"] += f_small == 1 and high > f_big

@@ -122,7 +122,7 @@ def completion_rule(sp):
         return "side_full"
     if sp.f0 == 1 or sp.f1 == 1:
         return "one_missing"
-    if sp.zero_free_degree_count == sp.f:
+    if not sp.free_edges:
         return "degree_zero"
     return None
 

@@ -136,6 +136,7 @@ def test_roundtrip_canonical():
         ("x y\n", 1),
         ("", 1),
         ("2 1\n0 1 5\n1 0 2\n", 3),
+        ("3 2\n0 1 5\n1 0 7\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from checks import (
-    assert_equivalent, assign_walk, irregular_graph, oracle_of,
+    assert_equivalent, assign_walk, free_degrees, irregular_graph, oracle_of,
     random_partial_assignment)
 
 from bipart.bounds import (
@@ -79,7 +79,7 @@ class TestAssign:
         sp = root_subproblem(g, 2, 2)
         def state():
             return (sp.a0, sp.a1, list(sp.free_list), list(sp.d0),
-                    list(sp.d1), list(sp.free_degree), sp.fixed_cut)
+                    list(sp.d1), sp.free_edges, sp.fixed_cut)
         before = state()
         sp.assign(2)
         assert before == state()
@@ -200,7 +200,8 @@ class TestRecompute:
         sp = recompute_from_scratch(g, [], [], 2, 2)
         assert sp.d0 == [0, 0, 0, 0] and sp.d1 == [0, 0, 0, 0]
         assert sp.fixed_cut == 0
-        assert sp.free_degree == [3, 3, 3, 3]
+        assert free_degrees(sp) == {0: 3, 1: 3, 2: 3, 3: 3}
+        assert sp.free_edges == 6
 
     def test_overlapping_bitmaps_rejected(self):
         with pytest.raises(ValueError, match="both sides"):
@@ -209,6 +210,23 @@ class TestRecompute:
     def test_oversized_assignment_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             recompute_from_scratch(k4(), [0, 1, 2], [], 2, 2)
+
+    def test_free_edges_counts_edges_with_both_ends_free(self):
+        # Zero-weight edges count like any other; isolated vertices add none.
+        rng = random.Random(23)
+        zero_weight_free = 0
+        for _ in range(60):
+            n = rng.randint(2, 14)
+            g = irregular_graph(rng, n)
+            s0 = rng.randint(1, n - 1)
+            sp = random_partial_assignment(rng, g, s0, n - s0)
+            free_free = [w for u, v, w in g.edges()
+                         if sp.is_free(u) and sp.is_free(v)]
+            assert sp.free_edges == len(free_free)
+            zero_weight_free += free_free.count(0)
+            assert sp.zero_free_degree_count == sum(
+                d == 0 for d in free_degrees(sp).values())
+        assert zero_weight_free > 0
 
     def test_random_trajectories_match(self):
         rng = random.Random(97)
