@@ -56,7 +56,6 @@ CONFIG_PRESETS: dict[str, BoundConfig] = {
         enable_rebalance=True, enable_high_degree=True, enable_component=True
     ),
 }
-FULL_CONFIG = CONFIG_PRESETS["component"]
 
 
 def basic_bound(sp: Subproblem) -> int:

@@ -114,6 +114,8 @@ def cmd_generate(args) -> int:
 # -- solve -------------------------------------------------------------------
 
 def _config_from_args(args) -> tuple[str, BoundConfig]:
+    """The flags' BoundConfig and its label: a preset's name, or else
+    'trivial' and each flag turned on, joined by '+'."""
     cfg = BoundConfig(
         enable_rebalance=args.rebalance,
         enable_high_degree=args.high_degree,
@@ -129,7 +131,7 @@ def _config_from_args(args) -> tuple[str, BoundConfig]:
             ("component", cfg.enable_component),
         ) if on
     ]
-    return "+".join(flags) if flags else "trivial", cfg
+    return "+".join(["trivial"] + flags), cfg
 
 
 def cmd_solve(args) -> int:

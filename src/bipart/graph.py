@@ -84,7 +84,7 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     seen: set[tuple[int, int]] = set()
-    raw: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    checked: list[tuple[int, int, int]] = []
     for u, v, w in edges:
         try:
             u, v, w = operator.index(u), operator.index(v), operator.index(w)
@@ -93,6 +93,14 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
                 f"edge ({u},{v}) with weight {w!r}: endpoints and weight "
                 "must be integers") from None
         _check_edge(n, u, v, w, seen)
+        checked.append((u, v, w))
+    return _assemble(n, checked)
+
+
+def _assemble(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
+    """The WeightedGraph of edges that _check_edge has already accepted."""
+    raw: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
         raw[u].append((w, v))
         raw[v].append((w, u))
 
@@ -114,33 +122,6 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
         total_weight=total_weight,
         max_weight=max((a[-1] for a in adj_w if a), default=0),
     )
-
-
-def validate_graph(g: WeightedGraph) -> None:
-    """Check all structural invariants in O(n + m); raises on violation."""
-    unpaired = set()  # (v, u, w) entries whose reverse is not yet seen
-    for v in range(g.n):
-        nbrs, ws = g.adj_nbr[v], g.adj_w[v]
-        if not (len(nbrs) == len(ws) == g.degrees[v]):
-            raise AssertionError(f"inconsistent array lengths at vertex {v}")
-        for i, u in enumerate(nbrs):
-            if u == v:
-                raise AssertionError(f"self-loop at vertex {v}")
-            if ws[i] < 0:
-                raise AssertionError(f"negative weight at vertex {v}")
-            if i > 0 and (ws[i - 1], nbrs[i - 1]) > (ws[i], u):
-                raise AssertionError(f"adjacency of {v} not weight-sorted")
-            if (u, v, ws[i]) in unpaired:
-                unpaired.remove((u, v, ws[i]))
-            else:
-                unpaired.add((v, u, ws[i]))
-        if g.nbr_mask[v] != sum(1 << u for u in nbrs):
-            raise AssertionError(f"nbr_mask of {v} does not match adj_nbr")
-    if unpaired:
-        v, u, _ = min(unpaired)
-        raise AssertionError(f"edge ({v},{u}) has no matching reverse entry")
-    if g.max_weight != max((w for ws in g.adj_w for w in ws), default=0):
-        raise AssertionError("max_weight is not the heaviest edge weight")
 
 
 _MASK64 = (1 << 64) - 1
@@ -240,4 +221,4 @@ def parse_graph(text: str) -> WeightedGraph:
         raise GraphFormatError(
             f"header declares {header[1]} edges, found {len(edges)}"
         )
-    return build_graph(header[0], edges)
+    return _assemble(header[0], edges)

@@ -1,4 +1,4 @@
-"""Brute-force ground truth for small instances.
+"""Brute-force ground truth for small instances: brute_force_optimum.
 
 Deliberately naive: subsets come from lexicographic combination
 enumeration and every cut is evaluated by a raw loop over the edge list.
@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import WeightedGraph
-from .subproblem import Subproblem
 from .completion import Solution
 
 MAX_ORACLE_N = 24
-MAX_ORACLE_FREE = 22
 
 
 @dataclass(frozen=True)
@@ -24,10 +22,6 @@ class OracleResult:
     optimum: int
     witness: Solution
     enumerated: int
-
-
-def _edge_list(g: WeightedGraph) -> list[tuple[int, int, int]]:
-    return list(g.edges())
 
 
 def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
@@ -41,7 +35,7 @@ def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
         raise ValueError(f"instance too large for the oracle (n={n})")
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
         raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
-    edges = _edge_list(g)
+    edges = list(g.edges())
     best = None
     best_sides = None
     count = 0
@@ -63,58 +57,3 @@ def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
             best_sides = tuple(sides)
     witness = Solution(assignment=best_sides, value=best)
     return OracleResult(optimum=best, witness=witness, enumerated=count)
-
-
-def brute_force_fixed_free_min(sp: Subproblem) -> int:
-    """Minimum fixed-free crossing weight over all completions.
-
-    Only edges between a future free assignment and the opposite fixed set
-    count; free-free edges are ignored.
-    """
-    free = sp.free_list
-    if len(free) > MAX_ORACLE_FREE:
-        raise ValueError(f"too many free vertices ({len(free)})")
-    edges = _edge_list(sp.graph)
-    a0, a1 = sp.a0, sp.a1
-    best = None
-    for chosen in combinations(free, sp.f0):
-        to0 = set(chosen)
-        value = 0
-        for u, v, w in edges:
-            u_fixed0 = (a0 >> u) & 1
-            u_fixed1 = (a1 >> u) & 1
-            v_fixed0 = (a0 >> v) & 1
-            v_fixed1 = (a1 >> v) & 1
-            u_free = not (u_fixed0 or u_fixed1)
-            v_free = not (v_fixed0 or v_fixed1)
-            if u_free and not v_free:
-                if (u in to0 and v_fixed1) or (u not in to0 and v_fixed0):
-                    value += w
-            elif v_free and not u_free:
-                if (v in to0 and u_fixed1) or (v not in to0 and u_fixed0):
-                    value += w
-        if best is None or value < best:
-            best = value
-    return best if best is not None else 0
-
-
-def brute_force_free_free_min(sp: Subproblem) -> int:
-    """Minimum free-free crossing weight over all completions."""
-    free = sp.free_list
-    if len(free) > MAX_ORACLE_FREE:
-        raise ValueError(f"too many free vertices ({len(free)})")
-    edges = [
-        (u, v, w)
-        for u, v, w in sp.graph.edges()
-        if sp.is_free(u) and sp.is_free(v)
-    ]
-    best = None
-    for chosen in combinations(free, sp.f0):
-        to0 = set(chosen)
-        value = 0
-        for u, v, w in edges:
-            if (u in to0) != (v in to0):
-                value += w
-        if best is None or value < best:
-            best = value
-    return best if best is not None else 0

@@ -58,10 +58,6 @@ class Subproblem:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def f(self) -> int:
-        return len(self.free_list)
-
-    @property
     def approx_max_component(self) -> int:
         """An upper bound on the size of any free component: the free count.
 
@@ -76,13 +72,6 @@ class Subproblem:
         perfbench's trace reads it; it goes with the next benchmark change."""
         nbr_mask, free_mask = self.graph.nbr_mask, self.free_mask
         return sum(1 for v in self.free_list if not nbr_mask[v] & free_mask)
-
-    def side_of(self, v: int) -> int | None:
-        if (self.a0 >> v) & 1:
-            return 0
-        if (self.a1 >> v) & 1:
-            return 1
-        return None
 
     def is_free(self, v: int) -> bool:
         return (self.free_mask >> v) & 1 == 1

@@ -1,10 +1,113 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+The subproblem oracles (completions and the three minima over them) read
+only a subproblem's graph (its size and edges()), a0, free_list and f0.
+They must never read d0, d1, basic, sum_d0 or free_edges: the bounds they
+check are computed from those maintained quantities.
+"""
 
 import multiprocessing
+from itertools import combinations
 
-from bipart.graph import build_graph
+from bipart.graph import WeightedGraph, build_graph, generate_er
 from bipart.parallel import solve_parallel
 from bipart.subproblem import Subproblem, recompute_from_scratch
+
+MAX_ORACLE_FREE = 22
+
+
+def k3_weighted():
+    return build_graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)])
+
+
+def example_graph():
+    return build_graph(4, [(0, 1, 3), (1, 2, 5), (0, 2, 2), (2, 3, 4)])
+
+
+def complete_unweighted(n):
+    return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
+
+
+def random_er(rng, n):
+    """G(n, p) with p from {0.2, 0.5, 1.0} and weights 1..1 or 1..1000,
+    drawing p, the top weight and the seed from rng in that order."""
+    return generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
+                       rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+
+
+def validate_graph(g: WeightedGraph) -> None:
+    """Check all structural invariants in O(n + m); raises on violation."""
+    unpaired = set()  # (v, u, w) entries whose reverse is not yet seen
+    for v in range(g.n):
+        nbrs, ws = g.adj_nbr[v], g.adj_w[v]
+        if not (len(nbrs) == len(ws) == g.degrees[v]):
+            raise AssertionError(f"inconsistent array lengths at vertex {v}")
+        for i, u in enumerate(nbrs):
+            if u == v:
+                raise AssertionError(f"self-loop at vertex {v}")
+            if ws[i] < 0:
+                raise AssertionError(f"negative weight at vertex {v}")
+            if i > 0 and (ws[i - 1], nbrs[i - 1]) > (ws[i], u):
+                raise AssertionError(f"adjacency of {v} not weight-sorted")
+            if (u, v, ws[i]) in unpaired:
+                unpaired.remove((u, v, ws[i]))
+            else:
+                unpaired.add((v, u, ws[i]))
+        if g.nbr_mask[v] != sum(1 << u for u in nbrs):
+            raise AssertionError(f"nbr_mask of {v} does not match adj_nbr")
+    if unpaired:
+        v, u, _ = min(unpaired)
+        raise AssertionError(f"edge ({v},{u}) has no matching reverse entry")
+    if g.max_weight != max((w for ws in g.adj_w for w in ws), default=0):
+        raise AssertionError("max_weight is not the heaviest edge weight")
+
+
+def side_of(sp: Subproblem, v: int):
+    """0 or 1 for a fixed vertex of sp, None for a free one."""
+    if (sp.a0 >> v) & 1:
+        return 0
+    if (sp.a1 >> v) & 1:
+        return 1
+    return None
+
+
+def completions(sp: Subproblem):
+    """Yield the sides list (0 or 1 per vertex) of every completion of sp:
+    one for each way of putting sp.f0 of its free vertices on side 0."""
+    free = sp.free_list
+    if len(free) > MAX_ORACLE_FREE:
+        raise ValueError(f"too many free vertices ({len(free)})")
+    rest = [0 if (sp.a0 >> v) & 1 else 1 for v in range(sp.graph.n)]
+    for chosen in combinations(free, sp.f0):
+        sides = rest.copy()
+        for v in chosen:
+            sides[v] = 0
+        yield sides
+
+
+def _completion_min(sp: Subproblem, counted) -> int:
+    """The least crossing weight over the completions of sp, summed over
+    the edges (u, v) with counted(u is free, v is free)."""
+    free = set(sp.free_list)
+    edges = [(u, v, w) for u, v, w in sp.graph.edges()
+             if counted(u in free, v in free)]
+    return min(sum(w for u, v, w in edges if sides[u] != sides[v])
+               for sides in completions(sp))
+
+
+def brute_force_fixed_free_min(sp: Subproblem) -> int:
+    """Minimum crossing weight of the edges with one end free."""
+    return _completion_min(sp, lambda u_free, v_free: u_free != v_free)
+
+
+def brute_force_free_free_min(sp: Subproblem) -> int:
+    """Minimum crossing weight of the edges with both ends free."""
+    return _completion_min(sp, lambda u_free, v_free: u_free and v_free)
+
+
+def subproblem_optimum(sp: Subproblem) -> int:
+    """Minimum cut over all completions of sp."""
+    return _completion_min(sp, lambda u_free, v_free: True)
 
 
 def assert_equivalent(inc: Subproblem, rc: Subproblem):

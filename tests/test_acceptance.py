@@ -13,6 +13,9 @@ import time
 
 from checks import (
     assert_equivalent,
+    brute_force_fixed_free_min,
+    brute_force_free_free_min,
+    random_er,
     random_partial_assignment,
     solve_parallel_checked,
 )
@@ -29,11 +32,7 @@ from bipart.bounds import (
 )
 from bipart.completion import Solution
 from bipart.graph import generate_er
-from bipart.oracle import (
-    brute_force_fixed_free_min,
-    brute_force_free_free_min,
-    brute_force_optimum,
-)
+from bipart.oracle import brute_force_optimum
 from bipart.parallel import Incumbent, worker_count
 from bipart.solver import SearchStrategy, solve_sequential
 from bipart.subproblem import recompute_from_scratch, root_subproblem
@@ -130,9 +129,7 @@ def _subproblem_corpus(count, n_max, seed):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(3, n_max)
-        p = rng.choice([0.2, 0.5, 1.0])
-        wmax = rng.choice([1, 1000])
-        g = generate_er(n, p, 1, wmax, seed=rng.randint(0, 10**9))
+        g = random_er(rng, n)
         s0 = rng.randint(1, n - 1)
         yield random_partial_assignment(rng, g, s0, n - s0)
 
@@ -289,7 +286,7 @@ def test_criterion_7_incremental_state_equivalence():
         s1 = n - s0
         sp = root_subproblem(g, s0, s1)
         trajectories += 1
-        while sp.f:
+        while sp.free_list:
             side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
             sp = sp.assign(rng.choice(sp.free_list))[side]
             rc = recompute_from_scratch(

@@ -1,6 +1,9 @@
 import random
 
-from checks import assign_walk, free_degrees, irregular_graph
+from checks import (
+    assign_walk, brute_force_fixed_free_min, brute_force_free_free_min,
+    complete_unweighted, free_degrees, irregular_graph, k3_weighted,
+    random_er, side_of, subproblem_optimum)
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -14,23 +17,12 @@ from bipart.bounds import (
     rebalance_value,
 )
 from bipart.graph import build_graph, generate_er
-from bipart.oracle import brute_force_fixed_free_min, brute_force_free_free_min
 from bipart.subproblem import recompute_from_scratch, root_subproblem
-
-
-def k3_weighted():
-    return build_graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)])
-
-
-def complete_unweighted(n):
-    return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
 
 
 def random_subproblem(rng, n_max=12):
     n = rng.randint(3, n_max)
-    p = rng.choice([0.2, 0.5, 1.0])
-    wmax = rng.choice([1, 1000])
-    g = generate_er(n, p, 1, wmax, seed=rng.randint(0, 10**9))
+    g = random_er(rng, n)
     s0 = rng.randint(1, n - 1)
     s1 = n - s0
     k = rng.randint(0, n - 1)
@@ -134,8 +126,7 @@ class TestMaintainedTerms:
         graphs = []
         for _ in range(150):
             n = rng.randint(2, 14)
-            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            g = random_er(rng, n)
             graphs.append((g, rng.randint(1, n - 1)))
         self.check_walks(rng, graphs)
 
@@ -203,7 +194,7 @@ class TestHighDegree:
             g = generate_er(n, 0.7, 1, 50, seed=rng.randint(0, 10**9))
             s0 = rng.randint(1, n - 1)
             sp = root_subproblem(g, s0, n - s0)
-            steps = rng.randint(0, sp.f - 1) if sp.f else 0
+            steps = rng.randint(0, len(sp.free_list) - 1) if sp.free_list else 0
             for _ in range(steps):
                 side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
                 sp = sp.assign(rng.choice(sp.free_list))[side]
@@ -258,7 +249,7 @@ class TestHighDegreeOracle:
                 seen["f0 == f1, top == f_big"] += (
                     sp.f0 == sp.f1 and top == f_big and terms[0] > 0)
                 seen["f_small == 1"] += f_small == 1 and high > f_big
-                seen["f_small == 0"] += f_small == 0 and sp.f > 0
+                seen["f_small == 0"] += f_small == 0 and len(sp.free_list) > 0
         assert all(seen.values()), seen
 
     def test_random_states(self):
@@ -266,8 +257,7 @@ class TestHighDegreeOracle:
         graphs = []
         for _ in range(150):
             n = rng.randint(2, 14)
-            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            g = random_er(rng, n)
             graphs.append((g, rng.randint(1, n - 1)))
         self.check_walks(rng, graphs)
 
@@ -339,22 +329,10 @@ class TestLowerBound:
             assert values == sorted(values)
 
     def test_soundness_against_full_completions(self):
-        from itertools import combinations
-
-        from bipart.graph import cut_value
-
         rng = random.Random(919)
         for _ in range(150):
             sp = random_subproblem(rng, n_max=10)
-            g = sp.graph
-            best = None
-            for chosen in combinations(sp.free_list, sp.f0):
-                sides = [
-                    0 if ((sp.a0 >> v) & 1 or v in chosen) else 1
-                    for v in range(g.n)
-                ]
-                value = cut_value(g, sides)
-                best = value if best is None else min(best, value)
+            best = subproblem_optimum(sp)
             for cfg in CONFIG_PRESETS.values():
                 assert lower_bound(sp, cfg) <= best
 
@@ -370,8 +348,8 @@ class TestLowerBound:
         skipped = 0
         for _ in range(300):
             sp = random_subproblem(rng)
-            u0 = [v for v in range(sp.graph.n) if sp.side_of(v) == 0]
-            u1 = [v for v in range(sp.graph.n) if sp.side_of(v) == 1]
+            u0 = [v for v in range(sp.graph.n) if side_of(sp, v) == 0]
+            u1 = [v for v in range(sp.graph.n) if side_of(sp, v) == 1]
             w_max = sp.graph.max_weight
 
             def fresh():

@@ -74,6 +74,22 @@ class TestSolve:
         assert rows[0]["strategy"] == "dfs"
         assert list(rows[0].keys()) == BENCH_COLUMNS
 
+    @pytest.mark.parametrize("flags,label", [
+        ((), "trivial"),
+        (("--rebalance",), "rebalance"),
+        (("--rebalance", "--high-degree"), "highdegree"),
+        (("--rebalance", "--high-degree", "--component"), "component"),
+        (("--high-degree",), "trivial+highdegree"),
+        (("--component",), "trivial+component"),
+        (("--rebalance", "--component"), "trivial+rebalance+component"),
+        (("--high-degree", "--component"), "trivial+highdegree+component"),
+    ])
+    def test_each_flag_set_has_its_own_label(self, example_file, capsys,
+                                             flags, label):
+        code, out, _ = run_cli(capsys, "solve", example_file, *flags)
+        assert code == 0
+        assert read_rows(out)[0]["config"] == label
+
     def test_flags_do_not_change_cut(self, example_file, capsys):
         cuts = set()
         for flags in ([], ["--rebalance"], ["--rebalance", "--high-degree",

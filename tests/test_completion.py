@@ -1,12 +1,13 @@
 import random
-from itertools import combinations
 
 import pytest
 
-from checks import assign_walk, irregular_graph, random_partial_assignment
+from checks import (assign_walk, complete_unweighted, irregular_graph,
+                    k3_weighted, random_partial_assignment, side_of,
+                    subproblem_optimum)
 
 from bipart import completion
-from bipart.bounds import FULL_CONFIG, lower_bound, rebalance_bound
+from bipart.bounds import CONFIG_PRESETS, lower_bound, rebalance_bound
 from bipart.completion import (
     Solution,
     greedy_initial_solution,
@@ -22,36 +23,12 @@ from bipart.solver import expand
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
 
-def k3_weighted():
-    return build_graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)])
-
-
-def subproblem_optimum(sp):
-    """Exhaustive minimum cut over all completions of sp."""
-    best = None
-    for chosen in combinations(sp.free_list, sp.f0):
-        sides = [
-            0 if ((sp.a0 >> v) & 1 or v in chosen) else 1
-            for v in range(sp.graph.n)
-        ]
-        value = cut_value(sp.graph, sides)
-        best = value if best is None else min(best, value)
-    return best
-
-
 def random_subproblem(rng, n_max=10):
     n = rng.randint(2, n_max)
     g = generate_er(n, rng.choice([0.2, 0.6, 1.0]), 1,
                     rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
     s0 = rng.randint(1, n - 1)
-    s1 = n - s0
-    u0, u1 = [], []
-    for v in rng.sample(range(n), rng.randint(0, n)):
-        if len(u0) < s0 and (len(u1) >= s1 or rng.random() < 0.5):
-            u0.append(v)
-        elif len(u1) < s1:
-            u1.append(v)
-    return recompute_from_scratch(g, u0, u1, s0, s1)
+    return random_partial_assignment(rng, g, s0, n - s0)
 
 
 class TestMakeSolution:
@@ -159,9 +136,11 @@ class TestCompletionCutoff:
                 value = try_complete(sp, sol.value)
                 assert value == sol.value and not cut_calls
                 assert not isinstance(value, Solution)
-                assert expand(sp, FULL_CONFIG, sol.value) == (None, [])
+                assert expand(sp, CONFIG_PRESETS["component"],
+                              sol.value) == (None, [])
                 assert try_complete(sp, sol.value + 1) == sol
-                assert expand(sp, FULL_CONFIG, sol.value + 1) == (sol, None)
+                assert expand(sp, CONFIG_PRESETS["component"],
+                              sol.value + 1) == (sol, None)
         assert min(hits.values()) >= 20, hits
 
 
@@ -186,7 +165,7 @@ class TestRebalancingCompletionValue:
             s0 = rng.randint(1, n - 1)
             sp = random_partial_assignment(rng, g, s0, n - s0)
             order = rebalance_bound(sp)
-            sides = [sp.side_of(v) for v in range(n)]
+            sides = [side_of(sp, v) for v in range(n)]
             for i, v in enumerate(order):
                 sides[v] = 0 if i < sp.f0 else 1
             assert rebalancing_completion_value(sp) == cut_value(g, sides)
@@ -195,7 +174,8 @@ class TestRebalancingCompletionValue:
         rng = random.Random(3033)
         for _ in range(200):
             sp = random_subproblem(rng)
-            assert rebalancing_completion_value(sp) >= lower_bound(sp, FULL_CONFIG)
+            assert rebalancing_completion_value(sp) >= lower_bound(
+                sp, CONFIG_PRESETS["component"])
 
     def test_upper_bounds_subproblem_optimum(self):
         rng = random.Random(3133)
@@ -207,8 +187,7 @@ class TestRebalancingCompletionValue:
 class TestGreedyInitial:
     @pytest.mark.parametrize("n,expected", [(20, 100), (30, 225)])
     def test_complete_unweighted_value(self, n, expected):
-        g = build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
-        sol = greedy_initial_solution(g, n // 2, n // 2)
+        sol = greedy_initial_solution(complete_unweighted(n), n // 2, n // 2)
         assert sol.value == expected
 
     def test_star_graph(self):

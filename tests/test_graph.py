@@ -5,6 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from checks import validate_graph
+
+import bipart.graph
 from bipart.graph import (
     GraphFormatError,
     build_graph,
@@ -12,7 +15,6 @@ from bipart.graph import (
     generate_er,
     parse_graph,
     serialize_graph,
-    validate_graph,
 )
 
 
@@ -143,6 +145,19 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert exc.value.line == line
+
+
+def test_parse_checks_each_edge_once(monkeypatch):
+    calls = []
+    check = bipart.graph._check_edge
+
+    def counting_check(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(bipart.graph, "_check_edge", counting_check)
+    g = parse_graph("4 3\n0 1 5\n1 2 4\n2 3 1\n")
+    assert g.m == 3 and len(calls) == 3
 
 
 def test_cut_value_direct():

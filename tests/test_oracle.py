@@ -2,17 +2,12 @@ import math
 
 import pytest
 
+from checks import (brute_force_fixed_free_min, brute_force_free_free_min,
+                    complete_unweighted, example_graph, k3_weighted)
+
 from bipart.graph import build_graph, generate_er
-from bipart.oracle import (
-    brute_force_fixed_free_min,
-    brute_force_free_free_min,
-    brute_force_optimum,
-)
+from bipart.oracle import brute_force_optimum
 from bipart.subproblem import recompute_from_scratch
-
-
-def example_graph():
-    return build_graph(4, [(0, 1, 3), (1, 2, 5), (0, 2, 2), (2, 3, 4)])
 
 
 class TestBruteForceOptimum:
@@ -23,8 +18,7 @@ class TestBruteForceOptimum:
         assert r.witness.value == 7
 
     def test_complete_k8(self):
-        g = build_graph(8, [(u, v, 1) for u in range(8) for v in range(u + 1, 8)])
-        r = brute_force_optimum(g, 4, 4)
+        r = brute_force_optimum(complete_unweighted(8), 4, 4)
         assert r.optimum == 16
         assert r.enumerated == math.comb(7, 3)
 
@@ -45,8 +39,7 @@ class TestBruteForceOptimum:
 
 class TestFixedFreeMin:
     def test_k3_example(self):
-        g = build_graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)])
-        sp = recompute_from_scratch(g, [0], [2], 2, 1)
+        sp = recompute_from_scratch(k3_weighted(), [0], [2], 2, 1)
         assert brute_force_fixed_free_min(sp) == 5
 
     def test_forced_completion_when_f0_zero(self):

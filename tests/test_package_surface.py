@@ -1,0 +1,58 @@
+"""The package ships no test-only code.
+
+Every module-level function, class and constant in src/bipart must be named
+somewhere that is not a test: elsewhere in src/bipart, in perfbench/ or in
+tools/.  Every method or property must appear there as `.name` or as a
+quoted "name".  A name that only tests read belongs in tests/checks.py.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bipart"
+READERS = [PACKAGE, ROOT / "perfbench", ROOT / "tools"]
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(name, pattern, node) for each module-level name and each method."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            targets = [node.name]
+        else:
+            continue
+        for name in targets:
+            if not _dunder(name):
+                yield name, rf"\b{re.escape(name)}\b", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _dunder(item.name)):
+                    name = re.escape(item.name)
+                    yield (f"{node.name}.{item.name}",
+                           rf"\.{name}\b|[\"']{name}[\"']", item)
+
+
+def test_every_package_name_is_read_outside_the_tests():
+    sources = {path: path.read_text(encoding="utf-8")
+               for folder in READERS for path in sorted(folder.rglob("*.py"))}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = sources[path].splitlines()
+        others = "\n".join(text for p, text in sources.items() if p != path)
+        for name, pattern, node in _definitions(ast.parse(sources[path])):
+            rest = lines[:node.lineno - 1] + lines[node.end_lineno:]
+            if not re.search(pattern, others + "\n" + "\n".join(rest)):
+                unread.append(f"{path.name}: {name}")
+    assert not unread, unread

@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from checks import irregular_graph, solve_parallel_checked
+from checks import (complete_unweighted, irregular_graph, random_er,
+                    solve_parallel_checked)
 
 import bipart.parallel
 import bipart.solver
@@ -17,10 +18,6 @@ from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel, worker_count
 from bipart.solver import SearchStrategy, solve_sequential
-
-
-def complete_unweighted(n):
-    return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
 
 
 @pytest.fixture
@@ -335,8 +332,7 @@ class TestSolveParallel:
         instances = []
         for _ in range(20):
             n = rng.randint(10, 14)
-            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            g = random_er(rng, n)
             s0 = rng.randint(1, n - 1)
             instances.append((g, s0, brute_force_optimum(g, s0, n - s0).optimum))
         runs = [(preset, strategy)

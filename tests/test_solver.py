@@ -6,8 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import (assert_equivalent, irregular_graph, oracle_of,
-                    random_partial_assignment, solve_parallel_checked)
+from checks import (assert_equivalent, complete_unweighted, example_graph,
+                    irregular_graph, k3_weighted, oracle_of, random_er,
+                    random_partial_assignment, side_of, solve_parallel_checked)
 
 import bipart.parallel
 from bipart.bounds import CONFIG_PRESETS, lower_bound
@@ -27,18 +28,10 @@ from bipart.solver import (
 from bipart.subproblem import Subproblem, recompute_from_scratch, root_subproblem
 
 
-def example_graph():
-    return build_graph(4, [(0, 1, 3), (1, 2, 5), (0, 2, 2), (2, 3, 4)])
-
-
-def complete_unweighted(n):
-    return build_graph(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)])
-
-
 def reference_branch_vertex(sp):
     """The smallest free v maximising |d1 - d0| + 2 × v's weight to free
     vertices, every term counted by direct edge enumeration."""
-    side = {v: sp.side_of(v) for v in range(sp.graph.n)}
+    side = {v: side_of(sp, v) for v in range(sp.graph.n)}
     key = {v: [0, 0, 0] for v in sp.free_list}  # to side 0, side 1, free
     for u, v, w in sp.graph.edges():
         for x, y in ((u, v), (v, u)):
@@ -50,9 +43,7 @@ def reference_branch_vertex(sp):
 
 class TestBranchVertex:
     def test_single_candidate(self):
-        sp = recompute_from_scratch(
-            build_graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)]), [0], [2], 2, 1
-        )
+        sp = recompute_from_scratch(k3_weighted(), [0], [2], 2, 1)
         assert branch_vertex(sp) == 1
 
     def test_free_weight_outweighs_a_smaller_gap(self):
@@ -107,8 +98,7 @@ class TestBranchVertex:
         graphs = []
         for _ in range(100):
             n = rng.randint(2, 14)
-            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            g = random_er(rng, n)
             graphs.append((g, rng.randint(1, n - 1)))
         self.check_states(rng, graphs)
 
@@ -547,8 +537,7 @@ def test_search_keeps_only_fully_maintained_children(preset, monkeypatch):
     kept = 0
     for _ in range(40):
         n = rng.randint(4, 16)
-        g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                        rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+        g = random_er(rng, n)
         s0 = rng.randint(1, n - 1)
         best = max_adjacency_split(g, s0, n - s0).value
         root = root_subproblem(g, s0, n - s0)
@@ -640,8 +629,7 @@ def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
     for i in range(60):
         n = rng.randint(4, 12)
         g = (irregular_graph(rng, n) if i % 3 == 2 else
-             generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                         rng.choice([1, 1000]), seed=rng.randint(0, 10**9)))
+             random_er(rng, n))
         s0 = rng.randint(1, n - 1)
         completions = balanced_completions(g, s0)
         best = max_adjacency_split(g, s0, n - s0).value

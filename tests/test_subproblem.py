@@ -3,8 +3,9 @@ import random
 import pytest
 
 from checks import (
-    assert_equivalent, assign_walk, free_degrees, irregular_graph, oracle_of,
-    random_partial_assignment)
+    assert_equivalent, assign_walk, complete_unweighted, free_degrees,
+    irregular_graph, k3_weighted, oracle_of, random_er,
+    random_partial_assignment, side_of)
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -19,18 +20,10 @@ from bipart.solver import branch_vertex
 from bipart.subproblem import recompute_from_scratch, root_subproblem
 
 
-def k4():
-    return build_graph(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
-
-
-def k3_weighted():
-    return build_graph(3, [(0, 1, 3), (1, 2, 5), (0, 2, 2)])
-
-
 class TestRoot:
     def test_symmetry_fix_on_equal_sizes(self):
-        sp = root_subproblem(k4(), 2, 2)
-        assert sp.side_of(0) == 0
+        sp = root_subproblem(complete_unweighted(4), 2, 2)
+        assert side_of(sp, 0) == 0
         assert sp.a1 == 0
         assert sp.free_list == [1, 2, 3]
         assert (sp.f0, sp.f1) == (1, 2)
@@ -44,8 +37,7 @@ class TestRoot:
         for i in range(60):
             n = 2 * rng.randint(1, 7)
             g = (irregular_graph(rng, n) if i % 2 else
-                 generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                             rng.choice([1, 1000]), seed=rng.randint(0, 10**9)))
+                 random_er(rng, n))
             first = branch_vertex(recompute_from_scratch(g, [], [], n // 2, n // 2))
             assert root_subproblem(g, n // 2, n // 2).a0 == 1 << first
         g = build_graph(4, [(0, 1, 1), (2, 3, 5), (1, 3, 1)])
@@ -61,7 +53,7 @@ class TestRoot:
     @pytest.mark.parametrize("s0,s1", [(0, 4), (4, 0), (1, 1), (3, 2)])
     def test_bad_sizes_rejected(self, s0, s1):
         with pytest.raises(ValueError):
-            root_subproblem(k4(), s0, s1)
+            root_subproblem(complete_unweighted(4), s0, s1)
 
 
 class TestAssign:
@@ -75,7 +67,7 @@ class TestAssign:
         assert_equivalent(child, recompute_from_scratch(g, [0], [2], 2, 1))
 
     def test_parent_not_modified(self):
-        g = k4()
+        g = complete_unweighted(4)
         sp = root_subproblem(g, 2, 2)
         def state():
             return (sp.a0, sp.a1, list(sp.free_list), list(sp.d0),
@@ -85,7 +77,7 @@ class TestAssign:
         assert before == state()
 
     def test_assign_to_full_side_rejected(self):
-        g = k4()
+        g = complete_unweighted(4)
         sp = root_subproblem(g, 1, 3)
         sp = sp.assign(0)[0]
         child0, child1 = sp.assign(1)
@@ -93,7 +85,7 @@ class TestAssign:
         assert child1.a1 == 1 << 1
 
     def test_assign_non_free_rejected(self):
-        sp = root_subproblem(k4(), 2, 2)
+        sp = root_subproblem(complete_unweighted(4), 2, 2)
         with pytest.raises(ValueError, match="not free"):
             sp.assign(0)
 
@@ -104,10 +96,10 @@ class TestAssign:
             g = generate_er(n, 0.6, 1, 100, seed=rng.randint(0, 10**9))
             s0 = rng.randint(1, n - 1)
             sp = root_subproblem(g, s0, n - s0)
-            while sp.f:
+            while sp.free_list:
                 side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
                 sp = sp.assign(rng.choice(sp.free_list))[side]
-            sides = [sp.side_of(v) for v in range(n)]
+            sides = [side_of(sp, v) for v in range(n)]
             assert sp.fixed_cut == cut_value(g, sides)
 
 
@@ -121,7 +113,7 @@ class TestFix:
     def random_batch(rng, sp):
         room = [sp.f0, sp.f1]
         pairs = []
-        for v in rng.sample(sp.free_list, rng.randint(1, sp.f)):
+        for v in rng.sample(sp.free_list, rng.randint(1, len(sp.free_list))):
             sides = [s for s in (0, 1) if room[s]]
             if not sides:
                 break
@@ -145,7 +137,7 @@ class TestFix:
                 rc = oracle_of(fixed)
                 assert_equivalent(fixed, rc)
                 assert fixed.depth == sp.depth
-                assert all(fixed.side_of(v) == side for v, side in pairs)
+                assert all(side_of(fixed, v) == side for v, side in pairs)
                 total = rc.fixed_cut + rc.basic
                 for cutoff in (total - 1, total, total + 1):
                     stopped = sp.fix(pairs, cutoff)
@@ -163,8 +155,7 @@ class TestFix:
         graphs = []
         for _ in range(120):
             n = rng.randint(2, 14)
-            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            g = random_er(rng, n)
             graphs.append((g, rng.randint(1, n - 1)))
         self.check_states(rng, graphs)
 
@@ -179,7 +170,7 @@ class TestFix:
         self.check_states(rng, graphs)
 
     def test_a_fixed_vertex_or_an_overfilled_side_is_rejected(self):
-        sp = root_subproblem(k4(), 2, 2)  # vertex 0 on side 0
+        sp = root_subproblem(complete_unweighted(4), 2, 2)  # vertex 0 on side 0
         with pytest.raises(ValueError, match="not free"):
             sp.fix([(1, 1), (0, 1)])
         with pytest.raises(ValueError, match="overfills"):
@@ -187,7 +178,7 @@ class TestFix:
 
     def test_the_pairs_after_the_cutoff_are_not_examined(self):
         # Vertex 1 on side 1 gives fixed cut 1 and basic 2 (vertices 2, 3).
-        sp = root_subproblem(k4(), 2, 2)  # vertex 0 on side 0
+        sp = root_subproblem(complete_unweighted(4), 2, 2)  # vertex 0 on side 0
         assert sp.fix([(1, 1), (0, 1)], cutoff=3) is None
         assert sp.fix([(1, 1), (2, 1), (3, 1)], cutoff=3) is None
         with pytest.raises(ValueError, match="not free"):
@@ -196,7 +187,7 @@ class TestFix:
 
 class TestRecompute:
     def test_empty_assignment(self):
-        g = k4()
+        g = complete_unweighted(4)
         sp = recompute_from_scratch(g, [], [], 2, 2)
         assert sp.d0 == [0, 0, 0, 0] and sp.d1 == [0, 0, 0, 0]
         assert sp.fixed_cut == 0
@@ -205,11 +196,11 @@ class TestRecompute:
 
     def test_overlapping_bitmaps_rejected(self):
         with pytest.raises(ValueError, match="both sides"):
-            recompute_from_scratch(k4(), [1], [1], 2, 2)
+            recompute_from_scratch(complete_unweighted(4), [1], [1], 2, 2)
 
     def test_oversized_assignment_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            recompute_from_scratch(k4(), [0, 1, 2], [], 2, 2)
+            recompute_from_scratch(complete_unweighted(4), [0, 1, 2], [], 2, 2)
 
     def test_free_edges_counts_edges_with_both_ends_free(self):
         # Zero-weight edges count like any other; isolated vertices add none.
@@ -238,7 +229,7 @@ class TestRecompute:
             s0 = rng.randint(1, n - 1)
             s1 = n - s0
             sp = root_subproblem(g, s0, s1)
-            while sp.f:
+            while sp.free_list:
                 side = rng.choice([s for s in (0, 1) if (sp.f0, sp.f1)[s] > 0])
                 sp = sp.assign(rng.choice(sp.free_list))[side]
                 rc = recompute_from_scratch(
@@ -293,8 +284,7 @@ def walk_inputs(rng, irregular):
         if irregular:
             g = irregular_graph(rng, n)
         else:
-            g = generate_er(n, rng.choice([0.2, 0.5, 1.0]), 1,
-                            rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
+            g = random_er(rng, n)
         out += [(g, s0) for s0 in {1, n - 1, rng.randint(1, n - 1)}]
     return out
 
