@@ -63,9 +63,11 @@ def _default_threads() -> int:
 
 
 def _result_row(result, *, threads, n=None, p=None, wmax=None, seed=None,
-                config_name="", with_optimal=None, time_total=None):
+                config_name="", with_optimal=None, time_total=None,
+                time_to_optimum=None):
     """One CSV row; `threads` is the requested count, like the failure row
-    of a campaign cell, not the processes that searched."""
+    of a campaign cell, not the processes that searched.  `time_total` and
+    `time_to_optimum`, when given, replace the result's own times."""
     return {
         "n": n,
         "p": p,
@@ -79,7 +81,8 @@ def _result_row(result, *, threads, n=None, p=None, wmax=None, seed=None,
         "solutions_found": result.solutions_found,
         "subproblems_explored": result.subproblems_explored,
         "irrelevant_tasks": result.irrelevant_tasks,
-        "time_to_optimum": result.time_to_optimum,
+        "time_to_optimum": (result.time_to_optimum if time_to_optimum is None
+                            else time_to_optimum),
         "subproblems_with_optimal_initial": with_optimal,
     }
 
@@ -260,7 +263,12 @@ def parse_campaign(text: str) -> dict:
 
 
 def run_campaign(campaign: dict, reps: int | None = None):
-    """Run the full campaign matrix; yields one BenchRow dict per cell."""
+    """Run the full campaign matrix; yields one BenchRow dict per cell.
+
+    A cell solves its instance `reps` times: `time_total` and
+    `time_to_optimum` are the means over those solves, and every other
+    column is the last solve's.
+    """
     reps = reps if reps is not None else campaign["reps"]
     for n, p, wmax, seed in product(
         campaign["n"], campaign["p"], campaign["wmax"], campaign["seeds"]
@@ -276,13 +284,10 @@ def run_campaign(campaign: dict, reps: int | None = None):
             meta = dict(n=n, p=p, wmax=wmax, seed=seed, config_name=config_name,
                         threads=threads)
             try:
-                times = []
-                result = None
-                for _ in range(reps):
-                    result = solve_parallel(
-                        graph, s0, s1, cfg, strategy, threads=threads
-                    )
-                    times.append(result.time_total)
+                results = [solve_parallel(graph, s0, s1, cfg, strategy,
+                                          threads=threads)
+                           for _ in range(reps)]
+                result = results[-1]
                 with_optimal = None
                 if campaign["with_optimal"]:
                     seeded = solve_parallel(
@@ -292,7 +297,9 @@ def run_campaign(campaign: dict, reps: int | None = None):
                     with_optimal = seeded.subproblems_explored
                 yield _result_row(
                     result, **meta, with_optimal=with_optimal,
-                    time_total=sum(times) / len(times),
+                    time_total=sum(r.time_total for r in results) / reps,
+                    time_to_optimum=sum(
+                        r.time_to_optimum for r in results) / reps,
                 )
             except Exception as exc:  # record the failure, keep going
                 print(

@@ -151,36 +151,53 @@ def kernighan_lin(graph: WeightedGraph, sol: Solution) -> Solution:
     prefix of largest total gain and undoes the rest.  Passes repeat until
     one gains nothing.  Since w >= 0, no pair beats D[a] + D[b], so each
     side is scanned in D order and a scan stops once that sum cannot beat
-    the best gain found.  Returns `sol` itself when the first pass gains
-    nothing, else a new Solution.
+    the best gain found.
+
+    D is computed once per call and kept exact by every move: the moved
+    vertex's D changes sign, and each neighbour's moves by twice the edge
+    weight.  A pass snapshots D at its best prefix, and the next pass
+    starts from that snapshot.  With equal sides a pass stops one swap
+    short: its last swap would move every vertex, which gives back the
+    starting cut and so never a better prefix.  Returns `sol` itself when
+    the first pass gains nothing, else a new Solution.
     """
     n = graph.n
-    weight = [dict(graph.neighbors(v)) for v in range(n)]
+    adj_nbr, adj_w, nbr_mask = graph.adj_nbr, graph.adj_w, graph.nbr_mask
     side = list(sol.assignment)
+    s0 = side.count(0)
+    steps = min(s0, n - s0) - (2 * s0 == n)
+    d = [-t for t in graph.total_weight]
+    for v in range(n):  # each crossing edge once, from its side-0 end
+        if side[v] == 0:
+            for u, w in zip(adj_nbr[v], adj_w[v]):
+                if side[u] != 0:
+                    d[u] += 2 * w
+                    d[v] += 2 * w
     improved = False
     while True:
-        d = [sum(w if side[u] != side[v] else -w for u, w in weight[v].items())
-             for v in range(n)]
+        key = d.__getitem__
         unlocked0 = [v for v in range(n) if side[v] == 0]
         unlocked1 = [v for v in range(n) if side[v] == 1]
         swaps = []
         total = best_total = best_len = 0
-        key = d.__getitem__
-        while unlocked0 and unlocked1:
+        for _ in range(steps):
             unlocked0.sort(key=key, reverse=True)
             unlocked1.sort(key=key, reverse=True)
             a, b = unlocked0[0], unlocked1[0]
-            best, pair = d[a] + d[b] - 2 * weight[a].get(b, 0), (a, b)
+            best, pair = d[a] + d[b], (a, b)
+            if (nbr_mask[a] >> b) & 1:
+                best -= 2 * adj_w[a][adj_nbr[a].index(b)]
             for a in unlocked0:
                 da = d[a]
                 if da + d[unlocked1[0]] <= best:
                     break
-                wa = weight[a]
+                mask = nbr_mask[a]
                 for b in unlocked1:
                     gain = da + d[b]
                     if gain <= best:
                         break
-                    gain -= 2 * wa.get(b, 0)
+                    if (mask >> b) & 1:
+                        gain -= 2 * adj_w[a][adj_nbr[a].index(b)]
                     if gain > best:
                         best, pair = gain, (a, b)
             a, b = pair
@@ -188,21 +205,23 @@ def kernighan_lin(graph: WeightedGraph, sol: Solution) -> Solution:
             unlocked1.remove(b)
             for v in pair:  # move v to the other side; update its neighbours
                 sv = side[v]
-                for u, w in weight[v].items():
+                for u, w in zip(adj_nbr[v], adj_w[v]):
                     d[u] += 2 * w if side[u] == sv else -2 * w
+                d[v] = -d[v]
                 side[v] = 1 - sv
             swaps.append(pair)
             total += best
             if total > best_total:
                 best_total, best_len = total, len(swaps)
+                best_d = d.copy()
         for a, b in swaps[best_len:]:
             side[a], side[b] = 0, 1
         if best_total <= 0:
             break
         improved = True
+        d = best_d
     if not improved:
         return sol
-    s0 = side.count(0)
     return make_solution(graph, side, s0, n - s0)
 
 
@@ -211,30 +230,22 @@ def max_adjacency_split(graph: WeightedGraph, s0: int, s1: int) -> Solution:
 
     Starting at vertex 0, repeatedly append the unordered vertex with the
     largest total edge weight into the ordered set (ties by vertex id);
-    the first s0 ordered vertices form side 0.
+    the first s0 ordered vertices form side 0, so the ordering stops there.
+    conn[v] is that weight for an unordered v, and -1 once v is ordered.
     """
     n = graph.n
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
         raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
     conn = [0] * n
-    ordered = [0]
-    in_order = [False] * n
-    in_order[0] = True
-    for u, w in graph.neighbors(0):
-        conn[u] += w
-    for _ in range(n - 1):
-        best, best_c = -1, -1
-        for v in range(n):
-            if not in_order[v] and conn[v] > best_c:
-                best, best_c = v, conn[v]
-        ordered.append(best)
-        in_order[best] = True
-        for u, w in graph.neighbors(best):
-            if not in_order[u]:
-                conn[u] += w
     sides = [1] * n
-    for v in ordered[:s0]:
-        sides[v] = 0
+    best = 0
+    for _ in range(s0):
+        conn[best] = -1
+        sides[best] = 0
+        for u, w in zip(graph.adj_nbr[best], graph.adj_w[best]):
+            if conn[u] >= 0:
+                conn[u] += w
+        best = conn.index(max(conn))
     return make_solution(graph, sides, s0, s1)
 
 

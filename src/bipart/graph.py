@@ -54,9 +54,6 @@ class WeightedGraph:
                 if u < v:
                     yield u, v, ws[i]
 
-    def neighbors(self, v: int):
-        return zip(self.adj_nbr[v], self.adj_w[v])
-
 
 def _check_edge(n: int, u: int, v: int, w: int, seen: set) -> None:
     """Reject an out-of-range endpoint, a self-loop, a negative weight or a
@@ -162,11 +159,16 @@ def generate_er(n: int, p: float, wmin: int, wmax: int, seed: int) -> WeightedGr
 
 
 def cut_value(g: WeightedGraph, sides) -> int:
-    """Weight of the bipartition cut induced by sides[v] in {0,1}."""
+    """Weight of the bipartition cut induced by sides[v] in {0,1}.
+
+    Each crossing edge is counted once, from its side-0 end.
+    """
     total = 0
-    for u, v, w in g.edges():
-        if sides[u] != sides[v]:
-            total += w
+    for u in range(g.n):
+        if sides[u] == 0:
+            for v, w in zip(g.adj_nbr[u], g.adj_w[u]):
+                if sides[v] != 0:
+                    total += w
     return total
 
 

@@ -9,6 +9,7 @@ check are computed from those maintained quantities.
 import multiprocessing
 from itertools import combinations
 
+from bipart.completion import Solution, make_solution
 from bipart.graph import WeightedGraph, build_graph, generate_er
 from bipart.parallel import solve_parallel
 from bipart.subproblem import Subproblem, recompute_from_scratch
@@ -177,6 +178,109 @@ def assign_walk(rng, graph, s0):
         sp = sp.assign(v)[side]
         states.append(sp)
     return states
+
+
+# The incumbent heuristic as it was before D was carried across passes,
+# kept verbatim but for the names and the neighbour lists, read from the
+# adjacency tuples, so that the rewrite can be checked to return exactly
+# the same Solution.
+
+def reference_kernighan_lin(graph: WeightedGraph, sol: Solution) -> Solution:
+    """Kernighan-Lin (1970) local optimum reached from `sol`, same sides.
+
+    A pass swaps pairs (a on side 0, b on side 1) tentatively: each time
+    the unlocked pair of largest gain D[a] + D[b] - 2 w(a, b), where D[v]
+    is v's crossing minus non-crossing weight, and locks both; ties go to
+    the pair found first with each side in descending D order (a stable
+    sort, so the result is deterministic).  The pass keeps its shortest
+    prefix of largest total gain and undoes the rest.  Passes repeat until
+    one gains nothing.  Since w >= 0, no pair beats D[a] + D[b], so each
+    side is scanned in D order and a scan stops once that sum cannot beat
+    the best gain found.  Returns `sol` itself when the first pass gains
+    nothing, else a new Solution.
+    """
+    n = graph.n
+    weight = [dict(zip(graph.adj_nbr[v], graph.adj_w[v])) for v in range(n)]
+    side = list(sol.assignment)
+    improved = False
+    while True:
+        d = [sum(w if side[u] != side[v] else -w for u, w in weight[v].items())
+             for v in range(n)]
+        unlocked0 = [v for v in range(n) if side[v] == 0]
+        unlocked1 = [v for v in range(n) if side[v] == 1]
+        swaps = []
+        total = best_total = best_len = 0
+        key = d.__getitem__
+        while unlocked0 and unlocked1:
+            unlocked0.sort(key=key, reverse=True)
+            unlocked1.sort(key=key, reverse=True)
+            a, b = unlocked0[0], unlocked1[0]
+            best, pair = d[a] + d[b] - 2 * weight[a].get(b, 0), (a, b)
+            for a in unlocked0:
+                da = d[a]
+                if da + d[unlocked1[0]] <= best:
+                    break
+                wa = weight[a]
+                for b in unlocked1:
+                    gain = da + d[b]
+                    if gain <= best:
+                        break
+                    gain -= 2 * wa.get(b, 0)
+                    if gain > best:
+                        best, pair = gain, (a, b)
+            a, b = pair
+            unlocked0.remove(a)
+            unlocked1.remove(b)
+            for v in pair:  # move v to the other side; update its neighbours
+                sv = side[v]
+                for u, w in weight[v].items():
+                    d[u] += 2 * w if side[u] == sv else -2 * w
+                side[v] = 1 - sv
+            swaps.append(pair)
+            total += best
+            if total > best_total:
+                best_total, best_len = total, len(swaps)
+        for a, b in swaps[best_len:]:
+            side[a], side[b] = 0, 1
+        if best_total <= 0:
+            break
+        improved = True
+    if not improved:
+        return sol
+    s0 = side.count(0)
+    return make_solution(graph, side, s0, n - s0)
+
+
+def reference_max_adjacency_split(graph: WeightedGraph, s0: int, s1: int) -> Solution:
+    """Feasible solution from a maximum-adjacency ordering.
+
+    Starting at vertex 0, repeatedly append the unordered vertex with the
+    largest total edge weight into the ordered set (ties by vertex id);
+    the first s0 ordered vertices form side 0.
+    """
+    n = graph.n
+    if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
+        raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
+    conn = [0] * n
+    ordered = [0]
+    in_order = [False] * n
+    in_order[0] = True
+    for u, w in zip(graph.adj_nbr[0], graph.adj_w[0]):
+        conn[u] += w
+    for _ in range(n - 1):
+        best, best_c = -1, -1
+        for v in range(n):
+            if not in_order[v] and conn[v] > best_c:
+                best, best_c = v, conn[v]
+        ordered.append(best)
+        in_order[best] = True
+        for u, w in zip(graph.adj_nbr[best], graph.adj_w[best]):
+            if not in_order[u]:
+                conn[u] += w
+    sides = [1] * n
+    for v in ordered[:s0]:
+        sides[v] = 0
+    return make_solution(graph, sides, s0, s1)
 
 
 def solve_parallel_checked(*args, **kwargs):

@@ -218,7 +218,8 @@ def reference_high_degree(sp):
     f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
     bound, penalties = 0, []
     for v in sp.free_list:
-        ws = sorted(w for u, w in sp.graph.neighbors(v) if sp.is_free(u))
+        ws = sorted(w for u, w in zip(sp.graph.adj_nbr[v], sp.graph.adj_w[v])
+                    if sp.is_free(u))
         if len(ws) < f_big:
             continue
         big = sum(ws[:len(ws) - f_big + 1])

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import threading
 
 import pytest
 
+import bipart.cli
 from bipart.cli import BENCH_COLUMNS, main, parse_campaign
 from bipart.parallel import MAX_THREADS
 from bipart.graph import parse_graph
@@ -216,14 +218,27 @@ threads = 1
         rows = read_rows(out)
         assert rows[0]["subproblems_with_optimal_initial"] != ""
 
-    def test_reps_average_time(self, tmp_path, capsys):
+    def test_reps_average_time(self, tmp_path, capsys, monkeypatch):
+        """Both time columns are means over the reps, not the last rep's."""
+        times = iter([(1.0, 0.5), (2.0, 0.25), (6.0, 3.0)])
+
+        def timed_solve(*args, **kwargs):
+            time_total, time_to_optimum = next(times)
+            return dataclasses.replace(real_solve(*args, **kwargs),
+                                       time_total=time_total,
+                                       time_to_optimum=time_to_optimum)
+
+        real_solve = bipart.cli.solve_parallel
+        monkeypatch.setattr(bipart.cli, "solve_parallel", timed_solve)
         campaign = tmp_path / "c.txt"
         campaign.write_text("n = 8\nseeds = 0\nconfigs = trivial\n")
         code, out, _ = run_cli(
             capsys, "bench", "--campaign", str(campaign), "--reps", "3"
         )
         assert code == 0
-        assert len(read_rows(out)) == 1
+        [row] = read_rows(out)
+        assert float(row["time_total"]) == 3.0
+        assert float(row["time_to_optimum"]) == 1.25
 
     def test_unknown_config_rejected(self, tmp_path, capsys):
         campaign = tmp_path / "c.txt"

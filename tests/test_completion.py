@@ -3,8 +3,9 @@ import random
 import pytest
 
 from checks import (assign_walk, complete_unweighted, irregular_graph,
-                    k3_weighted, random_partial_assignment, side_of,
-                    subproblem_optimum)
+                    k3_weighted, random_partial_assignment,
+                    reference_kernighan_lin, reference_max_adjacency_split,
+                    side_of, subproblem_optimum)
 
 from bipart import completion
 from bipart.bounds import CONFIG_PRESETS, lower_bound, rebalance_bound
@@ -211,14 +212,15 @@ class TestGreedyInitial:
             assert sol.value == cut_value(g, sol.assignment)
 
 
-def refinement_instances(rng, count):
-    """(graph, s0) on n = 2..14: ER graphs and, every other one, graphs
-    with zero-weight edges, isolated vertices and several components; s0
-    cycles through 1, n - 1 and a random size."""
+def refinement_instances(rng, count, n_max=14, wmaxes=(1, 1000)):
+    """(graph, s0) on n = 2..n_max: ER graphs with weights 1..w for a w
+    drawn from wmaxes and, every other one, graphs with zero-weight edges,
+    isolated vertices and several components; s0 cycles through 1, n - 1
+    and a random size."""
     for i in range(count):
-        n = rng.randint(2, 14)
+        n = rng.randint(2, n_max)
         g = (irregular_graph(rng, n) if i % 2 else generate_er(
-            n, rng.choice([0.1, 0.3, 0.6, 1.0]), 1, rng.choice([1, 1000]),
+            n, rng.choice([0.1, 0.3, 0.6, 1.0]), 1, rng.choice(wmaxes),
             seed=rng.randint(0, 10**9)))
         yield g, (1, n - 1, rng.randint(1, n - 1))[i % 3]
 
@@ -274,3 +276,30 @@ class TestKernighanLin:
         assert sol.value == 1
         assert {v for v in range(6) if sol.assignment[v] == 0} in (
             {0, 1, 2}, {3, 4, 5})
+
+    def test_heuristic_matches_the_reference_code(self):
+        """The maximum-adjacency split and Kernighan-Lin, which carries D
+        across passes, return exactly the Solution of the code that rebuilt
+        D every pass, kept in checks.py, from the split and from a random
+        start; both return the start itself when nothing gains.  Weights
+        1..3 give many tied gains, and a 70-vertex graph spans two machine
+        words."""
+        rng = random.Random(1972)
+        big = generate_er(70, 0.1, 1, 3, seed=70)
+        instances = [(big, 1), (big, 69), (big, 30)] + list(
+            refinement_instances(rng, 1200, n_max=40, wmaxes=(1, 3, 1000)))
+        unchanged = 0
+        for g, s0 in instances:
+            n, s1 = g.n, g.n - s0
+            split = max_adjacency_split(g, s0, s1)
+            assert split == reference_max_adjacency_split(g, s0, s1)
+            side0 = set(rng.sample(range(n), s0))
+            start = make_solution(
+                g, [0 if v in side0 else 1 for v in range(n)], s0, s1)
+            for sol in (split, start):
+                expected = reference_kernighan_lin(g, sol)
+                refined = kernighan_lin(g, sol)
+                assert refined == expected
+                assert (refined is sol) == (expected is sol)
+                unchanged += refined is sol
+        assert unchanged >= 300, unchanged

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import validate_graph
+from checks import irregular_graph, validate_graph
 
 import bipart.graph
 from bipart.graph import (
@@ -164,6 +164,22 @@ def test_cut_value_direct():
     g = build_graph(4, [(0, 1, 3), (1, 2, 5), (0, 2, 2), (2, 3, 4)])
     assert cut_value(g, [0, 0, 1, 1]) == 5 + 2
     assert cut_value(g, [0, 1, 0, 1]) == 3 + 5 + 4
+
+
+def test_cut_value_matches_a_sum_over_the_edges():
+    """On graphs with zero weights and isolated vertices, and on a weighted
+    path beyond 64 vertices, under random sides."""
+    rng = random.Random(164)
+    graphs = [irregular_graph(rng, rng.randint(1, 30)) for _ in range(200)]
+    graphs.append(build_graph(
+        90, [(v, v + 1, rng.randint(1, 1000)) for v in range(89)]))
+    for g in graphs:
+        for _ in range(3):
+            sides = [rng.randint(0, 1) for _ in range(g.n)]
+            assert cut_value(g, sides) == sum(
+                w for u, v, w in g.edges() if sides[u] != sides[v])
+    assert any(0 in g.degrees for g in graphs)
+    assert any(w == 0 for g in graphs for _, _, w in g.edges())
 
 
 @given(st.data())
