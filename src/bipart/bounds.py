@@ -18,13 +18,14 @@ Four contributions on top of the fixed cut:
   can absorb must cut some free edges; cheapest ones counted in half-units
   (each edge may be claimed by both endpoints), with its own rebalancing
   term.  Both are summed when read, from the front of each high-degree
-  vertex's weight-sorted adjacency.  The paper keeps per-vertex counters
-  up to date instead.  Measured here, their upkeep cost more than the term
-  saved: on 165 G(18, 0.5) instances (2-core host, DFS) highdegree took
-  1.6-2.3 times the time of rebalance with the counters, and takes
-  1.3-1.5 times summed on demand, with the same node counts.
+  vertex's weight-sorted adjacency, with the free degrees taken in one
+  pass.  The paper keeps per-vertex counters up to date instead.  Measured
+  here, their upkeep cost more than the term saved: on 165 G(18, 0.5)
+  instances (2-core host, DFS) highdegree took 1.6-2.3 times the time of
+  rebalance with the counters, and takes 1.13-1.15 times now, with the
+  same node counts.
 * component: a connected free component larger than the bigger side must be
-  split, paying at least its lightest internal edge.
+  split, paying at least its lightest internal edge; a bitmask search.
 
 High-degree (+ its rebalancing) and component both bound the free-free
 term, so the combined bound takes their maximum.
@@ -107,58 +108,51 @@ def rebalance_bound(sp: Subproblem) -> list[int]:
     return sorted(sp.free_list, key=lambda v: (d1[v] - d0[v], v))
 
 
-def high_degree_bound(sp: Subproblem) -> int:
+def high_degree_bound(sp: Subproblem, high: list[tuple[int, int]]) -> int:
     """High-degree contribution in half-units (twice the weight bound).
 
     A free v of free degree d >= f_big keeps at most f_big - 1 free
     neighbours on the big side, so placed there it cuts at least its
     d - f_big + 1 cheapest free edges; their weights are summed from the
-    front of its weight-sorted adjacency.  d is read as
-    (nbr_mask[v] & free_mask).bit_count().  O(f) when no free degree
-    reaches f_big; lower_bound skips the call then.
+    front of its weight-sorted adjacency.  `high` holds the (v, d) pairs
+    of the free vertices with d >= f_big, from lower_bound's one pass.
     """
     f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    g = sp.graph
-    adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
-    free_mask = sp.free_mask
+    adj_nbr, adj_w, free_mask = sp.graph.adj_nbr, sp.graph.adj_w, sp.free_mask
     total = 0
-    for v in sp.free_list:
-        k = (nbr_mask[v] & free_mask).bit_count() - f_big + 1
-        if k <= 0:
-            continue
-        for u, w in zip(adj_nbr[v], adj_w[v]):
-            if (free_mask >> u) & 1:
-                total += w
+    for v, d in high:
+        k = d - f_big + 1  # 1 <= k <= d: the scan ends inside the adjacency
+        nbrs, ws = adj_nbr[v], adj_w[v]
+        i = 0
+        while k:
+            if (free_mask >> nbrs[i]) & 1:
+                total += ws[i]
                 k -= 1
-                if not k:
-                    break
+            i += 1
     return total
 
 
-def high_degree_rebalance(sp: Subproblem) -> int:
+def high_degree_rebalance(sp: Subproblem, high: list[tuple[int, int]]) -> int:
     """Rebalancing of the high-degree contribution, in half-units.
 
-    Nonzero only when the number of high-degree free vertices exceeds the
-    larger side's remaining count: the surplus must go to the small side,
-    where v cuts its d - f_small + 1 cheapest free edges.  Its penalty is
-    what that costs above the big side's d - f_big + 1, the next
-    f_big - f_small free entries of its adjacency, and the cheapest
-    penalties are counted.  (f_small >= 1 whenever some v qualifies: with
+    Nonzero only when the number of high-degree free vertices (the pairs
+    in `high`) exceeds the larger side's remaining count: the surplus must
+    go to the small side, where v cuts its d - f_small + 1 cheapest free
+    edges.  Its penalty is what that costs above the big side's
+    d - f_big + 1, the next f_big - f_small free entries of its adjacency,
+    and the cheapest penalties are counted; both zero cases are tested
+    before any scan.  (f_small >= 1 whenever some v qualifies: with
     f_small = 0, f_big is the free count, which no free degree reaches.)
     """
     f_big, f_small = (sp.f0, sp.f1) if sp.f0 >= sp.f1 else (sp.f1, sp.f0)
-    g = sp.graph
-    adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
-    free_mask = sp.free_mask
-    high = [v for v in sp.free_list
-            if (nbr_mask[v] & free_mask).bit_count() >= f_big]
     surplus = len(high) - f_big
     extra = f_big - f_small
     if surplus <= 0 or extra <= 0:
         return 0
+    adj_nbr, adj_w, free_mask = sp.graph.adj_nbr, sp.graph.adj_w, sp.free_mask
     penalties = []
-    for v in high:
-        skip = (nbr_mask[v] & free_mask).bit_count() - f_big + 1
+    for v, d in high:
+        skip = d - f_big + 1
         last = skip + extra
         seen = penalty = 0
         for u, w in zip(adj_nbr[v], adj_w[v]):
@@ -176,43 +170,46 @@ def high_degree_rebalance(sp: Subproblem) -> int:
 def component_bound(sp: Subproblem) -> int:
     """Lightest edge of a free component larger than the bigger side.
 
-    A BFS over the free-induced subgraph; sp is not modified.  Skipped (0)
-    when a side is full, since then no free component can be larger than
-    f_big.  The result is at most the graph's heaviest edge weight.
+    As f0 + f1 <= 2 f_big, at most one free component has more than f_big
+    vertices.  Each component is grown as a bitmask from the lowest unseen
+    free vertex, OR-ing nbr_mask over its newest vertices, until at most
+    f_big free vertices are unseen.  All free neighbours of a component
+    vertex lie in it, so the first free entry of each vertex's
+    weight-sorted adjacency is its lightest internal edge.  sp is not
+    modified; 0 when a side is full; at most the heaviest edge weight.
     """
     f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    if len(sp.free_list) <= f_big:
-        return 0
+    free_mask = unseen = sp.free_mask
     g = sp.graph
-    free_mask = sp.free_mask
-    visited = 0
-    result = 0
-    for start in sp.free_list:
-        if (visited >> start) & 1:
-            continue
-        visited |= 1 << start
-        queue = [start]
-        size = 0
-        min_w = -1
-        i = 0
-        while i < len(queue):
-            x = queue[i]
-            i += 1
-            size += 1
-            a_n = g.adj_nbr[x]
-            a_w = g.adj_w[x]
-            for j in range(len(a_n)):
-                u = a_n[j]
-                if (free_mask >> u) & 1:
-                    w = a_w[j]
-                    if min_w < 0 or w < min_w:
-                        min_w = w
-                    if not (visited >> u) & 1:
-                        visited |= 1 << u
-                        queue.append(u)
-        if size > f_big:
-            result = min_w if min_w > 0 else 0
-    return result
+    nbr_mask = g.nbr_mask
+    while unseen.bit_count() > f_big:
+        comp = new = unseen & -unseen
+        unseen ^= new
+        while new:
+            grown = 0
+            while new:
+                low = new & -new
+                grown |= nbr_mask[low.bit_length() - 1]
+                new ^= low
+            new = grown & unseen
+            unseen ^= new
+            comp |= new
+        if comp.bit_count() > f_big:
+            adj_nbr, adj_w = g.adj_nbr, g.adj_w
+            best = g.max_weight
+            while comp:
+                low = comp & -comp
+                x = low.bit_length() - 1
+                comp ^= low
+                nbrs, ws = adj_nbr[x], adj_w[x]
+                i = 0
+                while ws[i] < best:  # x has a free neighbour: no overrun
+                    if (free_mask >> nbrs[i]) & 1:
+                        best = ws[i]
+                        break
+                    i += 1
+            return best
+    return 0
 
 
 def lower_bound(
@@ -225,9 +222,9 @@ def lower_bound(
     component.  Without a cutoff the result is the full bound.  With one,
     the partial sum is returned as soon as it reaches the cutoff, as a
     certificate that the full bound is >= cutoff.  Below the cutoff the
-    result is sound and at most the full bound: the component BFS, a term
-    never above the heaviest edge weight, runs only if that weight could
-    lift the sum to the cutoff.
+    result is sound and at most the full bound: the component search, a
+    term never above the heaviest edge weight, runs only if that weight
+    could lift the sum to the cutoff.
     """
     full = cutoff is None
     if full:
@@ -238,26 +235,24 @@ def lower_bound(
     if lb >= cutoff:
         return lb
     extra = 0
-    if cfg.enable_high_degree and _has_high_degree_vertex(sp):
-        half = high_degree_bound(sp)
-        if lb + (half + 1) // 2 < cutoff:
-            half += high_degree_rebalance(sp)
-        extra = (half + 1) // 2
-        if lb + extra >= cutoff:
-            return lb + extra
+    if cfg.enable_high_degree:
+        f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
+        nbr_mask, free_mask = sp.graph.nbr_mask, sp.free_mask
+        high = []
+        for v in sp.free_list:
+            d = (nbr_mask[v] & free_mask).bit_count()
+            if d >= f_big:
+                high.append((v, d))
+        if high:
+            half = high_degree_bound(sp, high)
+            if lb + (half + 1) // 2 < cutoff:
+                half += high_degree_rebalance(sp, high)
+            extra = (half + 1) // 2
+            if lb + extra >= cutoff:
+                return lb + extra
     if cfg.enable_component and (full or lb + sp.graph.max_weight >= cutoff):
         c = component_bound(sp)
         if c > extra:
             extra = c
     return lb + extra
 
-
-def _has_high_degree_vertex(sp: Subproblem) -> bool:
-    """Whether some free vertex has free degree >= f_big, without which both
-    high-degree terms are 0; one O(f) pass, stopping at the first."""
-    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
-    nbr_mask, free_mask = sp.graph.nbr_mask, sp.free_mask
-    for v in sp.free_list:
-        if (nbr_mask[v] & free_mask).bit_count() >= f_big:
-            return True
-    return False

@@ -28,11 +28,13 @@ class Solution:
 
 
 def make_solution(graph: WeightedGraph, sides, s0: int, s1: int) -> Solution:
-    """Validate cardinalities and compute the cut weight from scratch."""
+    """Validate labels and cardinalities; compute the cut from scratch."""
     sides = tuple(sides)
     if len(sides) != graph.n:
         raise ValueError("assignment length does not match vertex count")
     n0 = sides.count(0)
+    if n0 + sides.count(1) != len(sides):
+        raise ValueError("assignment has a side label other than 0 and 1")
     if n0 != s0 or len(sides) - n0 != s1:
         raise ValueError(
             f"assignment has {n0}|{len(sides) - n0} vertices, expected {s0}|{s1}"

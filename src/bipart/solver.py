@@ -15,7 +15,7 @@ builds one whose fixed cut + basic already reaches the incumbent.  The
 bounds of the others are computed once, cheapest term first against the
 incumbent, and stored with the child; a child whose
 bound reaches the incumbent is dropped on the spot, before its high-degree
-terms, component BFS or gap estimate are computed.  The surviving children
+terms, component search or gap estimate are computed.  The surviving children
 are pushed lower stored bound first, side 0 first on a tie, so dfs dives
 into the more promising child.  A completion that beats the incumbent is
 refined by Kernighan-Lin before it replaces it.  The loop can stop after a

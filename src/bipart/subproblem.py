@@ -61,8 +61,8 @@ class Subproblem:
     def approx_max_component(self) -> int:
         """An upper bound on the size of any free component: the free count.
 
-        Only perfbench's per-layer trace reads it, to count the component
-        BFS runs; it goes with the next change to the benchmark.
+        Only perfbench's trace reads it, to count the component searches
+        (``bfs_runs``); it goes with the next change to the benchmark.
         """
         return len(self.free_list)
 

@@ -6,9 +6,11 @@ They must never read d0, d1, basic, sum_d0 or free_edges: the bounds they
 check are computed from those maintained quantities.
 """
 
+import math
 import multiprocessing
 from itertools import combinations
 
+from bipart.bounds import BoundConfig, basic_bound, rebalance_value
 from bipart.completion import Solution, make_solution
 from bipart.graph import WeightedGraph, build_graph, generate_er
 from bipart.parallel import solve_parallel
@@ -129,6 +131,13 @@ def free_degrees(sp: Subproblem) -> dict[int, int]:
     """Each free vertex's number of free neighbours, counted from adj_nbr."""
     return {v: sum(1 for u in sp.graph.adj_nbr[v] if sp.is_free(u))
             for v in sp.free_list}
+
+
+def high_degree_pairs(sp: Subproblem) -> list[tuple[int, int]]:
+    """The (v, free degree) pairs with free degree >= f_big, in free_list
+    order: the high-degree terms' second argument, as lower_bound builds it."""
+    f_big = max(sp.f0, sp.f1)
+    return [(v, d) for v, d in free_degrees(sp).items() if d >= f_big]
 
 
 def oracle_of(sp: Subproblem) -> Subproblem:
@@ -281,6 +290,167 @@ def reference_max_adjacency_split(graph: WeightedGraph, s0: int, s1: int) -> Sol
     for v in ordered[:s0]:
         sides[v] = 0
     return make_solution(graph, sides, s0, s1)
+
+
+# The free-free bound terms as they were when each term found its own free
+# degrees and the component term was a BFS, kept verbatim but for the
+# names, so that the rewrite can be checked to return exactly the same
+# values and combined bound.
+
+def reference_high_degree_bound(sp: Subproblem) -> int:
+    """High-degree contribution in half-units (twice the weight bound).
+
+    A free v of free degree d >= f_big keeps at most f_big - 1 free
+    neighbours on the big side, so placed there it cuts at least its
+    d - f_big + 1 cheapest free edges; their weights are summed from the
+    front of its weight-sorted adjacency.  d is read as
+    (nbr_mask[v] & free_mask).bit_count().  O(f) when no free degree
+    reaches f_big; lower_bound skips the call then.
+    """
+    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
+    g = sp.graph
+    adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
+    free_mask = sp.free_mask
+    total = 0
+    for v in sp.free_list:
+        k = (nbr_mask[v] & free_mask).bit_count() - f_big + 1
+        if k <= 0:
+            continue
+        for u, w in zip(adj_nbr[v], adj_w[v]):
+            if (free_mask >> u) & 1:
+                total += w
+                k -= 1
+                if not k:
+                    break
+    return total
+
+
+def reference_high_degree_rebalance(sp: Subproblem) -> int:
+    """Rebalancing of the high-degree contribution, in half-units.
+
+    Nonzero only when the number of high-degree free vertices exceeds the
+    larger side's remaining count: the surplus must go to the small side,
+    where v cuts its d - f_small + 1 cheapest free edges.  Its penalty is
+    what that costs above the big side's d - f_big + 1, the next
+    f_big - f_small free entries of its adjacency, and the cheapest
+    penalties are counted.  (f_small >= 1 whenever some v qualifies: with
+    f_small = 0, f_big is the free count, which no free degree reaches.)
+    """
+    f_big, f_small = (sp.f0, sp.f1) if sp.f0 >= sp.f1 else (sp.f1, sp.f0)
+    g = sp.graph
+    adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
+    free_mask = sp.free_mask
+    high = [v for v in sp.free_list
+            if (nbr_mask[v] & free_mask).bit_count() >= f_big]
+    surplus = len(high) - f_big
+    extra = f_big - f_small
+    if surplus <= 0 or extra <= 0:
+        return 0
+    penalties = []
+    for v in high:
+        skip = (nbr_mask[v] & free_mask).bit_count() - f_big + 1
+        last = skip + extra
+        seen = penalty = 0
+        for u, w in zip(adj_nbr[v], adj_w[v]):
+            if (free_mask >> u) & 1:
+                seen += 1
+                if seen > skip:
+                    penalty += w
+                    if seen == last:
+                        break
+        penalties.append(penalty)
+    penalties.sort()
+    return sum(penalties[:surplus])
+
+
+def reference_component_bound(sp: Subproblem) -> int:
+    """Lightest edge of a free component larger than the bigger side.
+
+    A BFS over the free-induced subgraph; sp is not modified.  Skipped (0)
+    when a side is full, since then no free component can be larger than
+    f_big.  The result is at most the graph's heaviest edge weight.
+    """
+    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
+    if len(sp.free_list) <= f_big:
+        return 0
+    g = sp.graph
+    free_mask = sp.free_mask
+    visited = 0
+    result = 0
+    for start in sp.free_list:
+        if (visited >> start) & 1:
+            continue
+        visited |= 1 << start
+        queue = [start]
+        size = 0
+        min_w = -1
+        i = 0
+        while i < len(queue):
+            x = queue[i]
+            i += 1
+            size += 1
+            a_n = g.adj_nbr[x]
+            a_w = g.adj_w[x]
+            for j in range(len(a_n)):
+                u = a_n[j]
+                if (free_mask >> u) & 1:
+                    w = a_w[j]
+                    if min_w < 0 or w < min_w:
+                        min_w = w
+                    if not (visited >> u) & 1:
+                        visited |= 1 << u
+                        queue.append(u)
+        if size > f_big:
+            result = min_w if min_w > 0 else 0
+    return result
+
+
+def reference_lower_bound(
+    sp: Subproblem, cfg: BoundConfig, cutoff: float | None = None
+) -> int:
+    """Combined lower bound on any completion of the subproblem.
+
+    Terms are added cheapest first: fixed cut and basic, rebalancing,
+    high-degree (skipped when no free vertex can make it nonzero),
+    component.  Without a cutoff the result is the full bound.  With one,
+    the partial sum is returned as soon as it reaches the cutoff, as a
+    certificate that the full bound is >= cutoff.  Below the cutoff the
+    result is sound and at most the full bound: the component BFS, a term
+    never above the heaviest edge weight, runs only if that weight could
+    lift the sum to the cutoff.
+    """
+    full = cutoff is None
+    if full:
+        cutoff = math.inf
+    lb = sp.fixed_cut + basic_bound(sp)
+    if cfg.enable_rebalance and lb < cutoff:
+        lb += rebalance_value(sp)
+    if lb >= cutoff:
+        return lb
+    extra = 0
+    if cfg.enable_high_degree and reference_has_high_degree_vertex(sp):
+        half = reference_high_degree_bound(sp)
+        if lb + (half + 1) // 2 < cutoff:
+            half += reference_high_degree_rebalance(sp)
+        extra = (half + 1) // 2
+        if lb + extra >= cutoff:
+            return lb + extra
+    if cfg.enable_component and (full or lb + sp.graph.max_weight >= cutoff):
+        c = reference_component_bound(sp)
+        if c > extra:
+            extra = c
+    return lb + extra
+
+
+def reference_has_high_degree_vertex(sp: Subproblem) -> bool:
+    """Whether some free vertex has free degree >= f_big, without which both
+    high-degree terms are 0; one O(f) pass, stopping at the first."""
+    f_big = sp.f0 if sp.f0 >= sp.f1 else sp.f1
+    nbr_mask, free_mask = sp.graph.nbr_mask, sp.free_mask
+    for v in sp.free_list:
+        if (nbr_mask[v] & free_mask).bit_count() >= f_big:
+            return True
+    return False
 
 
 def solve_parallel_checked(*args, **kwargs):

@@ -15,6 +15,7 @@ from checks import (
     assert_equivalent,
     brute_force_fixed_free_min,
     brute_force_free_free_min,
+    high_degree_pairs,
     random_er,
     random_partial_assignment,
     solve_parallel_checked,
@@ -156,7 +157,8 @@ def test_criterion_3_free_free_soundness():
     for sp in _subproblem_corpus(1000, 12, seed=30303):
         count += 1
         fff = brute_force_free_free_min(sp)
-        half = high_degree_bound(sp) + high_degree_rebalance(sp)
+        high = high_degree_pairs(sp)
+        half = high_degree_bound(sp, high) + high_degree_rebalance(sp, high)
         if (half + 1) // 2 > fff or component_bound(sp) > fff:
             failures += 1
     ok = _report(

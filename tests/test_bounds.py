@@ -2,8 +2,11 @@ import random
 
 from checks import (
     assign_walk, brute_force_fixed_free_min, brute_force_free_free_min,
-    complete_unweighted, free_degrees, irregular_graph, k3_weighted,
-    random_er, side_of, subproblem_optimum)
+    complete_unweighted, free_degrees, high_degree_pairs, irregular_graph,
+    k3_weighted, random_er, random_partial_assignment,
+    reference_component_bound, reference_high_degree_bound,
+    reference_high_degree_rebalance, reference_lower_bound, side_of,
+    subproblem_optimum)
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -146,15 +149,17 @@ class TestHighDegree:
         g = complete_unweighted(20)
         sp = recompute_from_scratch(g, [], [], 10, 10)
         # every vertex sees deg' - f0 + 1 = 10 unit edges
-        assert high_degree_bound(sp) == 200
-        assert high_degree_rebalance(sp) == 0  # f0 == f1, penalties all zero
+        high = high_degree_pairs(sp)
+        assert high_degree_bound(sp, high) == 200
+        assert high_degree_rebalance(sp, high) == 0  # f0 == f1: no penalty
         assert lower_bound(sp, CONFIG_PRESETS["highdegree"]) == 100
 
     def test_k3_unweighted_unbalanced(self):
         g = complete_unweighted(3)
         sp = recompute_from_scratch(g, [], [], 2, 1)
-        assert high_degree_bound(sp) == 3
-        assert high_degree_rebalance(sp) == 1
+        high = high_degree_pairs(sp)
+        assert high_degree_bound(sp, high) == 3
+        assert high_degree_rebalance(sp, high) == 1
         cfg = BoundConfig(enable_high_degree=True)
         assert lower_bound(sp, cfg) == 2  # ceil(4/2)
         assert brute_force_free_free_min(sp) == 2
@@ -162,13 +167,15 @@ class TestHighDegree:
     def test_sparse_graph_no_high_degree_vertices(self):
         g = build_graph(6, [(0, 1, 5), (2, 3, 5), (4, 5, 5)])
         sp = recompute_from_scratch(g, [], [], 3, 3)
-        assert high_degree_bound(sp) == 0
+        assert high_degree_bound(sp, high_degree_pairs(sp)) == 0
 
     def test_soundness_on_random_subproblems(self):
         rng = random.Random(515)
         for _ in range(300):
             sp = random_subproblem(rng)
-            half = high_degree_bound(sp) + high_degree_rebalance(sp)
+            high = high_degree_pairs(sp)
+            half = (high_degree_bound(sp, high)
+                    + high_degree_rebalance(sp, high))
             assert (half + 1) // 2 <= brute_force_free_free_min(sp)
 
     def test_ungated_terms_stay_sound(self):
@@ -181,7 +188,9 @@ class TestHighDegree:
         at_gate = 0
         for _ in range(300):
             sp = random_subproblem(rng)
-            half = high_degree_bound(sp) + high_degree_rebalance(sp)
+            high = high_degree_pairs(sp)
+            half = (high_degree_bound(sp, high)
+                    + high_degree_rebalance(sp, high))
             assert (half + 1) // 2 <= brute_force_free_free_min(sp)
             top = max(free_degrees(sp).values(), default=0)
             at_gate += sp.f0 == sp.f1 and top == sp.f0 and half > 0
@@ -205,8 +214,11 @@ class TestHighDegree:
                 s0,
                 n - s0,
             )
-            assert high_degree_bound(sp) == high_degree_bound(rc)
-            assert high_degree_rebalance(sp) == high_degree_rebalance(rc)
+            high, high_rc = high_degree_pairs(sp), high_degree_pairs(rc)
+            assert (high_degree_bound(sp, high)
+                    == high_degree_bound(rc, high_rc))
+            assert (high_degree_rebalance(sp, high)
+                    == high_degree_rebalance(rc, high_rc))
 
 
 def reference_high_degree(sp):
@@ -241,7 +253,9 @@ class TestHighDegreeOracle:
                 "f_small == 0": 0}
         for g, s0 in graphs:
             for sp in assign_walk(rng, g, s0):
-                terms = (high_degree_bound(sp), high_degree_rebalance(sp))
+                high = high_degree_pairs(sp)
+                terms = (high_degree_bound(sp, high),
+                         high_degree_rebalance(sp, high))
                 assert terms == reference_high_degree(sp)
                 f_big, f_small = max(sp.f0, sp.f1), min(sp.f0, sp.f1)
                 degrees = free_degrees(sp).values()
@@ -271,6 +285,69 @@ class TestHighDegreeOracle:
         assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
         assert any(0 in g.degrees for g, _ in graphs)
         self.check_walks(rng, graphs)
+
+
+def largest_free_component(sp):
+    """Vertex count of the largest free component, by a plain search."""
+    free, seen, best = set(sp.free_list), set(), 0
+    for start in sp.free_list:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            for u in sp.graph.adj_nbr[x]:
+                if u in free and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        best = max(best, size)
+    return best
+
+
+class TestFreeFreeTermsMatchReference:
+    """The high-degree terms, fed by lower_bound's one free-degree pass, and
+    the bitmask component search return exactly what the per-term passes
+    and the BFS in tests/checks.py return, and so does lower_bound under
+    every preset, with and without a cutoff.  The states, on irregular and
+    ER graphs, span n up to 70, so that the masks take several machine
+    words, and include free components of exactly f_big and f_big + 1
+    vertices."""
+
+    def test_random_partial_assignments(self):
+        rng = random.Random(2424)
+        seen = {"largest == f_big": 0, "largest == f_big + 1": 0,
+                "n > 64": 0, "high-degree rebalance > 0": 0,
+                "component > 0": 0, "cutoff below full": 0}
+        for i in range(2400):
+            n = rng.randint(2, 14) if i % 2 else rng.randint(15, 70)
+            g = irregular_graph(rng, n) if i % 4 < 2 else random_er(rng, n)
+            s0 = rng.randint(1, n - 1)
+            sp = random_partial_assignment(rng, g, s0, n - s0)
+            high = high_degree_pairs(sp)
+            bound = high_degree_bound(sp, high)
+            assert bound == reference_high_degree_bound(sp)
+            rebalance = high_degree_rebalance(sp, high)
+            assert rebalance == reference_high_degree_rebalance(sp)
+            component = component_bound(sp)
+            assert component == reference_component_bound(sp)
+            for cfg in CONFIG_PRESETS.values():
+                full = reference_lower_bound(sp, cfg)
+                assert lower_bound(sp, cfg) == full
+                for cutoff in (full - 1, full, full + 1,
+                               rng.randint(0, full + g.max_weight + 1)):
+                    assert (lower_bound(sp, cfg, cutoff)
+                            == reference_lower_bound(sp, cfg, cutoff))
+                    seen["cutoff below full"] += cutoff < full
+            f_big = max(sp.f0, sp.f1)
+            largest = largest_free_component(sp)
+            seen["largest == f_big"] += largest == f_big > 0
+            seen["largest == f_big + 1"] += largest == f_big + 1
+            seen["n > 64"] += n > 64
+            seen["high-degree rebalance > 0"] += rebalance > 0
+            seen["component > 0"] += component > 0
+        assert all(seen.values()), seen
 
 
 class TestComponent:
@@ -304,7 +381,7 @@ class TestComponent:
         fired = 0
         for _ in range(200):
             sp = random_subproblem(rng)
-            if high_degree_bound(sp) > 0:
+            if high_degree_bound(sp, high_degree_pairs(sp)) > 0:
                 fired += 1
                 assert component_bound(sp) > 0
         assert fired
@@ -342,7 +419,7 @@ class TestLowerBound:
         # it, the result lies between the cheap partial sum (fixed + basic,
         # + rebalance) and the full bound, and equals the full bound
         # whenever the partial sum plus the heaviest edge weight reaches
-        # the cutoff, since the component BFS is skipped only otherwise.
+        # the cutoff, since the component search is skipped only otherwise.
         # Bounds refresh the subproblem's estimates, so each call gets a
         # fresh copy of the same partial assignment.
         rng = random.Random(1121)

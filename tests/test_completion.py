@@ -42,6 +42,14 @@ class TestMakeSolution:
         with pytest.raises(ValueError):
             make_solution(k3_weighted(), [0, 0, 0], 2, 1)
 
+    @pytest.mark.parametrize("sides", [[0, 0, 2, 1], [0, 0, -1, 1]])
+    def test_labels_other_than_0_and_1_rejected(self, sides):
+        # Two 0s make the count of side 0 right, so only the label check
+        # can refuse these; unchecked, both read as a cut of 7.
+        path = build_graph(4, [(0, 1, 3), (1, 2, 7), (2, 3, 5)])
+        with pytest.raises(ValueError, match="label"):
+            make_solution(path, sides, 2, 2)
+
 
 class TestTryComplete:
     def test_side_full(self):

@@ -4,7 +4,7 @@ import pytest
 
 from checks import (
     assert_equivalent, assign_walk, complete_unweighted, free_degrees,
-    irregular_graph, k3_weighted, oracle_of, random_er,
+    high_degree_pairs, irregular_graph, k3_weighted, oracle_of, random_er,
     random_partial_assignment, side_of)
 
 from bipart.bounds import (
@@ -340,10 +340,10 @@ class TestAssignKernel:
 
 def read_everything(sp):
     """Every reader of a subproblem the search runs, with both high-degree
-    terms and the component BFS called directly."""
+    terms and the component search called directly."""
     lower_bound(sp, CONFIG_PRESETS["component"])
-    high_degree_bound(sp)
-    high_degree_rebalance(sp)
+    high_degree_bound(sp, high_degree_pairs(sp))
+    high_degree_rebalance(sp, high_degree_pairs(sp))
     component_bound(sp)
     try_complete(sp)
     rebalancing_completion_value(sp)

@@ -7,9 +7,10 @@ For each workload and benchmark seed it builds, on every instance, the
 maximum-adjacency split and the seed ``greedy_initial_solution`` returns
 (that split refined by Kernighan-Lin), and compares both values with the
 instance's optimum in ``perfbench/reference.json``, which it only reads.
-It prints, for each, on how many instances it is optimal, its mean excess
-over the optimum, and the time of one call, the best of ``REPEATS``
-passes over the instances.  A seed with an instance missing from the
+It prints, for each, on how many instances it is optimal and its mean
+excess over the optimum.  It reports no time: a best-of-few timing in one
+process does not settle on a shared host, and ``tools/bench_pairs.py``
+measures the solve end to end.  A seed with an instance missing from the
 reference file is skipped with a note; ``python3 -m perfbench.reference
 --seed S`` adds it.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -28,20 +28,6 @@ from perfbench import reference  # noqa: E402  (puts src/ on the path)
 from perfbench.workloads import WORKLOADS, generate_graphs  # noqa: E402
 from bipart.completion import (greedy_initial_solution,  # noqa: E402
                                max_adjacency_split)
-
-REPEATS = 3
-
-
-def best_ms_per_call(build, graphs, sides):
-    """Values of build on every graph, and the best per-call time in ms."""
-    best = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        values = [build(g, *sides).value for g in graphs]
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return values, 1e3 * best / len(graphs)
-
 
 def excess(value, optimum):
     """Relative excess over the optimum; 0 for a zero-cut optimum met."""
@@ -67,12 +53,11 @@ def main(argv=None) -> int:
             graphs = generate_graphs(workload, seed)
             for label, build in (("split", max_adjacency_split),
                                  ("seed", greedy_initial_solution)):
-                values, ms = best_ms_per_call(build, graphs, workload.sides)
+                values = [build(g, *workload.sides).value for g in graphs]
                 hits = sum(v == o for v, o in zip(values, optima))
                 mean = statistics.fmean(excess(v, o) for v, o in zip(values, optima))
                 print(f"{name} seed {seed} {label:5s}: optimal on {hits} of "
-                      f"{len(graphs)}, mean excess {100 * mean:.1f}%, "
-                      f"{ms:.3f} ms per call")
+                      f"{len(graphs)}, mean excess {100 * mean:.1f}%")
     return 0
 
 
