@@ -41,12 +41,12 @@ class Incumbent:
     """Monotonically improving best solution; updates are linearizable
     (one lock, strict-improvement test inside the critical section)."""
 
-    def __init__(self, value=float("inf"), solution: Solution | None = None):
+    def __init__(self, value=float("inf")):
         self._lock = threading.Lock()
         self.value = value
-        self.solution = solution
+        self.solution = None
         self.improved_at = 0.0
-        self.accepted = 1 if solution is not None else 0
+        self.accepted = 0
 
     def update(self, candidate: Solution, stamp: float = 0.0) -> bool:
         """Publish the candidate if strictly better; returns acceptance."""
@@ -96,6 +96,7 @@ def _worker(conn, search, tasks, claim, shared, lock):
     try:
         search.best = None
         search.explored = search.popped = search.irrelevant = 0
+        search.solutions_found = 0
         while True:
             with lock:
                 i = claim.value
@@ -111,7 +112,8 @@ def _worker(conn, search, tasks, claim, shared, lock):
                     elif shared.value < _SHARED_MAX:
                         search.best_value = shared.value
         conn.send((None, search.best, search.t_best,  # its last, and best
-                   (search.explored, search.popped, search.irrelevant)))
+                   (search.explored, search.popped, search.irrelevant,
+                    search.solutions_found)))
     except BaseException as exc:  # the parent re-raises it
         conn.send((exc, None, None, None))
     finally:
@@ -152,6 +154,7 @@ def _search_in_pool(search: Search, tasks, workers) -> None:
             search.explored += counts[0]
             search.popped += counts[1]
             search.irrelevant += counts[2]
+            search.solutions_found += counts[3]
     finally:
         for proc, reader in pool:
             proc.terminate()  # past its result, or left behind by an error
@@ -160,7 +163,6 @@ def _search_in_pool(search: Search, tasks, workers) -> None:
     if incumbent.solution is not None:
         search.best, search.best_value = incumbent.solution, incumbent.value
         search.t_best = incumbent.improved_at
-    search.solutions_found += incumbent.accepted
 
 
 def solve_parallel(

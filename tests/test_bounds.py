@@ -5,7 +5,7 @@ from checks import (
     complete_unweighted, free_degrees, high_degree_pairs, irregular_graph,
     k3_weighted, random_er, random_partial_assignment,
     reference_component_bound, reference_high_degree_bound,
-    reference_high_degree_rebalance, reference_lower_bound, side_of,
+    reference_high_degree_rebalance, reference_lower_bound,
     subproblem_optimum)
 
 from bipart.bounds import (
@@ -420,27 +420,19 @@ class TestLowerBound:
         # + rebalance) and the full bound, and equals the full bound
         # whenever the partial sum plus the heaviest edge weight reaches
         # the cutoff, since the component search is skipped only otherwise.
-        # Bounds refresh the subproblem's estimates, so each call gets a
-        # fresh copy of the same partial assignment.
         rng = random.Random(1121)
         skipped = 0
         for _ in range(300):
             sp = random_subproblem(rng)
-            u0 = [v for v in range(sp.graph.n) if side_of(sp, v) == 0]
-            u1 = [v for v in range(sp.graph.n) if side_of(sp, v) == 1]
             w_max = sp.graph.max_weight
-
-            def fresh():
-                return recompute_from_scratch(sp.graph, u0, u1, sp.s0, sp.s1)
-
             for cfg in CONFIG_PRESETS.values():
-                full = lower_bound(fresh(), cfg)
+                full = lower_bound(sp, cfg)
                 partial = sp.fixed_cut + basic_bound(sp)
                 if cfg.enable_rebalance:
                     partial += rebalance_value(sp)
                 for cutoff in (full - 1, full, full + 1, partial + w_max + 1,
                                rng.randint(0, 2 * full + w_max + 1)):
-                    got = lower_bound(fresh(), cfg, cutoff)
+                    got = lower_bound(sp, cfg, cutoff)
                     if full < cutoff:
                         assert partial <= got <= full
                         if partial + w_max >= cutoff:

@@ -17,7 +17,7 @@ from bipart.completion import Solution, make_solution
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel, worker_count
-from bipart.solver import SearchStrategy, solve_sequential
+from bipart.solver import SearchStrategy, solve_sequential, start_search
 
 
 @pytest.fixture
@@ -145,6 +145,27 @@ class TestSolveParallel:
             g, 6, 7, CONFIG_PRESETS["rebalance"], threads=4
         )
         assert r.popped == r.subproblems_explored + r.irrelevant_tasks
+
+    @pytest.mark.parametrize("seed", [7, 19, 20, 22])
+    def test_one_worker_counts_as_the_in_process_search(self, seed):
+        """One pooled worker searches the split's tasks in the order this
+        process would, so it explores as many subproblems and counts as many
+        improving completions."""
+        g = generate_er(24, 0.3, 1, 1000, seed)
+
+        def split():
+            search = start_search(g, 12, 12, CONFIG_PRESETS["rebalance"],
+                                  SearchStrategy.DFS, None, None)
+            return search, bipart.parallel._split(search, 8)
+
+        pooled, tasks = split()
+        bipart.parallel._search_in_pool(pooled, tasks, 1)
+        alone, tasks = split()
+        for task in tasks:
+            alone.frontier = [(0, 0, task)]
+            alone.run()
+        assert (pooled.explored, pooled.solutions_found) == (
+            alone.explored, alone.solutions_found)
 
     def test_initial_value_seeding(self, force_pool):
         g = generate_er(12, 0.5, 1, 1000, seed=3)
