@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import nullcontext
 from itertools import product
 
 from .graph import GraphFormatError, generate_er, parse_graph, serialize_graph
@@ -26,11 +27,15 @@ BENCH_COLUMNS = [
     "irrelevant_tasks", "time_to_optimum", "subproblems_with_optimal_initial",
 ]
 
-STRATEGIES = {
-    "dfs": SearchStrategy.DFS,
-    "lb": SearchStrategy.BEST_FIRST_LB,
-    "gap": SearchStrategy.GAP,
-}
+_STRATEGY_NAMES = sorted(s.value for s in SearchStrategy)
+
+# Each bound flag of `solve`: its label in a 'trivial+...' config name and
+# the BoundConfig field it turns on.
+_BOUND_FLAGS = [
+    ("--rebalance", "rebalance", "enable_rebalance"),
+    ("--high-degree", "highdegree", "enable_high_degree"),
+    ("--component", "component", "enable_component"),
+]
 
 
 class UsageError(Exception):
@@ -87,6 +92,13 @@ def _result_row(result, *, threads, n=None, p=None, wmax=None, seed=None,
     }
 
 
+def _output(path: str):
+    """The stream for an output path: stdout for '-', else the file."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_rows(stream, rows):
     writer = csv.writer(stream)
     writer.writerow(BENCH_COLUMNS)
@@ -106,11 +118,8 @@ def cmd_generate(args) -> int:
         raise UsageError(f"need 1 <= wmin <= wmax, got [{args.wmin},{wmax}]")
     graph = generate_er(args.n, args.p, args.wmin, wmax, args.seed)
     text = serialize_graph(graph)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -119,22 +128,13 @@ def cmd_generate(args) -> int:
 def _config_from_args(args) -> tuple[str, BoundConfig]:
     """The flags' BoundConfig and its label: a preset's name, or else
     'trivial' and each flag turned on, joined by '+'."""
-    cfg = BoundConfig(
-        enable_rebalance=args.rebalance,
-        enable_high_degree=args.high_degree,
-        enable_component=args.component,
-    )
+    cfg = BoundConfig(**{field: getattr(args, field)
+                         for _, _, field in _BOUND_FLAGS})
     for name, preset in CONFIG_PRESETS.items():
         if preset == cfg:
             return name, cfg
-    flags = [
-        flag for flag, on in (
-            ("rebalance", cfg.enable_rebalance),
-            ("highdegree", cfg.enable_high_degree),
-            ("component", cfg.enable_component),
-        ) if on
-    ]
-    return "+".join(["trivial"] + flags), cfg
+    labels = [label for _, label, field in _BOUND_FLAGS if getattr(cfg, field)]
+    return "+".join(["trivial"] + labels), cfg
 
 
 def cmd_solve(args) -> int:
@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
         s0 = graph.n // 2 if s1 is None else graph.n - s1
     if s1 is None:
         s1 = graph.n - s0
-    strategy = STRATEGIES[args.strategy]
+    strategy = SearchStrategy(args.strategy)
     result = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
     with_optimal = None
     if args.initial is not None:
@@ -255,21 +255,21 @@ def parse_campaign(text: str) -> dict:
                 f"unknown config {cfg!r}; choose from {sorted(CONFIG_PRESETS)}"
             )
     for strat in campaign["strategies"]:
-        if strat not in STRATEGIES:
+        if strat not in _STRATEGY_NAMES:
             raise ValueError(
-                f"unknown strategy {strat!r}; choose from {sorted(STRATEGIES)}"
+                f"unknown strategy {strat!r}; choose from {_STRATEGY_NAMES}"
             )
     return campaign
 
 
-def run_campaign(campaign: dict, reps: int | None = None):
+def run_campaign(campaign: dict):
     """Run the full campaign matrix; yields one BenchRow dict per cell.
 
     A cell solves its instance `reps` times: `time_total` and
     `time_to_optimum` are the means over those solves, and every other
     column is the last solve's.
     """
-    reps = reps if reps is not None else campaign["reps"]
+    reps = campaign["reps"]
     for n, p, wmax, seed in product(
         campaign["n"], campaign["p"], campaign["wmax"], campaign["seeds"]
     ):
@@ -280,7 +280,7 @@ def run_campaign(campaign: dict, reps: int | None = None):
             campaign["configs"], campaign["strategies"], campaign["threads"]
         ):
             cfg = CONFIG_PRESETS[config_name]
-            strategy = STRATEGIES[strat_name]
+            strategy = SearchStrategy(strat_name)
             meta = dict(n=n, p=p, wmax=wmax, seed=seed, config_name=config_name,
                         threads=threads)
             try:
@@ -315,16 +315,11 @@ def run_campaign(campaign: dict, reps: int | None = None):
 
 
 def cmd_bench(args) -> int:
-    if args.reps is not None and args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     with open(args.campaign, "r", encoding="utf-8") as fh:
         plan = parse_campaign(fh.read())
-    rows = list(run_campaign(plan, reps=args.reps))
-    if args.out == "-":
-        _write_rows(sys.stdout, rows)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, rows)
+    rows = list(run_campaign(plan))
+    with _output(args.out) as fh:
+        _write_rows(fh, rows)
     return 0
 
 
@@ -352,10 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s0", type=int, default=None,
                    help="side-0 size (default n-s1 if --s1 is given, else n//2)")
     s.add_argument("--s1", type=int, default=None, help="side-1 size (default n-s0)")
-    s.add_argument("--rebalance", action="store_true")
-    s.add_argument("--high-degree", action="store_true")
-    s.add_argument("--component", action="store_true")
-    s.add_argument("--strategy", choices=sorted(STRATEGIES), default="dfs")
+    for flag, _, field in _BOUND_FLAGS:
+        s.add_argument(flag, dest=field, action="store_true")
+    s.add_argument("--strategy", choices=_STRATEGY_NAMES, default="dfs")
     s.add_argument("--threads", type=int, default=None,
                    help=f"worker processes, 1..{MAX_THREADS}, at most one "
                         f"per CPU; a small solve starts none "
@@ -367,20 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a benchmark campaign")
     b.add_argument("--campaign", required=True, help="campaign description file")
     b.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
-    b.add_argument("--reps", type=int, default=None,
-                   help="repetitions per cell (mean time reported)")
     b.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"bipart: usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"bipart: usage error: {exc}", file=sys.stderr)

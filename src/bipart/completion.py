@@ -99,7 +99,8 @@ def try_complete(
         for v in free:
             sides[v] = 1 - short
         sides[best_v] = short
-        return make_solution(g, sides, sp.s0, sp.s1)
+        s0 = f0 + sp.a0.bit_count()
+        return make_solution(g, sides, s0, g.n - s0)
 
     if not f0 or not f1 or not sp.free_edges:
         value = sp.fixed_cut + fixed_free_minimum(sp)
@@ -109,7 +110,8 @@ def try_complete(
         sides = _sides_template(sp)
         for i, v in enumerate(order):
             sides[v] = 0 if i < f0 else 1
-        return make_solution(g, sides, sp.s0, sp.s1)
+        s0 = f0 + sp.a0.bit_count()
+        return make_solution(g, sides, s0, g.n - s0)
 
     return None
 

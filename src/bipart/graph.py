@@ -36,13 +36,12 @@ class WeightedGraph:
     adj_nbr: tuple[tuple[int, ...], ...]
     adj_w: tuple[tuple[int, ...], ...]
     nbr_mask: tuple[int, ...]
-    degrees: tuple[int, ...]
     total_weight: tuple[int, ...]  # per-vertex sum of incident edge weights
     max_weight: int
 
     @property
     def m(self) -> int:
-        return sum(self.degrees) // 2
+        return sum(map(len, self.adj_nbr)) // 2
 
     def edges(self):
         """Yield each undirected edge once as (u, v, w) with u < v."""
@@ -108,14 +107,12 @@ def _assemble(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
         adj_nbr.append(tuple(x[1] for x in raw[v]))
         adj_w.append(tuple(x[0] for x in raw[v]))
 
-    degrees = tuple(len(a) for a in adj_nbr)
     total_weight = tuple(sum(a) for a in adj_w)
     return WeightedGraph(
         n=n,
         adj_nbr=tuple(adj_nbr),
         adj_w=tuple(adj_w),
         nbr_mask=tuple(sum(1 << u for u in a) for a in adj_nbr),
-        degrees=degrees,
         total_weight=total_weight,
         max_weight=max((a[-1] for a in adj_w if a), default=0),
     )

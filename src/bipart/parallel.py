@@ -25,9 +25,10 @@ MAX_THREADS = 64
 
 # Explored subproblems before a solve forks its pool.  On a 2-core host,
 # forking two workers and joining them costs 7-12 ms, and a node of the
-# loop about 20 us (rebalance on G(20, 0.22) and G(44, 0.1)).  After
-# 5,000 nodes, about 100 ms of work, starting the pool adds at most about
-# a tenth; every smaller solve never pays for it.
+# loop 28-42 us (rebalance and component, DFS, on G(52, 0.1, 1..1000), as
+# in tools/pool_speedup.py).  After 5,000 nodes, 0.14-0.21 s of work,
+# starting the pool adds at most about a twelfth; every smaller solve
+# never pays for it.
 NODE_BUDGET = 5000
 # Tasks per worker, so that no worker waits long on another's last subtree.
 TASKS_PER_WORKER = 8
@@ -46,7 +47,6 @@ class Incumbent:
         self.value = value
         self.solution = None
         self.improved_at = 0.0
-        self.accepted = 0
 
     def update(self, candidate: Solution, stamp: float = 0.0) -> bool:
         """Publish the candidate if strictly better; returns acceptance."""
@@ -55,7 +55,6 @@ class Incumbent:
                 self.value = candidate.value
                 self.solution = candidate
                 self.improved_at = stamp
-                self.accepted += 1
                 return True
             return False
 

@@ -45,7 +45,7 @@ from .graph import WeightedGraph
 
 class Subproblem:
     __slots__ = (
-        "graph", "s0", "s1", "a0", "a1", "free_mask", "free_list",
+        "graph", "a0", "a1", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
         "free_edges", "depth", "lb", "delta_lo", "delta_hi",
     )
@@ -141,7 +141,6 @@ class Subproblem:
         if keep0:
             child0 = c = Subproblem.__new__(Subproblem)
             c.graph = g
-            c.s0, c.s1 = self.s0, self.s1
             c.a0, c.a1 = self.a0 | bit, self.a1
             c.f0, c.f1 = self.f0 - 1, self.f1
             c.free_mask = free_mask
@@ -162,7 +161,6 @@ class Subproblem:
         if keep1:
             child1 = c = Subproblem.__new__(Subproblem)
             c.graph = g
-            c.s0, c.s1 = self.s0, self.s1
             c.a0, c.a1 = self.a0, self.a1 | bit
             c.f0, c.f1 = self.f0, self.f1 - 1
             c.free_mask = free_mask
@@ -243,7 +241,6 @@ class Subproblem:
                 return None
         c = Subproblem.__new__(Subproblem)
         c.graph = g
-        c.s0, c.s1 = self.s0, self.s1
         c.a0, c.a1 = a0, a1
         c.f0 = self.f0 - (a0 ^ self.a0).bit_count()
         c.f1 = self.f1 - (a1 ^ self.a1).bit_count()
@@ -306,7 +303,6 @@ def recompute_from_scratch(
     sp = Subproblem.__new__(Subproblem)
     sp.lb = sp.delta_lo = sp.delta_hi = None
     sp.graph = graph
-    sp.s0, sp.s1 = s0, s1
     sp.a0 = sum(1 << v for v in set0)
     sp.a1 = sum(1 << v for v in set1)
     sp.free_mask = ((1 << n) - 1) & ~(sp.a0 | sp.a1)

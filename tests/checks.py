@@ -6,9 +6,11 @@ They must never read d0, d1, basic, sum_d0 or free_edges: the bounds they
 check are computed from those maintained quantities.
 """
 
+import importlib.util
 import math
 import multiprocessing
 from itertools import combinations
+from pathlib import Path
 
 from bipart.bounds import BoundConfig, basic_bound, rebalance_value
 from bipart.completion import Solution, make_solution
@@ -17,6 +19,15 @@ from bipart.parallel import solve_parallel
 from bipart.subproblem import Subproblem, recompute_from_scratch
 
 MAX_ORACLE_FREE = 22
+
+
+def load_tool(name):
+    """The script tools/<name>.py as a module (tools/ is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def k3_weighted():
@@ -43,7 +54,7 @@ def validate_graph(g: WeightedGraph) -> None:
     unpaired = set()  # (v, u, w) entries whose reverse is not yet seen
     for v in range(g.n):
         nbrs, ws = g.adj_nbr[v], g.adj_w[v]
-        if not (len(nbrs) == len(ws) == g.degrees[v]):
+        if len(nbrs) != len(ws):
             raise AssertionError(f"inconsistent array lengths at vertex {v}")
         for i, u in enumerate(nbrs):
             if u == v:
@@ -140,15 +151,15 @@ def high_degree_pairs(sp: Subproblem) -> list[tuple[int, int]]:
     return [(v, d) for v, d in free_degrees(sp).items() if d >= f_big]
 
 
-def oracle_of(sp: Subproblem) -> Subproblem:
-    """The from-scratch state of sp's partial assignment."""
+def oracle_of(sp: Subproblem, s0: int, s1: int) -> Subproblem:
+    """The from-scratch state of sp's partial assignment, sides s0 | s1."""
     n = sp.graph.n
     return recompute_from_scratch(
         sp.graph,
         [v for v in range(n) if (sp.a0 >> v) & 1],
         [v for v in range(n) if (sp.a1 >> v) & 1],
-        sp.s0,
-        sp.s1,
+        s0,
+        s1,
     )
 
 

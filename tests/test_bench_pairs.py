@@ -2,7 +2,6 @@
 of this tree against itself and against copies with other trees or optima."""
 
 import hashlib
-import importlib.util
 import json
 import re
 import shutil
@@ -14,12 +13,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # perfbench, which the tool's main imports
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
-
+from checks import load_tool  # noqa: E402
 from perfbench.workloads import WORKLOADS, Workload  # noqa: E402
+
+bench_pairs = load_tool("bench_pairs")
 
 TINY = Workload("tiny", 14, 0.4, 2,
                 (("trivial", "dfs", 1), ("rebalance", "dfs", 1),
@@ -73,6 +70,20 @@ def test_summary_stores_a_verdict_per_metric():
     assert s["wins"] == 4 and s["bound"] == 0.25
     assert s["parent_iqr"] == 2.5 and s["gain_rule"]  # 11.5 -> 7.5
     assert s["verdict"] == "held"  # the IQR is inside 25% of 11.5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seconds", "0"], "--seconds"), (["--seconds", "-1.5"], "--seconds"),
+    (["--seed", "-1"], "--seed"), (["--pairs", "1"], "--pairs")])
+def test_values_perfbench_rejects_are_usage_errors(monkeypatch, capsys, argv,
+                                                   message):
+    """Nothing is asked of git, extracted or run before the check."""
+    for name in ("git", "extract", "run_once", "interleave"):
+        monkeypatch.setattr(bench_pairs, name, lambda *a: pytest.fail())
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--label", "t", "--workload", "sparse-dfs", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_refuses_a_changed_benchmark(monkeypatch, capsys):

@@ -1,13 +1,16 @@
 import csv
 import dataclasses
 import io
+import multiprocessing
 import threading
+from unittest import mock
 
 import pytest
 
 import bipart.cli
+import bipart.parallel
 from bipart.cli import BENCH_COLUMNS, main, parse_campaign
-from bipart.parallel import MAX_THREADS
+from bipart.parallel import MAX_THREADS, worker_count
 from bipart.graph import parse_graph
 
 
@@ -120,6 +123,27 @@ class TestSolve:
         row = read_rows(out)[0]
         assert row["threads"] == "2" and row["cut"] == "7"
 
+    def test_threads_reach_the_pool(self, tmp_path, capsys, monkeypatch):
+        """With the pool forced, `--threads 2` searches in forked workers,
+        unless this host has one CPU, and finds the `--threads 1` cut."""
+        graph = tmp_path / "g16.g"
+        assert run_cli(capsys, "generate", "-n", "16", "-p", "0.3", "-W", "9",
+                       "--seed", "5", "-o", str(graph))[0] == 0
+        monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", 0)
+        monkeypatch.setattr(bipart.parallel, "TASKS_PER_WORKER", 1)
+        pool = mock.Mock(wraps=bipart.parallel._search_in_pool)
+        monkeypatch.setattr(bipart.parallel, "_search_in_pool", pool)
+        rows = {}
+        for threads in ("1", "2"):
+            code, out, _ = run_cli(capsys, "solve", str(graph), "--rebalance",
+                                   "--threads", threads)
+            assert code == 0
+            [rows[threads]] = read_rows(out)
+        assert rows["1"]["cut"] == rows["2"]["cut"]
+        assert rows["2"]["threads"] == "2"
+        assert multiprocessing.active_children() == []
+        assert pool.called or worker_count(2) == 1
+
     def test_threads_env_var_default(self, example_file, capsys, monkeypatch):
         monkeypatch.setenv("BIPART_THREADS", "2")
         code, out, _ = run_cli(capsys, "solve", example_file)
@@ -231,10 +255,8 @@ threads = 1
         real_solve = bipart.cli.solve_parallel
         monkeypatch.setattr(bipart.cli, "solve_parallel", timed_solve)
         campaign = tmp_path / "c.txt"
-        campaign.write_text("n = 8\nseeds = 0\nconfigs = trivial\n")
-        code, out, _ = run_cli(
-            capsys, "bench", "--campaign", str(campaign), "--reps", "3"
-        )
+        campaign.write_text("n = 8\nseeds = 0\nconfigs = trivial\nreps = 3\n")
+        code, out, _ = run_cli(capsys, "bench", "--campaign", str(campaign))
         assert code == 0
         [row] = read_rows(out)
         assert float(row["time_total"]) == 3.0
@@ -304,21 +326,6 @@ threads = 1
         code, _, err = run_cli(capsys, "bench", "--campaign", str(campaign))
         assert code == 2
         assert err.strip() == f"bipart: input error: {message}"
-
-    @pytest.mark.parametrize("reps", ["0", "-2"])
-    def test_reps_below_one_is_usage_error(self, tmp_path, capsys,
-                                           monkeypatch, reps):
-        solves = []
-        monkeypatch.setattr("bipart.cli.solve_parallel",
-                            lambda *a, **k: solves.append(a))
-        campaign = tmp_path / "c.txt"
-        campaign.write_text("n = 8\n")
-        code, _, err = run_cli(
-            capsys, "bench", "--campaign", str(campaign), "--reps", reps
-        )
-        assert code == 1
-        assert "--reps" in err
-        assert not solves
 
     def test_with_optimal_accepts_both_spellings_of_each_switch(self):
         for value in ("yes", "true", "1", "on", "YES", "On"):

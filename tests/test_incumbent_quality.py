@@ -1,13 +1,10 @@
 """The report of tools/incumbent_quality.py on the committed reference."""
 
-import importlib.util
 import re
-from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "incumbent_quality.py"
-_SPEC = importlib.util.spec_from_file_location("incumbent_quality", _PATH)
-incumbent_quality = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(incumbent_quality)
+from checks import load_tool
+
+incumbent_quality = load_tool("incumbent_quality")
 
 _LINE = re.compile(r"dense-dfs seed 0 (split|seed) *: optimal on (\d+) of 165, "
                    r"mean excess ([0-9.]+)%")

@@ -4,11 +4,17 @@ Every module-level function, class and constant in src/bipart must be named
 somewhere that is not a test: elsewhere in src/bipart, in perfbench/ or in
 tools/.  Every method or property must appear there as `.name` or as a
 quoted "name".  A name that only tests read belongs in tests/checks.py.
+Every Subproblem slot and WeightedGraph field must be read there as `.name`:
+state that is only written, or only read by tests, is not kept.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from bipart.graph import WeightedGraph
+from bipart.subproblem import Subproblem
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bipart"
@@ -44,9 +50,13 @@ def _definitions(tree):
                            rf"\.{name}\b|[\"']{name}[\"']", item)
 
 
+def _sources():
+    return {path: path.read_text(encoding="utf-8")
+            for folder in READERS for path in sorted(folder.rglob("*.py"))}
+
+
 def test_every_package_name_is_read_outside_the_tests():
-    sources = {path: path.read_text(encoding="utf-8")
-               for folder in READERS for path in sorted(folder.rglob("*.py"))}
+    sources = _sources()
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = sources[path].splitlines()
@@ -55,4 +65,16 @@ def test_every_package_name_is_read_outside_the_tests():
             rest = lines[:node.lineno - 1] + lines[node.end_lineno:]
             if not re.search(pattern, others + "\n" + "\n".join(rest)):
                 unread.append(f"{path.name}: {name}")
+    assert not unread, unread
+
+
+def test_every_state_field_is_read_outside_the_tests():
+    read = {node.attr for text in _sources().values()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = {"Subproblem": Subproblem.__slots__, "WeightedGraph": [
+        f.name for f in dataclasses.fields(WeightedGraph)]}
+    unread = [f"{owner}.{name}" for owner, names in fields.items()
+              for name in names if name not in read]
     assert not unread, unread

@@ -1,16 +1,11 @@
 """The argument checks of tools/pool_speedup.py."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import bipart.parallel
+from checks import load_tool
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "pool_speedup.py"
-_SPEC = importlib.util.spec_from_file_location("pool_speedup", _PATH)
-pool_speedup = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(pool_speedup)
+pool_speedup = load_tool("pool_speedup")
 
 
 @pytest.mark.parametrize("argv, message", [

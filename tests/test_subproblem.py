@@ -134,7 +134,8 @@ class TestFix:
                 inner += any(u in batch for v in batch
                              for u in g.adj_nbr[v])
                 fixed = sp.fix(pairs)
-                rc = oracle_of(fixed)
+                sizes = s0, g.n - s0
+                rc = oracle_of(fixed, *sizes)
                 assert_equivalent(fixed, rc)
                 assert fixed.depth == sp.depth
                 assert all(side_of(fixed, v) == side for v, side in pairs)
@@ -146,7 +147,8 @@ class TestFix:
                     else:
                         assert_equivalent(stopped, rc)
                         assert stopped.depth == sp.depth
-                assert_equivalent(sp, oracle_of(sp))  # parent untouched
+                # The parent is untouched.
+                assert_equivalent(sp, oracle_of(sp, *sizes))
                 checked += 1
         assert checked > 1000 and inner > 100, (checked, inner)
 
@@ -166,7 +168,7 @@ class TestFix:
             n = rng.randint(2, 14)
             graphs.append((irregular_graph(rng, n), rng.randint(1, n - 1)))
         assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
-        assert any(0 in g.degrees for g, _ in graphs)
+        assert any(() in g.adj_nbr for g, _ in graphs)
         self.check_states(rng, graphs)
 
     def test_a_fixed_vertex_or_an_overfilled_side_is_rejected(self):
@@ -242,9 +244,9 @@ class TestRecompute:
                 assert_equivalent(sp, rc)
 
 
-def child_oracles(sp, v):
-    """From-scratch states of sp with v fixed to side 0 and to side 1, None
-    for a side that is full."""
+def child_oracles(sp, v, s0):
+    """From-scratch states of sp, with sides s0 | n - s0, with v fixed to
+    side 0 and to side 1, None for a side that is full."""
     n = sp.graph.n
     out = []
     for side, f in ((0, sp.f0), (1, sp.f1)):
@@ -254,7 +256,7 @@ def child_oracles(sp, v):
         u0 = [x for x in range(n) if (sp.a0 >> x) & 1]
         u1 = [x for x in range(n) if (sp.a1 >> x) & 1]
         (u0 if side == 0 else u1).append(v)
-        out.append(recompute_from_scratch(sp.graph, u0, u1, sp.s0, sp.s1))
+        out.append(recompute_from_scratch(sp.graph, u0, u1, s0, n - s0))
     return out
 
 
@@ -303,7 +305,7 @@ class TestAssignKernel:
             seen["side of size 1"] += s0 == 1 or s0 == g.n - 1
             for sp in assign_walk(rng, g, s0):
                 for v in sp.free_list:
-                    oracles = child_oracles(sp, v)
+                    oracles = child_oracles(sp, v, s0)
                     seen["full side"] += None in oracles
                     for child, rc in zip(sp.assign(v), oracles):
                         if rc is None:
@@ -333,7 +335,7 @@ class TestAssignKernel:
         rng = random.Random(62)
         graphs = walk_inputs(rng, irregular=True)
         assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
-        assert any(0 in g.degrees for g, _ in graphs)
+        assert any(() in g.adj_nbr for g, _ in graphs)
         assert any(component_count(g) > 1 for g, _ in graphs)
         self.check_walks(rng, graphs)
 
@@ -368,7 +370,8 @@ class TestSiblingSharing:
                         pair = sp.assign(v)
                         read_everything(pair[side])
                         sibling = pair[1 - side]
-                        assert_equivalent(sibling, oracle_of(sibling))
-                        assert_equivalent(sp, oracle_of(sp))
+                        sizes = s0, g.n - s0
+                        assert_equivalent(sibling, oracle_of(sibling, *sizes))
+                        assert_equivalent(sp, oracle_of(sp, *sizes))
                         checked += 1
         assert checked > 500

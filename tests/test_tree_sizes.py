@@ -1,15 +1,12 @@
 """The report of tools/tree_sizes.py on each benchmark workload's instances."""
 
-import importlib.util
 import re
-from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "tree_sizes.py"
-_SPEC = importlib.util.spec_from_file_location("tree_sizes", _PATH)
-tree_sizes = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tree_sizes)
+from checks import load_tool
+
+tree_sizes = load_tool("tree_sizes")
 
 from perfbench import reference  # noqa: E402  (on the path through the tool)
 

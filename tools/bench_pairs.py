@@ -237,6 +237,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
+    if args.seconds <= 0:
+        parser.error("--seconds must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     changed = git("diff", "--stat", args.parent, "--", *BENCHMARK_FILES)
     changed += "".join(f"\n {n} (untracked)" for n in untracked(*BENCHMARK_FILES))
