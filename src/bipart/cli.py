@@ -67,31 +67,6 @@ def _default_threads() -> int:
     return value
 
 
-def _result_row(result, *, threads, n=None, p=None, wmax=None, seed=None,
-                config_name="", with_optimal=None, time_total=None,
-                time_to_optimum=None):
-    """One CSV row; `threads` is the requested count, like the failure row
-    of a campaign cell, not the processes that searched.  `time_total` and
-    `time_to_optimum`, when given, replace the result's own times."""
-    return {
-        "n": n,
-        "p": p,
-        "wmax": wmax,
-        "seed": seed,
-        "config": config_name,
-        "strategy": result.strategy.value,
-        "threads": threads,
-        "time_total": result.time_total if time_total is None else time_total,
-        "cut": result.optimum,
-        "solutions_found": result.solutions_found,
-        "subproblems_explored": result.subproblems_explored,
-        "irrelevant_tasks": result.irrelevant_tasks,
-        "time_to_optimum": (result.time_to_optimum if time_to_optimum is None
-                            else time_to_optimum),
-        "subproblems_with_optimal_initial": with_optimal,
-    }
-
-
 def _output(path: str):
     """The stream for an output path: stdout for '-', else the file."""
     if path == "-":
@@ -102,8 +77,8 @@ def _output(path: str):
 def _write_rows(stream, rows):
     writer = csv.writer(stream)
     writer.writerow(BENCH_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in BENCH_COLUMNS])
+    for row in rows:  # a column a row lacks is empty
+        writer.writerow([_fmt(row.get(c)) for c in BENCH_COLUMNS])
 
 
 # -- generate ----------------------------------------------------------------
@@ -137,6 +112,36 @@ def _config_from_args(args) -> tuple[str, BoundConfig]:
     return "+".join(["trivial"] + labels), cfg
 
 
+def _solve_row(graph, s0, s1, cfg, strategy, threads, reps, with_optimal,
+               columns):
+    """The CSV row of one solve cell: `columns`, the strategy and the
+    requested `threads` (not the processes that searched), then the results
+    of `reps` solves.  `time_total` and `time_to_optimum` are the means over
+    the reps, and every other result column is the last solve's.  With
+    `with_optimal`, one more solve seeded with the optimum just found gives
+    subproblems_with_optimal_initial."""
+    results = [solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
+               for _ in range(reps)]
+    result = results[-1]
+    seeded = None
+    if with_optimal:
+        seeded = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads,
+                                initial_value=result.optimum)
+    return {
+        **columns,
+        "strategy": strategy.value,
+        "threads": threads,
+        "time_total": sum(r.time_total for r in results) / reps,
+        "cut": result.optimum,
+        "solutions_found": result.solutions_found,
+        "subproblems_explored": result.subproblems_explored,
+        "irrelevant_tasks": result.irrelevant_tasks,
+        "time_to_optimum": sum(r.time_to_optimum for r in results) / reps,
+        "subproblems_with_optimal_initial": (
+            seeded.subproblems_explored if seeded else None),
+    }
+
+
 def cmd_solve(args) -> int:
     name, cfg = _config_from_args(args)
     threads = args.threads if args.threads is not None else _default_threads()
@@ -149,20 +154,10 @@ def cmd_solve(args) -> int:
         s0 = graph.n // 2 if s1 is None else graph.n - s1
     if s1 is None:
         s1 = graph.n - s0
-    strategy = SearchStrategy(args.strategy)
-    result = solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
-    with_optimal = None
-    if args.initial is not None:
-        seeded = solve_parallel(
-            graph, s0, s1, cfg, strategy, threads=threads,
-            initial_value=args.initial,
-        )
-        with_optimal = seeded.subproblems_explored
-    _write_rows(
-        sys.stdout,
-        [_result_row(result, threads=threads, n=graph.n, config_name=name,
-                     with_optimal=with_optimal)],
-    )
+    row = _solve_row(graph, s0, s1, cfg, SearchStrategy(args.strategy),
+                     threads, reps=1, with_optimal=args.with_optimal,
+                     columns={"n": graph.n, "config": name})
+    _write_rows(sys.stdout, [row])
     return 0
 
 
@@ -195,9 +190,10 @@ def _number(convert, text: str, lineno: int, key: str):
 
 
 def parse_campaign(text: str) -> dict:
-    """Campaign file: 'key = value' lines, list values comma-separated."""
+    """Campaign file: 'key = value' lines, list values comma-separated,
+    each key at most once."""
     campaign = dict(_CAMPAIGN_DEFAULTS)
-    seen = set()
+    seen = {}  # key: the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -207,7 +203,6 @@ def parse_campaign(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        seen.add(key)
         if key in _LIST_KEYS:
             items = [x.strip() for x in value.split(",") if x.strip()]
             if not items:
@@ -228,6 +223,10 @@ def parse_campaign(text: str) -> dict:
             campaign[key] = _SWITCH_VALUES[value.lower()]
         else:
             raise ValueError(f"campaign line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"campaign line {lineno}: {key} is already set "
+                             f"on line {seen[key]}")
+        seen[key] = lineno
     if "n" not in seen:
         raise ValueError("campaign must list at least one value for n")
     for n in campaign["n"]:
@@ -263,13 +262,9 @@ def parse_campaign(text: str) -> dict:
 
 
 def run_campaign(campaign: dict):
-    """Run the full campaign matrix; yields one BenchRow dict per cell.
-
-    A cell solves its instance `reps` times: `time_total` and
-    `time_to_optimum` are the means over those solves, and every other
-    column is the last solve's.
+    """Run the full campaign matrix; yields one CSV row dict per cell (see
+    _solve_row), or, for a cell that raised, its columns and empty results.
     """
-    reps = campaign["reps"]
     for n, p, wmax, seed in product(
         campaign["n"], campaign["p"], campaign["wmax"], campaign["seeds"]
     ):
@@ -279,39 +274,20 @@ def run_campaign(campaign: dict):
         for config_name, strat_name, threads in product(
             campaign["configs"], campaign["strategies"], campaign["threads"]
         ):
-            cfg = CONFIG_PRESETS[config_name]
-            strategy = SearchStrategy(strat_name)
-            meta = dict(n=n, p=p, wmax=wmax, seed=seed, config_name=config_name,
-                        threads=threads)
+            columns = {"n": n, "p": p, "wmax": wmax, "seed": seed,
+                       "config": config_name}
             try:
-                results = [solve_parallel(graph, s0, s1, cfg, strategy,
-                                          threads=threads)
-                           for _ in range(reps)]
-                result = results[-1]
-                with_optimal = None
-                if campaign["with_optimal"]:
-                    seeded = solve_parallel(
-                        graph, s0, s1, cfg, strategy, threads=threads,
-                        initial_value=result.optimum,
-                    )
-                    with_optimal = seeded.subproblems_explored
-                yield _result_row(
-                    result, **meta, with_optimal=with_optimal,
-                    time_total=sum(r.time_total for r in results) / reps,
-                    time_to_optimum=sum(
-                        r.time_to_optimum for r in results) / reps,
+                yield _solve_row(
+                    graph, s0, s1, CONFIG_PRESETS[config_name],
+                    SearchStrategy(strat_name), threads,
+                    reps=campaign["reps"],
+                    with_optimal=campaign["with_optimal"], columns=columns,
                 )
             except Exception as exc:  # record the failure, keep going
-                print(
-                    f"bipart: bench cell {meta} failed: {exc}",
-                    file=sys.stderr,
-                )
-                yield {
-                    **{c: None for c in BENCH_COLUMNS},
-                    "n": n, "p": p, "wmax": wmax, "seed": seed,
-                    "config": config_name, "strategy": strat_name,
-                    "threads": threads,
-                }
+                cell = {**columns, "strategy": strat_name, "threads": threads}
+                print(f"bipart: bench cell {cell} failed: {exc}",
+                      file=sys.stderr)
+                yield cell
 
 
 def cmd_bench(args) -> int:
@@ -354,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"worker processes, 1..{MAX_THREADS}, at most one "
                         f"per CPU; a small solve starts none "
                         f"(default ${THREADS_ENV_VAR} or 1)")
-    s.add_argument("--initial", type=int, default=None,
-                   help="also re-solve with this value seeding the incumbent")
+    s.add_argument("--with-optimal", action="store_true",
+                   help="also re-solve with the optimum seeding the incumbent")
     s.set_defaults(func=cmd_solve)
 
     b = sub.add_parser("bench", help="run a benchmark campaign")

@@ -58,8 +58,6 @@ class SolveResult:
     solutions_found: int
     time_total: float
     time_to_optimum: float
-    config: BoundConfig
-    strategy: SearchStrategy
     threads: int  # processes that searched: forked workers, else 1
 
 
@@ -239,8 +237,6 @@ class Search:
             solutions_found=self.solutions_found,
             time_total=time.perf_counter() - self.t_start,
             time_to_optimum=self.t_best,
-            config=self.cfg,
-            strategy=self.strategy,
             threads=threads,
         )
 

@@ -9,9 +9,11 @@ import pytest
 
 import bipart.cli
 import bipart.parallel
+from bipart.bounds import CONFIG_PRESETS
 from bipart.cli import BENCH_COLUMNS, main, parse_campaign
 from bipart.parallel import MAX_THREADS, worker_count
 from bipart.graph import parse_graph
+from bipart.solver import SearchStrategy, solve_sequential
 
 
 def run_cli(capsys, *argv):
@@ -106,14 +108,57 @@ class TestSolve:
             cuts.add(read_rows(out)[0]["cut"])
         assert cuts == {"7"}
 
-    def test_initial_populates_with_optimal_column(self, example_file, capsys):
-        code, out, _ = run_cli(
-            capsys, "solve", example_file, "--s0", "2", "--s1", "2",
-            "--initial", "7",
-        )
+    def test_with_optimal_is_the_optimally_seeded_count(self, tmp_path,
+                                                        capsys):
+        """`--with-optimal` reports the nodes of a solve seeded with the
+        optimum, on an instance whose heuristic seed is above it; the old
+        `--initial VALUE` is gone."""
+        path = tmp_path / "g16.g"
+        assert run_cli(capsys, "generate", "-n", "16", "-p", "0.5", "-W", "9",
+                       "--seed", "5", "-o", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "solve", str(path), "--rebalance",
+                               "--with-optimal")
         assert code == 0
-        row = read_rows(out)[0]
-        assert row["subproblems_with_optimal_initial"] != ""
+        [row] = read_rows(out)
+        seeded = solve_sequential(
+            parse_graph(path.read_text()), 8, 8, CONFIG_PRESETS["rebalance"],
+            SearchStrategy.DFS, initial_value=int(row["cut"]))
+        assert row["subproblems_with_optimal_initial"] == str(
+            seeded.subproblems_explored)
+        assert seeded.subproblems_explored < int(row["subproblems_explored"])
+        code, out, err = run_cli(capsys, "solve", str(path), "--initial", "5")
+        assert code == 1 and "usage error" in err and out == ""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("strategy", ["dfs", "lb", "gap"])
+    def test_solve_prints_the_row_of_its_one_cell_campaign(
+        self, tmp_path, capsys, strategy, threads
+    ):
+        """`solve` on a generated file and the campaign of that one instance
+        agree on every column but the times and the generator's p, wmax and
+        seed, which `solve` does not know."""
+        path = tmp_path / "g14.g"
+        assert run_cli(capsys, "generate", "-n", "14", "-p", "0.4", "-W", "50",
+                       "--seed", "2", "-o", str(path))[0] == 0
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--rebalance", "--high-degree",
+            "--component", "--strategy", strategy, "--threads", threads,
+            "--with-optimal")
+        assert code == 0
+        [solved] = read_rows(out)
+        campaign = tmp_path / "c.txt"
+        campaign.write_text(
+            f"n = 14\np = 0.4\nwmax = 50\nseeds = 2\nconfigs = component\n"
+            f"strategies = {strategy}\nthreads = {threads}\n"
+            f"with_optimal = yes\n")
+        code, out, _ = run_cli(capsys, "bench", "--campaign", str(campaign))
+        assert code == 0
+        [cell] = read_rows(out)
+        skip = {"time_total", "time_to_optimum", "p", "wmax", "seed"}
+        assert solved["subproblems_with_optimal_initial"] != ""
+        assert ({c: solved[c] for c in BENCH_COLUMNS if c not in skip}
+                == {c: cell[c] for c in BENCH_COLUMNS if c not in skip})
+        assert solved["p"] == solved["wmax"] == solved["seed"] == ""
 
     def test_threads_flag_runs_parallel(self, example_file, capsys):
         code, out, _ = run_cli(
@@ -262,6 +307,29 @@ threads = 1
         assert float(row["time_total"]) == 3.0
         assert float(row["time_to_optimum"]) == 1.25
 
+    def test_failed_cell_keeps_its_columns_and_the_campaign_goes_on(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def solve_or_fail(graph, *args, **kwargs):
+            if graph.n == 8:
+                raise RuntimeError("boom")
+            return real_solve(graph, *args, **kwargs)
+
+        real_solve = bipart.cli.solve_parallel
+        monkeypatch.setattr(bipart.cli, "solve_parallel", solve_or_fail)
+        campaign = tmp_path / "c.txt"
+        campaign.write_text("n = 8, 10\nwmax = 5\nseeds = 3\n"
+                            "strategies = lb\nthreads = 2\n")
+        code, out, err = run_cli(capsys, "bench", "--campaign", str(campaign))
+        assert code == 0
+        failed, solved = read_rows(out)
+        labels = ["n", "p", "wmax", "seed", "config", "strategy", "threads"]
+        assert [failed[c] for c in labels] == [
+            "8", "0.500000", "5", "3", "trivial", "lb", "2"]
+        assert all(failed[c] == "" for c in BENCH_COLUMNS if c not in labels)
+        assert solved["n"] == "10" and solved["cut"] != ""
+        assert "bench cell" in err and "boom" in err
+
     def test_unknown_config_rejected(self, tmp_path, capsys):
         campaign = tmp_path / "c.txt"
         campaign.write_text("n = 8\nconfigs = bogus\n")
@@ -278,7 +346,9 @@ threads = 1
         self, tmp_path, capsys, line, message
     ):
         campaign = tmp_path / "c.txt"
-        campaign.write_text(f"n = 8\n{line}\n")
+        # A line that sets n replaces the default one: a key may not repeat.
+        campaign.write_text(line + "\n" if line.startswith("n =")
+                            else f"n = 8\n{line}\n")
         out = tmp_path / "rows.csv"
         code, _, err = run_cli(
             capsys, "bench", "--campaign", str(campaign), "--out", str(out)
@@ -295,6 +365,10 @@ threads = 1
         ("reps = -2", "reps"),
         ("reps = 0", "reps"),
         ("with_optimal = ture", "with_optimal"),
+        ("seeds = 0, 1\nn = 8\nseeds = 2",
+         "campaign line 3: n is already set on line 1"),
+        ("with_optimal = yes\nwith_optimal = no",
+         "campaign line 3: with_optimal is already set on line 2"),
     ])
     def test_out_of_range_campaign_values_rejected_before_any_cell(
         self, tmp_path, capsys, monkeypatch, line, message
