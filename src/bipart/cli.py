@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+import traceback
 from contextlib import nullcontext
 from itertools import product
 
@@ -79,6 +80,7 @@ def _write_rows(stream, rows):
     writer.writerow(BENCH_COLUMNS)
     for row in rows:  # a column a row lacks is empty
         writer.writerow([_fmt(row.get(c)) for c in BENCH_COLUMNS])
+        stream.flush()  # a run stopped part-way keeps the rows it wrote
 
 
 # -- generate ----------------------------------------------------------------
@@ -191,7 +193,7 @@ def _number(convert, text: str, lineno: int, key: str):
 
 def parse_campaign(text: str) -> dict:
     """Campaign file: 'key = value' lines, list values comma-separated,
-    each key at most once."""
+    each key at most once and each value at most once in its list."""
     campaign = dict(_CAMPAIGN_DEFAULTS)
     seen = {}  # key: the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,6 +215,10 @@ def parse_campaign(text: str) -> dict:
                 campaign[key] = items
             else:
                 campaign[key] = [_number(int, x, lineno, key) for x in items]
+            for i, x in enumerate(campaign[key]):
+                if x in campaign[key][:i]:
+                    raise ValueError(f"campaign line {lineno}: {key} lists "
+                                     f"{x!r} more than once")
         elif key in ("wmin", "reps"):
             campaign[key] = _number(int, value, lineno, key)
         elif key == "with_optimal":
@@ -287,15 +293,15 @@ def run_campaign(campaign: dict):
                 cell = {**columns, "strategy": strat_name, "threads": threads}
                 print(f"bipart: bench cell {cell} failed: {exc}",
                       file=sys.stderr)
+                traceback.print_exc()
                 yield cell
 
 
 def cmd_bench(args) -> int:
     with open(args.campaign, "r", encoding="utf-8") as fh:
         plan = parse_campaign(fh.read())
-    rows = list(run_campaign(plan))
-    with _output(args.out) as fh:
-        _write_rows(fh, rows)
+    with _output(args.out) as fh:  # open before the first cell runs
+        _write_rows(fh, run_campaign(plan))
     return 0
 
 

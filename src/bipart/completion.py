@@ -12,6 +12,7 @@ as a leaf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import WeightedGraph, cut_value
@@ -54,7 +55,7 @@ def _sides_template(sp: Subproblem) -> list[int]:
 
 
 def try_complete(
-    sp: Subproblem, cutoff: float | None = None
+    sp: Subproblem, cutoff: float = math.inf
 ) -> Solution | int | None:
     """Solve the subproblem without branching when a completion rule fires.
 
@@ -73,8 +74,9 @@ def try_complete(
     Returns None when no rule applies.  Otherwise the rule's value is
     computed first, in O(f) (O(f log f) for rebalancing), and the Solution
     is built, with its cut re-evaluated edge by edge, only when that value
-    is below `cutoff` (always without one); else the value alone is
-    returned, an int, as the completion cannot beat the incumbent.
+    is below `cutoff`, a number (always with the default, infinity); else
+    the value alone is returned, an int, as the completion cannot beat the
+    incumbent.
     """
     g = sp.graph
     free = sp.free_list
@@ -93,7 +95,7 @@ def try_complete(
                 best_key, best_v = key, v
         value = sp.fixed_cut + best_key + (
             sp.sum_d0 if short == 0 else sum(map(d_own.__getitem__, free)))
-        if cutoff is not None and value >= cutoff:
+        if value >= cutoff:
             return value
         sides = _sides_template(sp)
         for v in free:
@@ -104,7 +106,7 @@ def try_complete(
 
     if not f0 or not f1 or not sp.free_edges:
         value = sp.fixed_cut + fixed_free_minimum(sp)
-        if cutoff is not None and value >= cutoff:
+        if value >= cutoff:
             return value
         order = rebalance_bound(sp)
         sides = _sides_template(sp)

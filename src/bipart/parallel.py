@@ -171,7 +171,6 @@ def solve_parallel(
     cfg: BoundConfig = BoundConfig(),
     strategy: SearchStrategy = SearchStrategy.DFS,
     threads: int = 1,
-    initial: Solution | None = None,
     initial_value: int | None = None,
 ) -> SolveResult:
     """Exact optimum, searched by up to `threads` worker processes.
@@ -186,7 +185,7 @@ def solve_parallel(
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
-    search = start_search(graph, s0, s1, cfg, strategy, initial, initial_value)
+    search = start_search(graph, s0, s1, cfg, strategy, initial_value)
     workers = worker_count(threads)
     searched = 1
     if workers > 1 and not search.run(NODE_BUDGET):

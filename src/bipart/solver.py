@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import WeightedGraph, cut_value
+from .graph import WeightedGraph
 from .subproblem import Subproblem, root_subproblem
 from .bounds import BoundConfig, lower_bound
 from .completion import (
@@ -241,32 +241,19 @@ class Search:
         )
 
 
-def start_search(graph, s0, s1, cfg, strategy, initial, initial_value):
+def start_search(graph, s0, s1, cfg, strategy, initial_value):
     """Checks, incumbent seed and root shared by both search entry points.
 
-    The incumbent is `initial` when given, else the greedy heuristic
-    refined by Kernighan-Lin.  An `initial` that is not an (s0, s1)
-    bipartition of the graph, or whose value is not its cut, raises
-    ValueError.  An `initial_value` at or below the incumbent's value
-    replaces it without an assignment: best is then None, and the solve
-    proves that nothing beats `initial_value` unless it finds something
-    that does.  The root carries its full lower bound.
+    The incumbent is the greedy heuristic's split refined by Kernighan-Lin.
+    An `initial_value` at or below its value replaces it without an
+    assignment: best is then None, and the solve proves that nothing beats
+    `initial_value` unless it finds something that does.  The root carries
+    its full lower bound.
     """
     t_start = time.perf_counter()
     if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
         raise ValueError(f"invalid sizes ({s0},{s1}) for n={graph.n}")
-    if initial is not None:
-        sides = initial.assignment
-        if (len(sides) != graph.n or not set(sides) <= {0, 1}
-                or sides.count(0) != s0
-                or initial.value != cut_value(graph, sides)):
-            raise ValueError(
-                f"initial solution is not a {s0}|{s1} bipartition of the "
-                f"graph with its cut value"
-            )
-    best = initial if initial is not None else greedy_initial_solution(
-        graph, s0, s1
-    )
+    best = greedy_initial_solution(graph, s0, s1)
     best_value = best.value
     if initial_value is not None and initial_value <= best_value:
         best, best_value = None, initial_value
@@ -282,17 +269,16 @@ def solve_sequential(
     s1: int,
     cfg: BoundConfig = BoundConfig(),
     strategy: SearchStrategy = SearchStrategy.DFS,
-    initial: Solution | None = None,
     initial_value: int | None = None,
 ) -> SolveResult:
     """Exact optimum of the (s0, s1) bipartitioning problem.
 
-    The incumbent is seeded with `initial` when given, else with the greedy
-    heuristic; an `initial_value` at or below the seed's value replaces it
-    without providing an assignment (used for proving optimality of a known
-    value: the returned best is then None unless something better was
-    found).  Identical inputs give identical results and counts.
+    The incumbent is seeded with the greedy heuristic; an `initial_value`
+    at or below the seed's value replaces it without providing an
+    assignment (used for proving optimality of a known value: the returned
+    best is then None unless something better was found).  Identical
+    inputs give identical results and counts.
     """
-    search = start_search(graph, s0, s1, cfg, strategy, initial, initial_value)
+    search = start_search(graph, s0, s1, cfg, strategy, initial_value)
     search.run()
     return search.result()

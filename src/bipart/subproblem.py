@@ -28,8 +28,8 @@ fresh copy of its own side's D array, which holds v's free edges, and
 shares the parent's other-side D array when v's entry there is already 0.
 Subproblem.fix builds the state with a whole batch of forced vertices
 fixed, in one copy of each array, keeping the sums up to date after each
-vertex; given a cutoff, it stops and returns None as soon as fixed cut +
-basic reaches it, which then holds for the whole batch.  Sharing is safe
+vertex; it stops and returns None as soon as fixed cut + basic reaches
+the caller's cutoff, which then holds for the whole batch.  Sharing is safe
 because no array of a subproblem is written after assign, fix or
 recompute_from_scratch builds it; only lb, delta_lo and delta_hi are set
 later, by the bound, on the subproblem's own slots.
@@ -39,6 +39,8 @@ memory, with their stored bounds.
 """
 
 from __future__ import annotations
+
+import math
 
 from .graph import WeightedGraph
 
@@ -79,12 +81,13 @@ class Subproblem:
     # -- branching -------------------------------------------------------
 
     def assign(
-        self, v: int, cutoff: float | None = None
+        self, v: int, cutoff: float = math.inf
     ) -> tuple["Subproblem | None", "Subproblem | None"]:
         """The two children of branching on free vertex v: (child0, child1).
 
         child_s has v fixed to side s.  It is None, and never built, when
-        side s is full or when its fixed cut + basic reaches `cutoff`.  One
+        side s is full or when its fixed cut + basic reaches `cutoff`, a
+        number (the default, infinity, keeps every child with room).  One
         loop over v's adjacency does all the per-neighbour work: it tests
         the free bit, adds the neighbour's basic increment to the child it
         belongs to, and writes the edge weight into both children's
@@ -121,8 +124,8 @@ class Subproblem:
                     own1[u] = y + w
         cut0 = self.fixed_cut + dv1
         cut1 = self.fixed_cut + dv0
-        keep0 = self.f0 > 0 and (cutoff is None or cut0 + basic0 < cutoff)
-        keep1 = self.f1 > 0 and (cutoff is None or cut1 + basic1 < cutoff)
+        keep0 = self.f0 > 0 and cut0 + basic0 < cutoff
+        keep1 = self.f1 > 0 and cut1 + basic1 < cutoff
         if not (keep0 or keep1):
             return None, None
 
@@ -179,7 +182,7 @@ class Subproblem:
                 c.d0 = d0
         return child0, child1
 
-    def fix(self, pairs, cutoff: float | None = None) -> "Subproblem | None":
+    def fix(self, pairs, cutoff: float = math.inf) -> "Subproblem | None":
         """The subproblem with every (v, side) of `pairs` fixed at once, or
         None once its fixed cut + basic reaches `cutoff`.
 
@@ -192,13 +195,13 @@ class Subproblem:
 
         During a batch fixed cut + basic never falls: fixing v adds v's
         other-side weight to the cut and takes at most that much out of
-        basic, and a neighbour's min(d0, d1) can only grow.  So with a
-        `cutoff`, fix returns None as soon as a fixed vertex lifts the sum
-        to it, and the pairs after that vertex are not examined.  Each v
-        that is examined must be free, else ValueError; a batch that runs
-        to its end must not give a side more vertices than it has room
-        for, else ValueError.  Without a cutoff every pair is examined.
-        The parent is not modified.  A fix is not a branching, so depth
+        basic, and a neighbour's min(d0, d1) can only grow.  So fix
+        returns None as soon as a fixed vertex lifts the sum to `cutoff`, a
+        number, and the pairs after that vertex are not examined; with the
+        default, infinity, every pair is.  Each v that is examined must be
+        free, else ValueError; a batch that runs to its end must not give a
+        side more vertices than it has room for, else ValueError.  The
+        parent is not modified.  A fix is not a branching, so depth
         stays the parent's.
         """
         g = self.graph
@@ -237,7 +240,7 @@ class Subproblem:
                             sum_d0 += w
                             if x < y:
                                 basic += w if x + w <= y else y - x
-            if cutoff is not None and fixed_cut + basic >= cutoff:
+            if fixed_cut + basic >= cutoff:
                 return None
         c = Subproblem.__new__(Subproblem)
         c.graph = g

@@ -329,6 +329,45 @@ threads = 1
         assert all(failed[c] == "" for c in BENCH_COLUMNS if c not in labels)
         assert solved["n"] == "10" and solved["cut"] != ""
         assert "bench cell" in err and "boom" in err
+        assert "Traceback" in err and "in solve_or_fail" in err
+
+    def test_rows_of_an_interrupted_campaign_are_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """Each row is written as its cell finishes: Ctrl-C during the
+        second cell leaves the header and the first row in --out."""
+        calls = []
+
+        def solve_then_interrupt(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_solve(*args, **kwargs)
+
+        real_solve = bipart.cli.solve_parallel
+        monkeypatch.setattr(bipart.cli, "solve_parallel", solve_then_interrupt)
+        campaign = tmp_path / "c.txt"
+        campaign.write_text("n = 8, 10\n")
+        out = tmp_path / "rows.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--campaign", str(campaign), "--out", str(out)])
+        [row] = read_rows(out.read_text())
+        assert row["n"] == "8" and row["cut"] != ""
+
+    def test_out_in_a_missing_directory_is_rejected_before_any_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        solves = []
+        monkeypatch.setattr("bipart.cli.solve_parallel",
+                            lambda *a, **k: solves.append(a))
+        campaign = tmp_path / "c.txt"
+        campaign.write_text("n = 8\n")
+        out = tmp_path / "missing" / "rows.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--campaign", str(campaign), "--out", str(out)
+        )
+        assert code == 2 and "input error" in err
+        assert not solves and not out.exists()
 
     def test_unknown_config_rejected(self, tmp_path, capsys):
         campaign = tmp_path / "c.txt"
@@ -369,6 +408,11 @@ threads = 1
          "campaign line 3: n is already set on line 1"),
         ("with_optimal = yes\nwith_optimal = no",
          "campaign line 3: with_optimal is already set on line 2"),
+        ("n = 6, 6", "campaign line 1: n lists 6 more than once"),
+        ("seeds = 0, 0", "campaign line 2: seeds lists 0 more than once"),
+        ("p = 0.5, 0.50", "campaign line 2: p lists 0.5 more than once"),
+        ("configs = rebalance, rebalance",
+         "campaign line 2: configs lists 'rebalance' more than once"),
     ])
     def test_out_of_range_campaign_values_rejected_before_any_cell(
         self, tmp_path, capsys, monkeypatch, line, message
@@ -377,7 +421,9 @@ threads = 1
         monkeypatch.setattr("bipart.cli.solve_parallel",
                             lambda *a, **k: solves.append(a))
         campaign = tmp_path / "c.txt"
-        campaign.write_text(f"n = 8\n{line}\n")
+        # A line that sets n replaces the default one: a key may not repeat.
+        campaign.write_text(line + "\n" if line.startswith("n =")
+                            else f"n = 8\n{line}\n")
         out = tmp_path / "rows.csv"
         code, _, err = run_cli(
             capsys, "bench", "--campaign", str(campaign), "--out", str(out)

@@ -154,7 +154,7 @@ class TestSolveParallel:
 
         def split():
             search = start_search(g, 12, 12, CONFIG_PRESETS["rebalance"],
-                                  SearchStrategy.DFS, None, None)
+                                  SearchStrategy.DFS, None)
             return search, bipart.parallel._split(search, 8)
 
         pooled, tasks = split()
@@ -206,9 +206,11 @@ class TestSolveParallel:
             s0 = rng.randint(1, n - 1)
             expected = brute_force_optimum(g, s0, n - s0).optimum
             first = make_solution(g, [0] * s0 + [1] * (n - s0), s0, n - s0)
+            monkeypatch.setattr(bipart.solver, "greedy_initial_solution",
+                                lambda *args: first)
             cfg, strategy = pairs[i % len(pairs)]
             r = solve_parallel_checked(g, s0, n - s0, cfg, strategy,
-                                       threads=2, initial=first)
+                                       threads=2)
             assert r.optimum == r.best.value == expected
         assert pool.call_count >= 24 or worker_count(2) == 1
 

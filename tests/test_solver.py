@@ -1,6 +1,6 @@
 import itertools
+import math
 import random
-from functools import partial
 from unittest import mock
 
 import pytest
@@ -11,9 +11,10 @@ from checks import (assert_equivalent, complete_unweighted, example_graph,
                     random_partial_assignment, side_of, solve_parallel_checked)
 
 import bipart.parallel
+import bipart.solver
 from bipart.bounds import CONFIG_PRESETS, lower_bound
-from bipart.completion import (Solution, greedy_initial_solution,
-                               make_solution, max_adjacency_split,
+from bipart.completion import (greedy_initial_solution, make_solution,
+                               max_adjacency_split,
                                rebalancing_completion_value, try_complete)
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
@@ -178,17 +179,6 @@ class TestSolveSequential:
         assert runs[0].solutions_found == runs[1].solutions_found
         assert runs[0].irrelevant_tasks == runs[1].irrelevant_tasks
 
-    def test_initial_solution_seeds_incumbent(self):
-        g = example_graph()
-        seed_sol = make_solution(g, [0, 0, 1, 1], 2, 2)  # value 7, optimal
-        r = solve_sequential(g, 2, 2, initial=seed_sol)
-        assert r.optimum == 7
-        assert r.best is seed_sol
-        assert r.solutions_found == 1
-        r = solve_parallel_checked(g, 2, 2, initial=seed_sol, threads=2)
-        assert r.optimum == 7
-        assert r.best is seed_sol
-
     def test_initial_value_proves_optimality(self):
         # The max-adjacency split puts {0,1} on side 0 here (cut 9), and
         # Kernighan-Lin refines it to {0,3} (cut 2), the optimum.  An
@@ -227,20 +217,6 @@ class TestSolveSequential:
             r = solve_sequential(g, 6, 6, CONFIG_PRESETS["component"], strategy)
             assert r.popped == r.subproblems_explored + r.irrelevant_tasks
             assert r.time_total >= r.time_to_optimum >= 0.0
-
-    @pytest.mark.parametrize("solve", [
-        solve_sequential, partial(solve_parallel_checked, threads=2),
-    ], ids=["sequential", "parallel"])
-    @pytest.mark.parametrize("initial", [
-        Solution((0, 0, 0, 1), 4),  # 3|1 sides, a cut below the optimum 7
-        Solution((0, 0, 2, 1), 11),  # a side outside 0/1
-        Solution((0, 0, 1, 1), 5),  # the cut is 7
-        Solution((0, 0, 1), 7),  # too short
-    ], ids=["3|1 sides", "side 2", "wrong value", "too short"])
-    def test_an_infeasible_or_misvalued_initial_is_rejected(self, solve,
-                                                            initial):
-        with pytest.raises(ValueError, match="initial solution"):
-            solve(example_graph(), 2, 2, initial=initial)
 
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -383,7 +359,7 @@ def test_budgeted_loop_resumes_on_the_same_tree(budget):
     for g, s0, s1, table in pinned_tables():
         for preset, cfg in CONFIG_PRESETS.items():
             for strategy in SearchStrategy:
-                search = start_search(g, s0, s1, cfg, strategy, None, None)
+                search = start_search(g, s0, s1, cfg, strategy, None)
                 slices = 1
                 while not search.run(budget):
                     slices += 1
@@ -455,9 +431,10 @@ def test_irregular_inputs_match_oracle(instance, pool_pair):
     cfg, strategy = pool_pair
     first = make_solution(g, [0] * s0 + [1] * s1, s0, s1)
     with mock.patch.object(bipart.parallel, "NODE_BUDGET", 0), \
-            mock.patch.object(bipart.parallel, "TASKS_PER_WORKER", 1):
-        r = solve_parallel_checked(g, s0, s1, cfg, strategy, threads=2,
-                                   initial=first)
+            mock.patch.object(bipart.parallel, "TASKS_PER_WORKER", 1), \
+            mock.patch.object(bipart.solver, "greedy_initial_solution",
+                              lambda *args: first):
+        r = solve_parallel_checked(g, s0, s1, cfg, strategy, threads=2)
     assert r.optimum == r.best.value == expected
 
 
@@ -521,7 +498,7 @@ def test_search_keeps_only_fully_maintained_children(preset, monkeypatch):
     fixed = []
     real_fix = Subproblem.fix
 
-    def checked_fix(sp, pairs, cutoff=None):
+    def checked_fix(sp, pairs, cutoff=math.inf):
         state = built = real_fix(sp, pairs, cutoff)
         if state is None:
             # Stopped at the cutoff: the whole batch, built without one,
