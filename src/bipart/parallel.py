@@ -14,7 +14,7 @@ from .graph import WeightedGraph
 from .bounds import BoundConfig, lower_bound  # noqa: F401
 from .completion import Solution, greedy_initial_solution  # noqa: F401
 from .solver import (Search, SearchStrategy, SolveResult,  # noqa: F401
-                     expand, start_search)
+                     expand, integer)
 from .subproblem import Subproblem, root_subproblem  # noqa: F401
 
 # expand, greedy_initial_solution, lower_bound, root_subproblem: for
@@ -89,13 +89,12 @@ def _split(search: Search, count: int) -> list[Subproblem]:
 def _worker(conn, search, tasks, claim, shared, lock):
     """Forked worker: claim tasks in order and search each, as the fork
     holds it with its stored bound, in slices on this copy of `search`;
-    send one result or error and leave through os._exit, past the caller's
-    flushes and finalizers.  The caller may run other threads, so it
-    imports nothing and takes no lock but `lock`."""
+    send its SolveResult or its error and leave through os._exit, past the
+    caller's flushes and finalizers.  The caller may run other threads, so
+    it imports nothing and takes no lock but `lock`."""
     try:
         search.best = None
-        search.explored = search.popped = search.irrelevant = 0
-        search.solutions_found = 0
+        search.explored = search.irrelevant = search.solutions_found = 0
         while True:
             with lock:
                 i = claim.value
@@ -110,11 +109,9 @@ def _worker(conn, search, tasks, claim, shared, lock):
                         shared.value = search.best_value
                     elif shared.value < _SHARED_MAX:
                         search.best_value = shared.value
-        conn.send((None, search.best, search.t_best,  # its last, and best
-                   (search.explored, search.popped, search.irrelevant,
-                    search.solutions_found)))
+        conn.send((None, search.result()))
     except BaseException as exc:  # the parent re-raises it
-        conn.send((exc, None, None, None))
+        conn.send((exc, None))
     finally:
         os._exit(0)
 
@@ -143,17 +140,16 @@ def _search_in_pool(search: Search, tasks, workers) -> None:
             reader = wait(pending)[0]
             pending.remove(reader)
             try:
-                error, best, stamp, counts = reader.recv()
+                error, result = reader.recv()
             except EOFError:
                 raise RuntimeError("a worker exited without a result") from None
             if error is not None:
                 raise error
-            if best is not None:
-                incumbent.update(best, stamp)
-            search.explored += counts[0]
-            search.popped += counts[1]
-            search.irrelevant += counts[2]
-            search.solutions_found += counts[3]
+            if result.best is not None:
+                incumbent.update(result.best, result.time_to_optimum)
+            search.explored += result.subproblems_explored
+            search.irrelevant += result.irrelevant_tasks
+            search.solutions_found += result.solutions_found
     finally:
         for proc, reader in pool:
             proc.terminate()  # past its result, or left behind by an error
@@ -181,11 +177,12 @@ def solve_parallel(
     workers, its counts varying with scheduling; none is left running when
     this returns or raises.  The result's `threads` is the number of
     processes that searched: the forked workers, or 1 when none was
-    started.  Threads outside 1..MAX_THREADS: ValueError.
+    started.  A `threads` that is not an integer in 1..MAX_THREADS raises
+    ValueError before any work, as do the arguments Search rejects.
     """
-    if not 1 <= threads <= MAX_THREADS:
+    if not 1 <= integer(threads, "thread count") <= MAX_THREADS:
         raise ValueError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
-    search = start_search(graph, s0, s1, cfg, strategy, initial_value)
+    search = Search(graph, s0, s1, cfg, strategy, initial_value)
     workers = worker_count(threads)
     searched = 1
     if workers > 1 and not search.run(NODE_BUDGET):

@@ -1,5 +1,5 @@
-"""Branch-and-bound engine: the start and expansion step shared by both
-entry points, and the search loop they both run.
+"""Branch-and-bound engine: the search both entry points run, from its
+incumbent seed and root to its result, and the expansion step of its loop.
 
 The loop keeps one priority heap keyed by (-priority, push number) for
 every strategy: ties go to the earlier push, so dfs pops the first child
@@ -26,6 +26,7 @@ runs it.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -54,11 +55,15 @@ class SolveResult:
     optimum: int
     subproblems_explored: int
     irrelevant_tasks: int
-    popped: int
     solutions_found: int
     time_total: float
     time_to_optimum: float
     threads: int  # processes that searched: forked workers, else 1
+
+    @property
+    def popped(self) -> int:
+        """Dequeued subproblems: the explored and the irrelevant ones."""
+        return self.subproblems_explored + self.irrelevant_tasks
 
 
 def branch_vertex(sp: Subproblem) -> int:
@@ -169,7 +174,16 @@ def expand(sp, cfg, cutoff):
 
 
 class Search:
-    """One search: its frontier heap, its incumbent and its counts.
+    """One search from incumbent seed to result: its frontier heap, its
+    incumbent and its counts.
+
+    The incumbent is the greedy heuristic's split refined by Kernighan-Lin.
+    An integer `initial_value` at or below its value replaces it without an
+    assignment: best is then None, and the search proves that nothing beats
+    `initial_value` unless it finds something that does.  The root carries
+    its full lower bound.  A `strategy` that is not a SearchStrategy or its
+    value, a non-integer `initial_value` and infeasible sizes raise
+    ValueError before the search starts.
 
     `run` pops and expands until the frontier is empty or a node budget is
     spent, and a later `run` resumes on the same heap, so a search run in
@@ -179,31 +193,32 @@ class Search:
     or another worker's incumbent).
     """
 
-    def __init__(self, root, cfg, strategy, best, best_value, t_start, t_best):
+    def __init__(self, graph, s0, s1, cfg, strategy, initial_value=None):
+        self.t_start = time.perf_counter()
         self.cfg = cfg
-        self.strategy = strategy
-        self.frontier = [(-priority(root, strategy), 0, root)]
-        self.pushes = 0
-        self.explored = 0
-        self.irrelevant = 0
-        self.popped = 0
-        self.best = best
-        self.best_value = best_value
-        self.solutions_found = 0 if best is None else 1
-        self.t_start = t_start
-        self.t_best = t_best
+        self.strategy = SearchStrategy(strategy)
+        if initial_value is not None:
+            initial_value = integer(initial_value, "initial_value")
+        self.best = greedy_initial_solution(graph, s0, s1)
+        self.best_value = self.best.value
+        if initial_value is not None and initial_value <= self.best_value:
+            self.best, self.best_value = None, initial_value
+        self.solutions_found = 0 if self.best is None else 1
+        self.t_best = time.perf_counter() - self.t_start
+        root = root_subproblem(graph, s0, s1)
+        root.lb = lower_bound(root, cfg)
+        self.frontier = [(-priority(root, self.strategy), 0, root)]
+        self.pushes = self.explored = self.irrelevant = 0
 
     def run(self, budget: int | None = None) -> bool:
         """Explore until the frontier is empty, returning True, or until
         `budget` more subproblems have been explored, returning False."""
         cfg, strategy, frontier = self.cfg, self.strategy, self.frontier
-        pushes, explored = self.pushes, self.explored
-        irrelevant, popped = self.irrelevant, self.popped
+        pushes, explored, irrelevant = self.pushes, self.explored, self.irrelevant
         best, best_value = self.best, self.best_value
         stop = -1 if budget is None else explored + budget
         while frontier and explored != stop:
             sp = heapq.heappop(frontier)[2]
-            popped += 1
             if sp.lb >= best_value:
                 irrelevant += 1
                 continue
@@ -222,8 +237,7 @@ class Search:
                     heapq.heappush(
                         frontier, (-priority(child, strategy), pushes, child)
                     )
-        self.pushes, self.explored = pushes, explored
-        self.irrelevant, self.popped = irrelevant, popped
+        self.pushes, self.explored, self.irrelevant = pushes, explored, irrelevant
         self.best, self.best_value = best, best_value
         return not frontier
 
@@ -233,7 +247,6 @@ class Search:
             optimum=self.best_value,
             subproblems_explored=self.explored,
             irrelevant_tasks=self.irrelevant,
-            popped=self.popped,
             solutions_found=self.solutions_found,
             time_total=time.perf_counter() - self.t_start,
             time_to_optimum=self.t_best,
@@ -241,26 +254,13 @@ class Search:
         )
 
 
-def start_search(graph, s0, s1, cfg, strategy, initial_value):
-    """Checks, incumbent seed and root shared by both search entry points.
-
-    The incumbent is the greedy heuristic's split refined by Kernighan-Lin.
-    An `initial_value` at or below its value replaces it without an
-    assignment: best is then None, and the solve proves that nothing beats
-    `initial_value` unless it finds something that does.  The root carries
-    its full lower bound.
-    """
-    t_start = time.perf_counter()
-    if s0 <= 0 or s1 <= 0 or s0 + s1 != graph.n:
-        raise ValueError(f"invalid sizes ({s0},{s1}) for n={graph.n}")
-    best = greedy_initial_solution(graph, s0, s1)
-    best_value = best.value
-    if initial_value is not None and initial_value <= best_value:
-        best, best_value = None, initial_value
-    t_best = time.perf_counter() - t_start
-    root = root_subproblem(graph, s0, s1)
-    root.lb = lower_bound(root, cfg)
-    return Search(root, cfg, strategy, best, best_value, t_start, t_best)
+def integer(value, name: str) -> int:
+    """`value` through operator.index; ValueError naming `name` when it is
+    not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def solve_sequential(
@@ -271,14 +271,10 @@ def solve_sequential(
     strategy: SearchStrategy = SearchStrategy.DFS,
     initial_value: int | None = None,
 ) -> SolveResult:
-    """Exact optimum of the (s0, s1) bipartitioning problem.
-
-    The incumbent is seeded with the greedy heuristic; an `initial_value`
-    at or below the seed's value replaces it without providing an
-    assignment (used for proving optimality of a known value: the returned
-    best is then None unless something better was found).  Identical
-    inputs give identical results and counts.
+    """Exact optimum of the (s0, s1) bipartitioning problem, by one Search
+    run to the end (see Search for the seed and `initial_value`).
+    Identical inputs give identical results and counts.
     """
-    search = start_search(graph, s0, s1, cfg, strategy, initial_value)
+    search = Search(graph, s0, s1, cfg, strategy, initial_value)
     search.run()
     return search.result()

@@ -17,7 +17,7 @@ from bipart.completion import Solution, make_solution
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel, worker_count
-from bipart.solver import SearchStrategy, solve_sequential, start_search
+from bipart.solver import Search, SearchStrategy, solve_sequential
 
 
 @pytest.fixture
@@ -138,23 +138,17 @@ class TestSolveParallel:
             )
             assert r.optimum == expected
 
-    def test_wasted_work_accounting(self, force_pool):
-        g = generate_er(13, 0.6, 1, 1000, seed=8)
-        r = solve_parallel_checked(
-            g, 6, 7, CONFIG_PRESETS["rebalance"], threads=4
-        )
-        assert r.popped == r.subproblems_explored + r.irrelevant_tasks
-
     @pytest.mark.parametrize("seed", [7, 19, 20, 22])
     def test_one_worker_counts_as_the_in_process_search(self, seed):
         """One pooled worker searches the split's tasks in the order this
-        process would, so it explores as many subproblems and counts as many
-        improving completions."""
+        process would, so the parent's merge of its SolveResult gives as
+        many explored subproblems, irrelevant tasks (1, 3, 2 and 1 here)
+        and improving completions."""
         g = generate_er(24, 0.3, 1, 1000, seed)
 
         def split():
-            search = start_search(g, 12, 12, CONFIG_PRESETS["rebalance"],
-                                  SearchStrategy.DFS, None)
+            search = Search(g, 12, 12, CONFIG_PRESETS["rebalance"],
+                            SearchStrategy.DFS)
             return search, bipart.parallel._split(search, 8)
 
         pooled, tasks = split()
@@ -163,8 +157,9 @@ class TestSolveParallel:
         for task in tasks:
             alone.frontier = [(0, 0, task)]
             alone.run()
-        assert (pooled.explored, pooled.solutions_found) == (
-            alone.explored, alone.solutions_found)
+        assert alone.irrelevant > 0
+        assert (pooled.explored, pooled.irrelevant, pooled.solutions_found) == (
+            alone.explored, alone.irrelevant, alone.solutions_found)
 
     def test_initial_value_seeding(self, force_pool):
         g = generate_er(12, 0.5, 1, 1000, seed=3)
@@ -175,6 +170,19 @@ class TestSolveParallel:
             g, 6, 6, threads=2, initial_value=opt + 1
         )
         assert loose.optimum == loose.best.value == opt
+
+    @pytest.mark.parametrize("value", [5334.5, 5335.0])
+    def test_non_integer_initial_value_rejected(self, value, force_pool,
+                                                started):
+        """A cut is an integer, so a fractional or float seed value raises
+        from both entry points, the pool forced, and no process starts."""
+        g = generate_er(16, 0.4, 1, 1000, seed=3)
+        assert solve_sequential(g, 8, 8).optimum == 5335
+        with pytest.raises(ValueError, match="initial_value"):
+            solve_sequential(g, 8, 8, initial_value=value)
+        with pytest.raises(ValueError, match="initial_value"):
+            solve_parallel_checked(g, 8, 8, threads=2, initial_value=value)
+        assert started == []
 
     def test_cut_values_beyond_64_bits_through_the_pool(self, force_pool):
         """Values the shared 64-bit incumbent cannot hold are not shared,
@@ -217,6 +225,18 @@ class TestSolveParallel:
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ValueError):
             solve_parallel(complete_unweighted(4), 2, 2, threads=0)
+
+    def test_non_integer_thread_count_starts_no_process(self, monkeypatch,
+                                                        started):
+        """threads=2.0 raises on a solve inside the in-process budget and
+        on one forced into the pool, before any process starts."""
+        g = generate_er(16, 0.4, 1, 1000, seed=3)
+        with pytest.raises(ValueError, match="thread count"):
+            solve_parallel_checked(g, 8, 8, threads=2.0)
+        monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", 0)
+        with pytest.raises(ValueError, match="thread count"):
+            solve_parallel_checked(g, 8, 8, threads=2.0)
+        assert started == []
 
     def test_thread_count_above_the_cap_starts_no_thread(
         self, force_pool, started
@@ -348,8 +368,7 @@ class TestSolveParallel:
     def test_pool_stress_more_workers_than_cores(self, force_pool):
         """Eight workers asked for, every preset and strategy through the
         pool: a lost claim of a task or a lost update of the shared
-        incumbent or the tallies would hang a solve, lose a task (wrong
-        optimum) or break popped == explored + irrelevant."""
+        incumbent would hang a solve or lose a task (wrong optimum)."""
         rng = random.Random(4242)
         instances = []
         for _ in range(20):
@@ -376,6 +395,5 @@ class TestSolveParallel:
                 r = out[0]
                 seq = solve_sequential(g, s0, g.n - s0, cfg, strategy)
                 assert r.optimum == seq.optimum == expected
-                assert r.popped == r.subproblems_explored + r.irrelevant_tasks
                 if r.best is not None:
                     assert cut_value(g, r.best.assignment) == expected

@@ -19,12 +19,12 @@ from bipart.completion import (greedy_initial_solution, make_solution,
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.solver import (
+    Search,
     SearchStrategy,
     branch_vertex,
     expand,
     priority,
     solve_sequential,
-    start_search,
 )
 from bipart.subproblem import Subproblem, recompute_from_scratch, root_subproblem
 
@@ -215,7 +215,6 @@ class TestSolveSequential:
         g = generate_er(12, 0.6, 1, 1000, seed=9)
         for strategy in SearchStrategy:
             r = solve_sequential(g, 6, 6, CONFIG_PRESETS["component"], strategy)
-            assert r.popped == r.subproblems_explored + r.irrelevant_tasks
             assert r.time_total >= r.time_to_optimum >= 0.0
 
     def test_infeasible_sizes_rejected(self):
@@ -223,6 +222,29 @@ class TestSolveSequential:
             solve_sequential(example_graph(), 0, 4)
         with pytest.raises(ValueError):
             solve_sequential(example_graph(), 3, 2)
+
+    def test_strategy_is_resolved_once_and_checked(self, monkeypatch):
+        """A strategy's value searches as the strategy itself (dfs 59, lb
+        58, gap 60 nodes here), and a value that is no strategy raises
+        from both entry points before the heuristic seed runs."""
+        g = generate_er(22, 0.2, 1, 1000, seed=0)
+        cfg = CONFIG_PRESETS["rebalance"]
+
+        def nodes(strategy):
+            return solve_sequential(g, 11, 11, cfg, strategy).subproblems_explored
+
+        assert [nodes(s) for s in SearchStrategy] == [59, 58, 60]
+        assert [nodes(s.value) for s in SearchStrategy] == [59, 58, 60]
+
+        def no_seed(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(bipart.solver, "greedy_initial_solution", no_seed)
+        for bad in ("bogus", None, "DFS"):
+            with pytest.raises(ValueError, match="SearchStrategy"):
+                solve_sequential(g, 11, 11, cfg, bad)
+            with pytest.raises(ValueError, match="SearchStrategy"):
+                solve_parallel_checked(g, 11, 11, cfg, bad, threads=2)
 
 
 # (optimum, subproblems_explored, popped, irrelevant_tasks) of
@@ -359,7 +381,7 @@ def test_budgeted_loop_resumes_on_the_same_tree(budget):
     for g, s0, s1, table in pinned_tables():
         for preset, cfg in CONFIG_PRESETS.items():
             for strategy in SearchStrategy:
-                search = start_search(g, s0, s1, cfg, strategy, None)
+                search = Search(g, s0, s1, cfg, strategy)
                 slices = 1
                 while not search.run(budget):
                     slices += 1
