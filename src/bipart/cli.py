@@ -120,8 +120,8 @@ def _solve_row(graph, s0, s1, cfg, strategy, threads, reps, with_optimal,
     requested `threads` (not the processes that searched), then the results
     of `reps` solves.  `time_total` and `time_to_optimum` are the means over
     the reps, and every other result column is the last solve's.  With
-    `with_optimal`, one more solve seeded with the optimum just found gives
-    subproblems_with_optimal_initial."""
+    `with_optimal`, one more solve, whose cutoff is the optimum just found
+    and which runs no heuristic, gives subproblems_with_optimal_initial."""
     results = [solve_parallel(graph, s0, s1, cfg, strategy, threads=threads)
                for _ in range(reps)]
     result = results[-1]
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"per CPU; a small solve starts none "
                         f"(default ${THREADS_ENV_VAR} or 1)")
     s.add_argument("--with-optimal", action="store_true",
-                   help="also re-solve with the optimum seeding the incumbent")
+                   help="also re-solve with the optimum as the cutoff")
     s.set_defaults(func=cmd_solve)
 
     b = sub.add_parser("bench", help="run a benchmark campaign")

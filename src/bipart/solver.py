@@ -1,5 +1,5 @@
 """Branch-and-bound engine: the search both entry points run, from its
-incumbent seed and root to its result, and the expansion step of its loop.
+incumbent and root to its result, and the expansion step of its loop.
 
 The loop keeps one priority heap keyed by (-priority, push number) for
 every strategy: ties go to the earlier push, so dfs pops the first child
@@ -174,16 +174,16 @@ def expand(sp, cfg, cutoff):
 
 
 class Search:
-    """One search from incumbent seed to result: its frontier heap, its
+    """One search from incumbent to result: its frontier heap, its
     incumbent and its counts.
 
-    The incumbent is the greedy heuristic's split refined by Kernighan-Lin.
-    An integer `initial_value` at or below its value replaces it without an
-    assignment: best is then None, and the search proves that nothing beats
+    The incumbent is the greedy heuristic's split refined by Kernighan-Lin,
+    unless an integer `initial_value` is given: that is then the cutoff, no
+    heuristic runs, best is None, and the search proves that nothing beats
     `initial_value` unless it finds something that does.  The root carries
     its full lower bound.  A `strategy` that is not a SearchStrategy or its
-    value, a non-integer `initial_value` and infeasible sizes raise
-    ValueError before the search starts.
+    value, side sizes that are not integers >= 1 summing to graph.n and a
+    non-integer `initial_value` raise ValueError before any work.
 
     `run` pops and expands until the frontier is empty or a node budget is
     spent, and a later `run` resumes on the same heap, so a search run in
@@ -197,13 +197,18 @@ class Search:
         self.t_start = time.perf_counter()
         self.cfg = cfg
         self.strategy = SearchStrategy(strategy)
-        if initial_value is not None:
-            initial_value = integer(initial_value, "initial_value")
-        self.best = greedy_initial_solution(graph, s0, s1)
-        self.best_value = self.best.value
-        if initial_value is not None and initial_value <= self.best_value:
-            self.best, self.best_value = None, initial_value
-        self.solutions_found = 0 if self.best is None else 1
+        s0, s1 = integer(s0, "s0"), integer(s1, "s1")
+        if s0 < 1 or s1 < 1 or s0 + s1 != graph.n:
+            raise ValueError(f"s0 and s1 must be at least 1 and sum to "
+                             f"n = {graph.n}, got s0 = {s0}, s1 = {s1}")
+        if initial_value is None:
+            self.best = greedy_initial_solution(graph, s0, s1)
+            self.best_value = self.best.value
+            self.solutions_found = 1
+        else:
+            self.best = None
+            self.best_value = integer(initial_value, "initial_value")
+            self.solutions_found = 0
         self.t_best = time.perf_counter() - self.t_start
         root = root_subproblem(graph, s0, s1)
         root.lb = lower_bound(root, cfg)
@@ -256,11 +261,13 @@ class Search:
 
 def integer(value, name: str) -> int:
     """`value` through operator.index; ValueError naming `name` when it is
-    not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    not an integer or is a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def solve_sequential(
@@ -272,7 +279,7 @@ def solve_sequential(
     initial_value: int | None = None,
 ) -> SolveResult:
     """Exact optimum of the (s0, s1) bipartitioning problem, by one Search
-    run to the end (see Search for the seed and `initial_value`).
+    run to the end (see Search for the incumbent and `initial_value`).
     Identical inputs give identical results and counts.
     """
     search = Search(graph, s0, s1, cfg, strategy, initial_value)

@@ -28,6 +28,14 @@ def force_pool(monkeypatch):
     monkeypatch.setattr(bipart.parallel, "TASKS_PER_WORKER", 1)
 
 
+def forbid_heuristic(monkeypatch):
+    """From here on, a solve that calls the incumbent heuristic fails."""
+    def no_seed(*args):
+        raise AssertionError("the heuristic ran")
+
+    monkeypatch.setattr(bipart.solver, "greedy_initial_solution", no_seed)
+
+
 @pytest.fixture
 def started(monkeypatch):
     """The processes started during the test, recorded as they start."""
@@ -171,11 +179,52 @@ class TestSolveParallel:
         )
         assert loose.optimum == loose.best.value == opt
 
-    @pytest.mark.parametrize("value", [5334.5, 5335.0])
+    def test_initial_value_runs_no_heuristic(self, monkeypatch, started):
+        """Given an initial_value, neither entry point calls the heuristic,
+        in this process or in the pool, and the solve still ends with the
+        heuristic-seeded solve's optimum: without an assignment at the
+        optimum, with one above it."""
+        g = generate_er(20, 0.3, 1, 1000, seed=4)
+        cfg = CONFIG_PRESETS["rebalance"]
+        opt = solve_sequential(g, 10, 10, cfg).optimum
+        exact = solve_sequential(g, 10, 10, cfg, initial_value=opt)
+        forbid_heuristic(monkeypatch)
+        for budget in (bipart.parallel.NODE_BUDGET, 0):  # in budget, pool
+            monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", budget)
+            for solve in (solve_sequential, solve_parallel_checked):
+                kwargs = {} if solve is solve_sequential else {"threads": 2}
+                r = solve(g, 10, 10, cfg, initial_value=opt, **kwargs)
+                assert r.optimum == opt and r.best is None
+                if solve is solve_sequential or budget:
+                    assert r.subproblems_explored == exact.subproblems_explored
+                loose = solve(g, 10, 10, cfg, initial_value=opt + 1, **kwargs)
+                assert loose.optimum == loose.best.value == opt
+        assert started or worker_count(2) == 1
+
+    @pytest.mark.parametrize("s0, s1", [(8.0, 8.0), (True, 15), (0, 16),
+                                        (9, 8), (-1, 17)])
+    @pytest.mark.parametrize("initial_value", [None, 5335])
+    def test_bad_side_sizes_rejected_before_any_work(
+        self, s0, s1, initial_value, monkeypatch, force_pool, started
+    ):
+        """Side sizes that are not integers >= 1 summing to n raise
+        ValueError naming them from both entry points, before the
+        heuristic runs or a process starts."""
+        g = generate_er(16, 0.4, 1, 1000, seed=3)
+        forbid_heuristic(monkeypatch)
+        with pytest.raises(ValueError, match="s0"):
+            solve_sequential(g, s0, s1, initial_value=initial_value)
+        with pytest.raises(ValueError, match="s0"):
+            solve_parallel_checked(g, s0, s1, threads=2,
+                                   initial_value=initial_value)
+        assert started == []
+
+    @pytest.mark.parametrize("value", [5334.5, 5335.0, True])
     def test_non_integer_initial_value_rejected(self, value, force_pool,
                                                 started):
-        """A cut is an integer, so a fractional or float seed value raises
-        from both entry points, the pool forced, and no process starts."""
+        """A cut is an integer, so a fractional, float or bool cutoff
+        raises from both entry points, the pool forced, and no process
+        starts."""
         g = generate_er(16, 0.4, 1, 1000, seed=3)
         assert solve_sequential(g, 8, 8).optimum == 5335
         with pytest.raises(ValueError, match="initial_value"):
@@ -228,14 +277,17 @@ class TestSolveParallel:
 
     def test_non_integer_thread_count_starts_no_process(self, monkeypatch,
                                                         started):
-        """threads=2.0 raises on a solve inside the in-process budget and
-        on one forced into the pool, before any process starts."""
+        """threads=2.0 and threads=True raise on a solve inside the
+        in-process budget and on one forced into the pool, before any
+        process starts."""
         g = generate_er(16, 0.4, 1, 1000, seed=3)
-        with pytest.raises(ValueError, match="thread count"):
-            solve_parallel_checked(g, 8, 8, threads=2.0)
+        for threads in (2.0, True):
+            with pytest.raises(ValueError, match="thread count"):
+                solve_parallel_checked(g, 8, 8, threads=threads)
         monkeypatch.setattr(bipart.parallel, "NODE_BUDGET", 0)
-        with pytest.raises(ValueError, match="thread count"):
-            solve_parallel_checked(g, 8, 8, threads=2.0)
+        for threads in (2.0, True):
+            with pytest.raises(ValueError, match="thread count"):
+                solve_parallel_checked(g, 8, 8, threads=threads)
         assert started == []
 
     def test_thread_count_above_the_cap_starts_no_thread(
