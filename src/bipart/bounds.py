@@ -7,13 +7,13 @@ Four contributions on top of the fixed cut:
   and the trivial bound is O(1).
 * rebalancing: corrects the basic bound for the subset-size constraints by
   sorting the per-vertex preference gap delta = d1 - d0; tight for the
-  fixed-free term.  It rests on the identity
+  fixed-free term.  Basic puts each free vertex on its cheaper side: side 0
+  when delta < 0.  With k such vertices and f0 places left on side 0, the
+  completion must move |k - f0| of them across the sign change of delta,
+  the cheapest first, so one sort and one slice sum give the term:
 
-      basic + rebalancing = sum over free v of d0[v]
-                            + the sum of the f0 smallest deltas,
-
-  with the first sum maintained beside basic, so one sort and one slice
-  sum compute it.
+      rebalancing = sum(deltas[k:f0])   if k < f0
+                    -sum(deltas[f0:k])  otherwise.
 * high-degree: a free vertex with more free neighbors than the larger side
   can absorb must cut some free edges; cheapest ones counted in half-units
   (each edge may be claimed by both endpoints), with its own rebalancing
@@ -34,6 +34,7 @@ term, so the combined bound takes their maximum.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .subproblem import Subproblem
@@ -64,16 +65,19 @@ def basic_bound(sp: Subproblem) -> int:
     return sp.basic
 
 
-def fixed_free_minimum(sp: Subproblem) -> int:
-    """Least fixed-free weight of any completion, basic + rebalancing.
+def rebalance_value(sp: Subproblem) -> int:
+    """Rebalancing contribution; O(f log f).
 
-    Placing the f0 free vertices of smallest delta = d1 - d0 on side 0 and
-    the rest on side 1 costs sum_d0 plus those f0 deltas; O(f log f).
-    When both sides have room, the f0-th and (f0+1)-th smallest deltas,
-    the last on side 0 and the first on side 1, are recorded on sp as
-    delta_lo and delta_hi: moving a free v across that split costs the
-    difference between its delta and one of them, which the search reads
-    to find forced vertices.
+    With the free deltas sorted and k of them negative, basic puts the k
+    on side 0, and the completion of least fixed-free weight puts the f0
+    smallest there (rebalance_bound's order).  If k < f0, deltas k..f0-1
+    move to side 0 and each pays its delta; else deltas f0..k-1 move to
+    side 1 and each pays -delta.  basic + this value is tight for the
+    fixed-free term.  When both sides have room, the f0-th and (f0+1)-th
+    smallest deltas, the last on side 0 and the first on side 1, are
+    recorded on sp as delta_lo and delta_hi: moving a free v across that
+    split costs the difference between its delta and one of them, which
+    the search reads to find forced vertices.
     """
     d0, d1 = sp.d0, sp.d1
     deltas = [d1[v] - d0[v] for v in sp.free_list]
@@ -82,20 +86,8 @@ def fixed_free_minimum(sp: Subproblem) -> int:
     if 0 < f0 < len(deltas):
         sp.delta_lo = deltas[f0 - 1]
         sp.delta_hi = deltas[f0]
-    return sp.sum_d0 + sum(deltas[:f0])
-
-
-def rebalance_value(sp: Subproblem) -> int:
-    """Rebalancing contribution; O(f log f).
-
-    With the free vertices in rebalance_bound's order (ascending delta,
-    the first f0 on side 0), each pays what its side costs above
-    min(d0, d1): on side 0 max(delta, 0), on side 1 max(-delta, 0).
-    Adding basic = sum_d0 + sum of min(delta, 0) gives sum_d0 plus the f0
-    smallest deltas, so this is fixed_free_minimum - basic, and basic +
-    this value is tight for the fixed-free term.
-    """
-    return fixed_free_minimum(sp) - sp.basic
+    k = bisect_left(deltas, 0)
+    return sum(deltas[k:f0]) if k < f0 else -sum(deltas[f0:k])
 
 
 def rebalance_bound(sp: Subproblem) -> list[int]:

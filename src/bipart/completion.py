@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .graph import WeightedGraph, cut_value
 from .subproblem import Subproblem
-from .bounds import fixed_free_minimum, rebalance_bound
+from .bounds import rebalance_bound, rebalance_value
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,16 @@ def make_solution(graph: WeightedGraph, sides, s0: int, s1: int) -> Solution:
     return Solution(assignment=sides, value=cut_value(graph, sides))
 
 
-def _sides_template(sp: Subproblem) -> list[int]:
-    sides = [-1] * sp.graph.n
-    a0, a1 = sp.a0, sp.a1
-    for v in range(sp.graph.n):
-        if (a0 >> v) & 1:
-            sides[v] = 0
-        elif (a1 >> v) & 1:
-            sides[v] = 1
-    return sides
+def _complete(sp: Subproblem, side0) -> Solution:
+    """The completion of sp with the free vertices of `side0`, f0 of them,
+    on side 0 and the other free vertices on side 1."""
+    g = sp.graph
+    a0 = sp.a0
+    for v in side0:
+        a0 |= 1 << v
+    s0 = sp.f0 + sp.a0.bit_count()
+    return make_solution(g, [0 if (a0 >> v) & 1 else 1 for v in range(g.n)],
+                         s0, g.n - s0)
 
 
 def try_complete(
@@ -68,8 +69,8 @@ def try_complete(
       2. rebalancing: one side needs no more vertices, or no free-free
          edge remains (sp.free_edges is 0, whatever the edges' weights),
          so the rebalancing completion is optimal, at value
-         fixed_cut + fixed_free_minimum.  With a side full it is the unique
-         completion, everything free on the other side.
+         fixed_cut + basic + rebalance_value.  With a side full it is the
+         unique completion, everything free on the other side.
 
     Returns None when no rule applies.  Otherwise the rule's value is
     computed first, in O(f) (O(f log f) for rebalancing), and the Solution
@@ -78,42 +79,31 @@ def try_complete(
     the value alone is returned, an int, as the completion cannot beat the
     incumbent.
     """
-    g = sp.graph
     free = sp.free_list
     f0, f1 = sp.f0, sp.f1
     if f0 == 1 and f1 or f1 == 1 and f0:
-        short = 0 if f0 == 1 else 1
-        d_own = sp.d0 if short == 0 else sp.d1
-        d_other = sp.d1 if short == 0 else sp.d0
-        tw = g.total_weight
+        d0, d1 = sp.d0, sp.d1
+        d_own, d_other = (d0, d1) if f0 == 1 else (d1, d0)
+        tw = sp.graph.total_weight
         best_v = -1
         best_key = None
         for v in free:
-            free_w = tw[v] - sp.d0[v] - sp.d1[v]
+            free_w = tw[v] - d0[v] - d1[v]
             key = d_other[v] - d_own[v] + free_w
             if best_key is None or key < best_key:
                 best_key, best_v = key, v
-        value = sp.fixed_cut + best_key + (
-            sp.sum_d0 if short == 0 else sum(map(d_own.__getitem__, free)))
+        value = sp.fixed_cut + best_key + sum(map(d_own.__getitem__, free))
         if value >= cutoff:
             return value
-        sides = _sides_template(sp)
-        for v in free:
-            sides[v] = 1 - short
-        sides[best_v] = short
-        s0 = f0 + sp.a0.bit_count()
-        return make_solution(g, sides, s0, g.n - s0)
+        if f0 == 1:
+            return _complete(sp, [best_v])
+        return _complete(sp, [v for v in free if v != best_v])
 
     if not f0 or not f1 or not sp.free_edges:
-        value = sp.fixed_cut + fixed_free_minimum(sp)
+        value = sp.fixed_cut + sp.basic + rebalance_value(sp)
         if value >= cutoff:
             return value
-        order = rebalance_bound(sp)
-        sides = _sides_template(sp)
-        for i, v in enumerate(order):
-            sides[v] = 0 if i < f0 else 1
-        s0 = f0 + sp.a0.bit_count()
-        return make_solution(g, sides, s0, g.n - s0)
+        return _complete(sp, rebalance_bound(sp)[:f0])
 
     return None
 

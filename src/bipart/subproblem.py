@@ -5,8 +5,8 @@ incrementally maintained quantities the lower bounds read:
 
 * D arrays: d0[v]/d1[v] = total edge weight from free v into U0/U1.
 * fixed_cut: crossing weight between U0 and U1.
-* basic and sum_d0: the sums over free v of min(d0[v], d1[v]) and of
-  d0[v], which the basic and rebalancing bound terms read.
+* basic: the sum over free v of min(d0[v], d1[v]), which the basic bound
+  term reads and the rebalancing term corrects.
 * free_edges: the number of edges with both ends free.  Free degrees are
   not kept; a bound reads them from graph.nbr_mask and free_mask.
 * delta_lo and delta_hi: the f0-th and (f0+1)-th smallest delta = d1 - d0
@@ -48,7 +48,7 @@ from .graph import WeightedGraph
 class Subproblem:
     __slots__ = (
         "graph", "a0", "a1", "free_mask", "free_list",
-        "d0", "d1", "fixed_cut", "basic", "sum_d0", "f0", "f1",
+        "d0", "d1", "fixed_cut", "basic", "f0", "f1",
         "free_edges", "depth", "lb", "delta_lo", "delta_hi",
     )
 
@@ -153,8 +153,6 @@ class Subproblem:
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut0
             c.basic = basic0
-            # v's free edges all land on d0 of its free neighbours.
-            c.sum_d0 = self.sum_d0 - dv0 + g.total_weight[v] - dv0 - dv1
             c.d0 = own0
             if dv1:
                 c.d1 = other = d1.copy()
@@ -173,7 +171,6 @@ class Subproblem:
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut1
             c.basic = basic1
-            c.sum_d0 = self.sum_d0 - dv0
             c.d1 = own1
             if dv0:
                 c.d0 = other = d0.copy()
@@ -188,7 +185,7 @@ class Subproblem:
 
         One copy of d0 and d1, then one pass over the free neighbours of
         each v in batch order, which moves v's free edges into its side's D
-        entries, keeping fixed_cut, basic, sum_d0 and free_edges up to date
+        entries, keeping fixed_cut, basic and free_edges up to date
         after each fixed vertex, as assign does.  An edge between two batch
         vertices first lands on the later one's D entry, and counts toward
         the fixed cut when that one is fixed.  O(n + the batch's degrees).
@@ -208,8 +205,7 @@ class Subproblem:
         adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
         d0, d1 = self.d0.copy(), self.d1.copy()
         free_mask, a0, a1 = self.free_mask, self.a0, self.a1
-        fixed_cut, basic = self.fixed_cut, self.basic
-        sum_d0, free_edges = self.sum_d0, self.free_edges
+        fixed_cut, basic, free_edges = self.fixed_cut, self.basic, self.free_edges
         for v, side in pairs:
             bit = 1 << v
             if not free_mask & bit:
@@ -220,7 +216,6 @@ class Subproblem:
             x, y = d0[v], d1[v]
             d0[v] = d1[v] = 0
             basic -= x if x < y else y
-            sum_d0 -= x
             if side:
                 a1 |= bit
                 fixed_cut += x
@@ -237,7 +232,6 @@ class Subproblem:
                                 basic += w if y + w <= x else x - y
                         else:
                             d0[u] = x + w
-                            sum_d0 += w
                             if x < y:
                                 basic += w if x + w <= y else y - x
             if fixed_cut + basic >= cutoff:
@@ -252,7 +246,7 @@ class Subproblem:
         c.free_mask = free_mask
         c.free_list = [u for u in self.free_list if (free_mask >> u) & 1]
         c.d0, c.d1 = d0, d1
-        c.fixed_cut, c.basic, c.sum_d0 = fixed_cut, basic, sum_d0
+        c.fixed_cut, c.basic = fixed_cut, basic
         c.free_edges = free_edges
         c.depth = self.depth
         c.lb = c.delta_lo = c.delta_hi = None
@@ -332,6 +326,5 @@ def recompute_from_scratch(
     sp.d0, sp.d1 = d0, d1
     sp.fixed_cut = fixed_cut
     sp.basic = sum(min(d0[v], d1[v]) for v in sp.free_list)
-    sp.sum_d0 = sum(d0[v] for v in sp.free_list)
     sp.free_edges = free_edges
     return sp

@@ -111,8 +111,9 @@ def reference_rebalance(sp):
 
 
 class TestMaintainedTerms:
-    """basic_bound and rebalance_value read the sums assign maintains; they
-    must equal the loop forms on every state of random assign chains."""
+    """basic_bound reads the sum assign maintains and rebalance_value the D
+    arrays; they must equal the loop forms on every state of random assign
+    chains."""
 
     def check_walks(self, rng, graphs):
         seen = {"f0 = 0": 0, "f1 = 0": 0}
@@ -142,6 +143,39 @@ class TestMaintainedTerms:
         assert any(0 in g.adj_w[v] for g, _ in graphs for v in range(g.n))
         assert any(() in g.adj_nbr for g, _ in graphs)
         self.check_walks(rng, graphs)
+
+
+class TestDeltaSplit:
+    """rebalance_value records the split that expand's forcing reads: with
+    0 < f0 < f, delta_lo and delta_hi are the f0-th and (f0+1)-th smallest
+    delta = d1 - d0 over the f free vertices; otherwise both stay None."""
+
+    def test_random_partial_assignments(self):
+        rng = random.Random(3131)
+        seen = {"f0 = 0": 0, "f0 = 1": 0, "f0 = f - 1": 0, "f0 = f": 0,
+                "0 < f0 < f": 0}
+        graphs = []
+        for i in range(1200):
+            n = rng.randint(2, 14)
+            g = irregular_graph(rng, n) if i % 2 else random_er(rng, n)
+            graphs.append(g)
+            s0 = rng.randint(1, n - 1)
+            sp = random_partial_assignment(rng, g, s0, n - s0)
+            rebalance_value(sp)
+            f, f0 = len(sp.free_list), sp.f0
+            deltas = sorted(sp.d1[v] - sp.d0[v] for v in sp.free_list)
+            if 0 < f0 < f:
+                assert sp.delta_lo == deltas[f0 - 1]
+                assert sp.delta_hi == deltas[f0]
+            else:
+                assert sp.delta_lo is None and sp.delta_hi is None
+            seen["f0 = 0"] += f0 == 0 < f
+            seen["f0 = 1"] += f0 == 1 < f
+            seen["f0 = f - 1"] += 1 < f0 == f - 1
+            seen["f0 = f"] += f0 == f > 0
+            seen["0 < f0 < f"] += 0 < f0 < f
+        assert any(0 in g.adj_w[v] for g in graphs for v in range(g.n))
+        assert all(seen.values()), seen
 
 
 class TestHighDegree:

@@ -1,7 +1,7 @@
 """Speed-up of solve_parallel's process pool over solve_sequential.
 
-    PYTHONPATH=src python3 tools/pool_speedup.py            # pool forced
-    PYTHONPATH=src python3 tools/pool_speedup.py --budget 5000
+    python3 tools/pool_speedup.py                  # pool forced
+    python3 tools/pool_speedup.py --budget 5000
 
 Solves G(52, 0.1, 1..1000, seeds 0..2) with sides 26|26 under `rebalance`
 and `component`, DFS, with solve_sequential and solve_parallel(threads=2),
@@ -18,9 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-import bipart.parallel
-from bipart import CONFIG_PRESETS, generate_er, solve_sequential
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import perfbench  # noqa: E402,F401  (puts src/ on the path)
+import bipart.parallel  # noqa: E402
+from bipart import CONFIG_PRESETS, generate_er, solve_sequential  # noqa: E402
 
 
 def timed(solve):
