@@ -1,8 +1,9 @@
 """Parallel branch-and-bound: an in-process start, then a fork process pool.
 
 A solve runs solve_sequential's loop in this process for up to NODE_BUDGET
-explored subproblems, then splits its shallowest open subproblems into
-tasks for forked workers, which search them around a shared incumbent.
+explored subproblems, then splits its open subproblems with the most free
+vertices into tasks for forked workers, which search them around a shared
+incumbent.
 """
 
 import heapq
@@ -70,20 +71,20 @@ def worker_count(threads: int) -> int:
 
 
 def _split(search: Search, count: int) -> list[Subproblem]:
-    """Expand the shallowest open subproblems until `count` are open or none
-    is; take them off the frontier, with their stored bounds, in its
-    order."""
-    shallow = sorted((sp.depth, push, key, sp)
-                     for key, push, sp in search.frontier)
-    while shallow and len(shallow) < count:
-        _, push, key, sp = heapq.heappop(shallow)
+    """Expand the open subproblems with the most free vertices until `count`
+    are open or none is; take them off the frontier, with their stored
+    bounds, in its order."""
+    widest = sorted((-len(sp.free_list), push, key, sp)
+                    for key, push, sp in search.frontier)
+    while widest and len(widest) < count:
+        _, push, key, sp = heapq.heappop(widest)
         search.frontier = [(key, push, sp)]
         search.run(1)
         for key, push, sp in search.frontier:
-            heapq.heappush(shallow, (sp.depth, push, key, sp))
+            heapq.heappush(widest, (-len(sp.free_list), push, key, sp))
     search.frontier = []
-    shallow.sort(key=lambda entry: (entry[2], entry[1]))
-    return [sp for *_, sp in shallow]
+    widest.sort(key=lambda entry: (entry[2], entry[1]))
+    return [sp for *_, sp in widest]
 
 
 def _worker(conn, search, tasks, claim, shared, lock):
@@ -107,8 +108,9 @@ def _worker(conn, search, tasks, claim, shared, lock):
                 with lock:  # publish a better value, or prune with one
                     if search.best_value < shared.value:
                         shared.value = search.best_value
-                    elif shared.value < _SHARED_MAX:
-                        search.best_value = shared.value
+                    elif shared.value < min(search.best_value, _SHARED_MAX):
+                        # A search's best is the solution of its cutoff.
+                        search.best, search.best_value = None, shared.value
         conn.send((None, search.result()))
     except BaseException as exc:  # the parent re-raises it
         conn.send((exc, None))

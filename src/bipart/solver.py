@@ -3,24 +3,23 @@ incumbent and root to its result, and the expansion step of its loop.
 
 The loop keeps one priority heap keyed by (-priority, push number) for
 every strategy: ties go to the earlier push, so dfs pops the first child
-of the deepest branching first.  It pops the best subproblem, drops it when
-its stored lower bound no longer beats the incumbent (counted separately
-as an irrelevant task), otherwise tries the completion rules.  Failing
-those, it fixes in one batch every free vertex that the stored bound and
-the rebalancing order already force to one side (see expand), and branches
-on the free vertex of largest |d1 - d0| plus twice its weight to free
-vertices, the weight the cheap bound terms cannot see yet (see
+with the fewest free vertices first.  It pops the best subproblem, drops it
+when its stored lower bound no longer beats the incumbent (counted
+separately as an irrelevant task), otherwise tries the completion rules.
+Failing those, it fixes in one batch every free vertex that the stored
+bound and the rebalancing order already force to one side (see expand), and
+branches on the free vertex of largest |d1 - d0| plus twice its weight to
+free vertices, the weight the cheap bound terms cannot see yet (see
 branch_vertex).  One Subproblem.assign call gives both children and never
 builds one whose fixed cut + basic already reaches the incumbent.  The
 bounds of the others are computed once, cheapest term first against the
-incumbent, and stored with the child; a child whose
-bound reaches the incumbent is dropped on the spot, before its high-degree
-terms, component search or gap estimate are computed.  The surviving children
-are pushed lower stored bound first, side 0 first on a tie, so dfs dives
-into the more promising child.  A completion that beats the incumbent is
-refined by Kernighan-Lin before it replaces it.  The loop can stop after a
-node budget and resume on the same heap, which is how the parallel solver
-runs it.
+incumbent, and stored with the child; a child whose bound reaches the
+incumbent is dropped on the spot, before its high-degree terms, component
+search or gap estimate are computed.  The surviving children are pushed
+lower stored bound first, side 0 first on a tie, so dfs dives into the more
+promising child.  A completion that beats the incumbent is refined by
+Kernighan-Lin before it replaces it.  The loop can stop after a node budget
+and resume on the same heap, which is how the parallel solver runs it.
 """
 
 from __future__ import annotations
@@ -91,12 +90,14 @@ def branch_vertex(sp: Subproblem) -> int:
 def priority(sp: Subproblem, strategy: SearchStrategy) -> float:
     """Scheduling priority of a subproblem; larger means processed earlier.
 
-    Requires sp.lb to be set (dfs aside).  The gap strategy's priority is
-    minus the gap between the rebalancing completion's value, a feasible
-    upper bound, and sp.lb; it is read once, when sp is pushed.
+    Requires sp.lb to be set (dfs aside).  Dfs takes the fewest free
+    vertices: its open subproblems are the unexplored siblings along the
+    current path, so that is the deepest branching.  The gap strategy's
+    priority is minus the gap between the rebalancing completion's value,
+    a feasible upper bound, and sp.lb; it is read once, when sp is pushed.
     """
     if strategy is SearchStrategy.DFS:
-        return sp.depth
+        return -len(sp.free_list)
     if strategy is SearchStrategy.BEST_FIRST_LB:
         return -sp.lb
     return sp.lb - rebalancing_completion_value(sp)

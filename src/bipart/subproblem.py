@@ -1,7 +1,8 @@
 """Partial-assignment state for the branch-and-bound search.
 
-A Subproblem is a pair of disjoint vertex sets (U0, U1) plus all the
-incrementally maintained quantities the lower bounds read:
+A Subproblem is the set U0 of vertices fixed to side 0 (a0) and the free
+set (free_mask, free_list), U1 being the rest, plus all the incrementally
+maintained quantities the lower bounds read:
 
 * D arrays: d0[v]/d1[v] = total edge weight from free v into U0/U1.
 * fixed_cut: crossing weight between U0 and U1.
@@ -47,9 +48,9 @@ from .graph import WeightedGraph
 
 class Subproblem:
     __slots__ = (
-        "graph", "a0", "a1", "free_mask", "free_list",
+        "graph", "a0", "free_mask", "free_list",
         "d0", "d1", "fixed_cut", "basic", "f0", "f1",
-        "free_edges", "depth", "lb", "delta_lo", "delta_hi",
+        "free_edges", "lb", "delta_lo", "delta_hi",
     )
 
     # Instances are made in three places: recompute_from_scratch, which
@@ -140,16 +141,14 @@ class Subproblem:
         # edges landed, and clears v's entry in the other one, which it
         # shares with the parent when that entry is already 0.
         child0 = child1 = None
-        depth = self.depth + 1
         if keep0:
             child0 = c = Subproblem.__new__(Subproblem)
             c.graph = g
-            c.a0, c.a1 = self.a0 | bit, self.a1
+            c.a0 = self.a0 | bit
             c.f0, c.f1 = self.f0 - 1, self.f1
             c.free_mask = free_mask
             c.free_list = free_list
             c.free_edges = free_edges
-            c.depth = depth
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut0
             c.basic = basic0
@@ -162,12 +161,11 @@ class Subproblem:
         if keep1:
             child1 = c = Subproblem.__new__(Subproblem)
             c.graph = g
-            c.a0, c.a1 = self.a0, self.a1 | bit
+            c.a0 = self.a0
             c.f0, c.f1 = self.f0, self.f1 - 1
             c.free_mask = free_mask
             c.free_list = free_list
             c.free_edges = free_edges
-            c.depth = depth
             c.lb = c.delta_lo = c.delta_hi = None
             c.fixed_cut = cut1
             c.basic = basic1
@@ -198,13 +196,12 @@ class Subproblem:
         default, infinity, every pair is.  Each v that is examined must be
         free, else ValueError; a batch that runs to its end must not give a
         side more vertices than it has room for, else ValueError.  The
-        parent is not modified.  A fix is not a branching, so depth
-        stays the parent's.
+        parent is not modified.
         """
         g = self.graph
         adj_nbr, adj_w, nbr_mask = g.adj_nbr, g.adj_w, g.nbr_mask
         d0, d1 = self.d0.copy(), self.d1.copy()
-        free_mask, a0, a1 = self.free_mask, self.a0, self.a1
+        free_mask, a0 = self.free_mask, self.a0
         fixed_cut, basic, free_edges = self.fixed_cut, self.basic, self.free_edges
         for v, side in pairs:
             bit = 1 << v
@@ -217,7 +214,6 @@ class Subproblem:
             d0[v] = d1[v] = 0
             basic -= x if x < y else y
             if side:
-                a1 |= bit
                 fixed_cut += x
             else:
                 a0 |= bit
@@ -238,9 +234,10 @@ class Subproblem:
                 return None
         c = Subproblem.__new__(Subproblem)
         c.graph = g
-        c.a0, c.a1 = a0, a1
-        c.f0 = self.f0 - (a0 ^ self.a0).bit_count()
-        c.f1 = self.f1 - (a1 ^ self.a1).bit_count()
+        c.a0 = a0
+        moved0 = (a0 ^ self.a0).bit_count()
+        c.f0 = self.f0 - moved0
+        c.f1 = self.f1 - (free_mask ^ self.free_mask).bit_count() + moved0
         if c.f0 < 0 or c.f1 < 0:
             raise ValueError("the batch overfills a side")
         c.free_mask = free_mask
@@ -248,7 +245,6 @@ class Subproblem:
         c.d0, c.d1 = d0, d1
         c.fixed_cut, c.basic = fixed_cut, basic
         c.free_edges = free_edges
-        c.depth = self.depth
         c.lb = c.delta_lo = c.delta_hi = None
         return c
 
@@ -267,9 +263,7 @@ def root_subproblem(
     """
     tw = graph.total_weight
     first = [tw.index(max(tw))] if s0 == s1 else []
-    sp = recompute_from_scratch(graph, first, [], s0, s1)
-    sp.depth = 0
-    return sp
+    return recompute_from_scratch(graph, first, [], s0, s1)
 
 
 def recompute_from_scratch(
@@ -301,12 +295,10 @@ def recompute_from_scratch(
     sp.lb = sp.delta_lo = sp.delta_hi = None
     sp.graph = graph
     sp.a0 = sum(1 << v for v in set0)
-    sp.a1 = sum(1 << v for v in set1)
-    sp.free_mask = ((1 << n) - 1) & ~(sp.a0 | sp.a1)
+    sp.free_mask = ((1 << n) - 1) & ~(sp.a0 | sum(1 << v for v in set1))
     sp.free_list = [v for v in range(n) if (sp.free_mask >> v) & 1]
     sp.f0 = s0 - len(set0)
     sp.f1 = s1 - len(set1)
-    sp.depth = len(set0) + len(set1)
 
     d0 = [0] * n
     d1 = [0] * n

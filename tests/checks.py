@@ -76,11 +76,16 @@ def validate_graph(g: WeightedGraph) -> None:
         raise AssertionError("max_weight is not the heaviest edge weight")
 
 
+def side1_mask(sp: Subproblem) -> int:
+    """The bitmask of U1: every vertex neither in a0 nor free."""
+    return ((1 << sp.graph.n) - 1) & ~(sp.a0 | sp.free_mask)
+
+
 def side_of(sp: Subproblem, v: int):
     """0 or 1 for a fixed vertex of sp, None for a free one."""
     if (sp.a0 >> v) & 1:
         return 0
-    if (sp.a1 >> v) & 1:
+    if (side1_mask(sp) >> v) & 1:
         return 1
     return None
 
@@ -127,7 +132,6 @@ def subproblem_optimum(sp: Subproblem) -> int:
 # The Subproblem slots assert_equivalent does not compare, and why.
 NOT_MAINTAINED = {
     "graph": "the instance itself, shared by both states, not derived",
-    "depth": "assign and fix count branchings; the oracle counts fixed vertices",
     "lb": "stored by the search, which the oracle does not run",
     "delta_lo": "recorded by rebalance_value when the bound is read",
     "delta_hi": "recorded by rebalance_value when the bound is read",
@@ -161,7 +165,7 @@ def oracle_of(sp: Subproblem, s0: int, s1: int) -> Subproblem:
     return recompute_from_scratch(
         sp.graph,
         [v for v in range(n) if (sp.a0 >> v) & 1],
-        [v for v in range(n) if (sp.a1 >> v) & 1],
+        [v for v in range(n) if (side1_mask(sp) >> v) & 1],
         s0,
         s1,
     )

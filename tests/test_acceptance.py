@@ -18,6 +18,7 @@ from checks import (
     high_degree_pairs,
     random_er,
     random_partial_assignment,
+    side1_mask,
     solve_parallel_checked,
 )
 
@@ -294,7 +295,7 @@ def test_criterion_7_incremental_state_equivalence():
             rc = recompute_from_scratch(
                 g,
                 [v for v in range(n) if (sp.a0 >> v) & 1],
-                [v for v in range(n) if (sp.a1 >> v) & 1],
+                [v for v in range(n) if (side1_mask(sp) >> v) & 1],
                 s0,
                 s1,
             )

@@ -5,7 +5,7 @@ from checks import (
     complete_unweighted, free_degrees, high_degree_pairs, irregular_graph,
     k3_weighted, random_er, random_partial_assignment,
     reference_component_bound, reference_high_degree_bound,
-    reference_high_degree_rebalance, reference_lower_bound,
+    reference_high_degree_rebalance, reference_lower_bound, side1_mask,
     subproblem_optimum)
 
 from bipart.bounds import (
@@ -244,7 +244,7 @@ class TestHighDegree:
             rc = recompute_from_scratch(
                 g,
                 [v for v in range(n) if (sp.a0 >> v) & 1],
-                [v for v in range(n) if (sp.a1 >> v) & 1],
+                [v for v in range(n) if (side1_mask(sp) >> v) & 1],
                 s0,
                 n - s0,
             )

@@ -17,7 +17,7 @@ from bipart.completion import Solution, make_solution
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import MAX_THREADS, Incumbent, solve_parallel, worker_count
-from bipart.solver import Search, SearchStrategy, solve_sequential
+from bipart.solver import Search, SearchStrategy, priority, solve_sequential
 
 
 @pytest.fixture
@@ -168,6 +168,69 @@ class TestSolveParallel:
         assert alone.irrelevant > 0
         assert (pooled.explored, pooled.irrelevant, pooled.solutions_found) == (
             alone.explored, alone.irrelevant, alone.solutions_found)
+
+    @pytest.mark.parametrize("strategy", list(SearchStrategy))
+    def test_split_hands_off_the_unsplit_tree(self, strategy):
+        """With the optimum as the cutoff no completion beats it, so the
+        explored tree does not depend on the order: the nodes _split
+        explores plus those searched from each of its tasks, as a worker
+        seeds them, are the nodes of the unsplit search.  The split leaves
+        the frontier empty, returns its tasks in frontier order and returns
+        at least `count` of them unless the tree ran out."""
+        rng = random.Random(3131)
+        presets = list(CONFIG_PRESETS.values())
+        ran_out = split = 0
+        for i in range(12):
+            n = rng.randint(10, 16)
+            g = random_er(rng, n) if i % 3 else irregular_graph(rng, n)
+            s0 = rng.randint(1, n - 1)
+            cfg = presets[i % len(presets)]
+            opt = solve_sequential(g, s0, n - s0, cfg, strategy).optimum
+            whole = Search(g, s0, n - s0, cfg, strategy, opt)
+            whole.run()
+            for budget, count in itertools.product((0, 5), (1, 2, 8, 10**6)):
+                search = Search(g, s0, n - s0, cfg, strategy, opt)
+                search.run(budget)
+                tasks = bipart.parallel._split(search, count)
+                assert search.frontier == []
+                keys = [-priority(task, strategy) for task in tasks]
+                assert keys == sorted(keys)
+                assert len(tasks) >= count or not tasks
+                ran_out += not tasks
+                split += len(tasks) > 1
+                for task in tasks:
+                    search.frontier = [(0, 0, task)]
+                    search.run()
+                assert (search.explored, search.irrelevant) == (
+                    whole.explored, whole.irrelevant)
+        assert ran_out and split, (ran_out, split)
+
+    def test_a_worker_that_adopts_the_shared_cutoff_drops_its_own_best(
+        self, force_pool, monkeypatch
+    ):
+        """A search holds a best only while that best is its cutoff: a
+        worker that prunes with another worker's lower value drops its own
+        worse best.  The fork carries the check on Search.result into the
+        workers, and the parent re-raises a worker's failure."""
+        if worker_count(2) == 1:
+            pytest.skip("the pool cannot start here")
+        real_result = Search.result
+
+        def result(self, threads=1):
+            if self.best is not None and self.best.value != self.best_value:
+                raise AssertionError(f"best {self.best.value} kept under "
+                                     f"the cutoff {self.best_value}")
+            return real_result(self, threads)
+
+        monkeypatch.setattr(Search, "result", result)
+        rng = random.Random(1)
+        cfg = CONFIG_PRESETS["trivial"]
+        for _ in range(60):
+            n = rng.randint(24, 34)
+            g = generate_er(n, 0.2, 1, 1000, seed=rng.randint(0, 10**9))
+            s0 = n // 2
+            r = solve_parallel_checked(g, s0, n - s0, cfg, threads=2)
+            assert r.optimum == solve_sequential(g, s0, n - s0, cfg).optimum
 
     def test_initial_value_seeding(self, force_pool):
         g = generate_er(12, 0.5, 1, 1000, seed=3)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from checks import (assert_equivalent, complete_unweighted, example_graph,
                     irregular_graph, k3_weighted, oracle_of, random_er,
-                    random_partial_assignment, side_of, solve_parallel_checked)
+                    random_partial_assignment, side1_mask, side_of,
+                    solve_parallel_checked)
 
 import bipart.parallel
 import bipart.solver
@@ -115,10 +116,12 @@ class TestBranchVertex:
 
 
 class TestPriority:
-    def test_dfs_uses_depth(self):
+    def test_dfs_takes_the_fewest_free_vertices(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
         child = sp.assign(1)[1]
-        assert priority(child, SearchStrategy.DFS) == child.depth == 1
+        key = priority(child, SearchStrategy.DFS)
+        assert key == -len(child.free_list) == -2
+        assert key > priority(sp, SearchStrategy.DFS)
 
     def test_best_first_prefers_smaller_bound(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
@@ -588,7 +591,8 @@ def test_expand_returns_children_lower_bound_first(preset):
             if len(children) == 2:
                 first, second = children
                 assert first.lb <= second.lb
-                if first.a1 > second.a1:  # siblings differ in one vertex
+                # Siblings differ in one vertex.
+                if side1_mask(first) > side1_mask(second):
                     order["side 1 first"] += 1
                     assert first.lb < second.lb
                 order["tie"] += first.lb == second.lb
@@ -640,7 +644,7 @@ def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
             if sp.lb >= best:
                 continue
             below = [m for m, cut in completions if cut < best
-                     and not sp.a0 & ~m and not sp.a1 & m]
+                     and not sp.a0 & ~m and not side1_mask(sp) & m]
             batches.clear()
             sol, children = expand(sp, cfg, best)
             for pairs in batches:
@@ -656,7 +660,8 @@ def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
                 seen["overfull"] += (
                     not batches and try_complete(sp, best) is None)
             for m in below:
-                assert any(not c.a0 & ~m and not c.a1 & m for c in children)
+                assert any(not c.a0 & ~m and not side1_mask(c) & m
+                           for c in children)
             stack.extend(reversed(children))
     assert seen["forced"] and seen["closed"], seen
     if preset == "trivial":

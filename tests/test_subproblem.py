@@ -5,7 +5,7 @@ import pytest
 from checks import (
     assert_equivalent, assign_walk, complete_unweighted, free_degrees,
     high_degree_pairs, irregular_graph, k3_weighted, oracle_of, random_er,
-    random_partial_assignment, side_of)
+    random_partial_assignment, side1_mask, side_of)
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -24,7 +24,7 @@ class TestRoot:
     def test_symmetry_fix_on_equal_sizes(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
         assert side_of(sp, 0) == 0
-        assert sp.a1 == 0
+        assert side1_mask(sp) == 0
         assert sp.free_list == [1, 2, 3]
         assert (sp.f0, sp.f1) == (1, 2)
         assert all(sp.d0[v] == 1 for v in (1, 2, 3))
@@ -46,7 +46,7 @@ class TestRoot:
     def test_no_fix_on_unequal_sizes(self):
         g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
         sp = root_subproblem(g, 2, 1)
-        assert sp.a0 == 0 and sp.a1 == 0
+        assert sp.a0 == 0 and side1_mask(sp) == 0
         assert sp.fixed_cut == 0
         assert sp.free_list == [0, 1, 2]
 
@@ -70,7 +70,7 @@ class TestAssign:
         g = complete_unweighted(4)
         sp = root_subproblem(g, 2, 2)
         def state():
-            return (sp.a0, sp.a1, list(sp.free_list), list(sp.d0),
+            return (sp.a0, sp.free_mask, list(sp.free_list), list(sp.d0),
                     list(sp.d1), sp.free_edges, sp.fixed_cut)
         before = state()
         sp.assign(2)
@@ -82,7 +82,7 @@ class TestAssign:
         sp = sp.assign(0)[0]
         child0, child1 = sp.assign(1)
         assert child0 is None
-        assert child1.a1 == 1 << 1
+        assert side1_mask(child1) == 1 << 1
 
     def test_assign_non_free_rejected(self):
         sp = root_subproblem(complete_unweighted(4), 2, 2)
@@ -137,7 +137,6 @@ class TestFix:
                 sizes = s0, g.n - s0
                 rc = oracle_of(fixed, *sizes)
                 assert_equivalent(fixed, rc)
-                assert fixed.depth == sp.depth
                 assert all(side_of(fixed, v) == side for v, side in pairs)
                 total = rc.fixed_cut + rc.basic
                 for cutoff in (total - 1, total, total + 1):
@@ -146,7 +145,6 @@ class TestFix:
                         assert stopped is None
                     else:
                         assert_equivalent(stopped, rc)
-                        assert stopped.depth == sp.depth
                 # The parent is untouched.
                 assert_equivalent(sp, oracle_of(sp, *sizes))
                 checked += 1
@@ -237,7 +235,7 @@ class TestRecompute:
                 rc = recompute_from_scratch(
                     g,
                     [v for v in range(n) if (sp.a0 >> v) & 1],
-                    [v for v in range(n) if (sp.a1 >> v) & 1],
+                    [v for v in range(n) if (side1_mask(sp) >> v) & 1],
                     s0,
                     s1,
                 )
@@ -254,7 +252,7 @@ def child_oracles(sp, v, s0):
             out.append(None)
             continue
         u0 = [x for x in range(n) if (sp.a0 >> x) & 1]
-        u1 = [x for x in range(n) if (sp.a1 >> x) & 1]
+        u1 = [x for x in range(n) if (side1_mask(sp) >> x) & 1]
         (u0 if side == 0 else u1).append(v)
         out.append(recompute_from_scratch(sp.graph, u0, u1, s0, n - s0))
     return out
@@ -312,7 +310,6 @@ class TestAssignKernel:
                             assert child is None
                         else:
                             assert_equivalent(child, rc)
-                            assert child.depth == sp.depth + 1
                     bases = [rc.fixed_cut + rc.basic
                              for rc in oracles if rc is not None]
                     for cutoff in bases + [t + 1 for t in bases]:

@@ -9,8 +9,12 @@ alternating the two in each of --rounds rounds.  The instances are sized so
 that every solve explores well past the default NODE_BUDGET, and so reaches
 the pool with ``--budget 5000`` too.  ``--budget`` sets
 ``bipart.parallel.NODE_BUDGET`` (default 0, so every solve goes to the
-pool).  Prints each solve's best time on both sides and node counts, and
-the ratio of the summed best times; exits nonzero if an optimum differs.
+pool).  Prints each solve's best time on both sides, its node counts and
+how many processes the pooled solve searched in (its SolveResult.threads),
+then the ratio of the summed best times and every process count seen.  A
+host where the pool cannot start (one CPU, no fork) shows 1 process, so
+its ratio of about 1x reads as no pool, not as no speed-up.  Exits
+nonzero if an optimum differs.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ def main(argv=None) -> int:
     bipart.parallel.NODE_BUDGET = args.budget
     total_seq = total_par = 0.0
     same = True
+    processes = set()
     for seed in range(3):
         g = generate_er(52, 0.1, 1, 1000, seed)
         for preset in ("rebalance", "component"):
@@ -55,15 +60,19 @@ def main(argv=None) -> int:
                 par.append(timed(lambda: bipart.parallel.solve_parallel(
                     g, 26, 26, cfg, threads=2)))
             same &= len({r.optimum for _, r in seq + par}) == 1
+            processes |= {r.threads for _, r in par}
             t_seq, r_seq = min(seq, key=lambda x: x[0])
             t_par, r_par = min(par, key=lambda x: x[0])
             total_seq += t_seq
             total_par += t_par
             print(f"seed {seed} {preset:9s} optimum {r_seq.optimum} nodes "
                   f"{r_seq.subproblems_explored} -> {r_par.subproblems_explored}"
-                  f"  {t_seq:.3f} s -> {t_par:.3f} s  {t_seq / t_par:.2f}x")
+                  f"  {t_seq:.3f} s -> {t_par:.3f} s  {t_seq / t_par:.2f}x"
+                  f"  processes {r_par.threads}")
     print(f"total {total_seq:.2f} s -> {total_par:.2f} s, speed-up "
-          f"{total_seq / total_par:.2f}x, optima {'identical' if same else 'DIFFER'}")
+          f"{total_seq / total_par:.2f}x, processes "
+          f"{'/'.join(map(str, sorted(processes)))}, "
+          f"optima {'identical' if same else 'DIFFER'}")
     return 0 if same else 1
 
 
