@@ -4,12 +4,21 @@ Graphs are simple (no self-loops, no parallel edges), undirected, with
 non-negative integer edge weights.  Each adjacency array is kept in
 non-decreasing weight order (ties broken by neighbor id), which the
 high-degree bound relies on.
+
+generate_er draws its SplitMix64 stream a block of outputs at a time, each
+output in its own 128-bit lane of one Python int, so that one int operation
+takes a step of the mix for every lane.  A lane is 128 bits wide because a
+64-bit value times the mix's 64-bit multipliers needs 128 bits: in a
+narrower lane the product would carry into the lane above.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 
 class GraphFormatError(ValueError):
@@ -69,16 +78,33 @@ def _check_edge(n: int, u: int, v: int, w: int, seen: set) -> None:
     seen.add(key)
 
 
+def integer(value, name: str) -> int:
+    """`value` through operator.index; ValueError naming `name` when it is
+    not an integer or is a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _vertex_count(n) -> int:
+    n = integer(n, "n")
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    return n
+
+
 def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
     """Build a WeightedGraph from an edge list, validating the contract.
 
-    Rejects endpoints and weights that are not integers (the bounds round
-    half-units up, which is sound only for integer cuts), self-loops,
-    duplicate edges (as unordered pairs), negative weights and out-of-range
-    endpoints.
+    Rejects a vertex count and endpoints and weights that are not integers
+    (the bounds round half-units up, which is sound only for integer cuts),
+    self-loops, duplicate edges (as unordered pairs), negative weights and
+    out-of-range endpoints.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    n = _vertex_count(n)
     seen: set[tuple[int, int]] = set()
     checked: list[tuple[int, int, int]] = []
     for u, v, w in edges:
@@ -94,7 +120,7 @@ def build_graph(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
 
 
 def _assemble(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
-    """The WeightedGraph of edges that _check_edge has already accepted."""
+    """The WeightedGraph of edges that are already known to be valid."""
     raw: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in edges:
         raw[u].append((w, v))
@@ -102,33 +128,59 @@ def _assemble(n: int, edges: list[tuple[int, int, int]]) -> WeightedGraph:
 
     adj_nbr: list[tuple[int, ...]] = []
     adj_w: list[tuple[int, ...]] = []
-    for v in range(n):
-        raw[v].sort()  # (weight, neighbor id): ties broken by id
-        adj_nbr.append(tuple(x[1] for x in raw[v]))
-        adj_w.append(tuple(x[0] for x in raw[v]))
+    for pairs in raw:
+        pairs.sort()  # (weight, neighbor id): ties broken by id
+        ws, nbrs = zip(*pairs) if pairs else ((), ())
+        adj_w.append(ws)
+        adj_nbr.append(nbrs)
 
-    total_weight = tuple(sum(a) for a in adj_w)
+    bit = (1).__lshift__
     return WeightedGraph(
         n=n,
         adj_nbr=tuple(adj_nbr),
         adj_w=tuple(adj_w),
-        nbr_mask=tuple(sum(1 << u for u in a) for a in adj_nbr),
-        total_weight=total_weight,
+        nbr_mask=tuple([sum(map(bit, a)) for a in adj_nbr]),
+        total_weight=tuple(map(sum, adj_w)),
         max_weight=max((a[-1] for a in adj_w if a), default=0),
     )
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# SplitMix64 outputs are computed _BLOCK at a time, one per 128-bit lane of
+# a single int: lane i holds bits 128*i .. 128*i + 127.
+_BLOCK = 64
+_LANE_ONES = sum(1 << 128 * i for i in range(_BLOCK))
+_LANE_STEPS = sum((i + 1) * _GAMMA << 128 * i for i in range(_BLOCK))
+_LANE_MASK = _LANE_ONES * _MASK64
 
 
-def _splitmix64(state: int):
+def _splitmix64_block(seed: int, start: int) -> array:
+    """SplitMix64 outputs start+1 .. start+_BLOCK of the stream from `seed`.
+
+    Each output is mixed in its own 128-bit lane of one int, so each step
+    of the mix is one int operation over every lane at once.  128 bits is
+    the least room that keeps the lanes apart: a 64-bit lane value times a
+    64-bit constant stays below 2**128, and so does not carry into the lane
+    above.  Masking each lane back to 64 bits then reduces it mod 2**64,
+    and also clears the bits that a right shift moved down from the lane
+    above into this lane's upper half.
+    """
+    base = (seed + start * _GAMMA) & _MASK64
+    z = (base * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
+    z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+    z ^= z >> 31  # each lane's low 64 bits are its output
+    out = array("Q", z.to_bytes(16 * _BLOCK, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out[::2]
+
+
+def _splitmix64(seed: int):
     """SplitMix64 stream: tiny, portable, deterministic 64-bit generator."""
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+    return chain.from_iterable(
+        map(_splitmix64_block, repeat(seed), count(0, _BLOCK)))
 
 
 def generate_er(n: int, p: float, wmin: int, wmax: int, seed: int) -> WeightedGraph:
@@ -137,13 +189,17 @@ def generate_er(n: int, p: float, wmin: int, wmax: int, seed: int) -> WeightedGr
     Each unordered pair is included independently with probability p.
     Deterministic for fixed (n, p, wmin, wmax, seed): the edge decision and
     weight draws come from a single SplitMix64 stream over pairs (u, v),
-    u < v, in lexicographic order.
+    u < v, in lexicographic order.  A vertex count, weights or seed that
+    are not integers raise ValueError, as do p outside [0, 1], a negative
+    vertex count and weights outside 1 <= wmin <= wmax.
     """
+    n = _vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
+    wmin, wmax = integer(wmin, "wmin"), integer(wmax, "wmax")
     if not 1 <= wmin <= wmax:
         raise ValueError(f"need 1 <= wmin <= wmax, got [{wmin},{wmax}]")
-    rng = _splitmix64(seed & _MASK64)
+    rng = _splitmix64(integer(seed, "seed") & _MASK64)
     threshold = int(p * 2.0**64)
     span = wmax - wmin + 1
     edges = []
@@ -152,7 +208,8 @@ def generate_er(n: int, p: float, wmin: int, wmax: int, seed: int) -> WeightedGr
             if next(rng) < threshold:
                 w = wmin if span == 1 else wmin + next(rng) % span
                 edges.append((u, v, w))
-    return build_graph(n, edges)
+    # Every pair is drawn once, in range, with an integer weight >= 1.
+    return _assemble(n, edges)
 
 
 def cut_value(g: WeightedGraph, sides) -> int:

@@ -11,11 +11,11 @@ import os
 import sys
 import threading
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, integer
 from .bounds import BoundConfig, lower_bound  # noqa: F401
 from .completion import Solution, greedy_initial_solution  # noqa: F401
 from .solver import (Search, SearchStrategy, SolveResult,  # noqa: F401
-                     expand, integer)
+                     expand)
 from .subproblem import Subproblem, root_subproblem  # noqa: F401
 
 # expand, greedy_initial_solution, lower_bound, root_subproblem: for

@@ -25,12 +25,11 @@ and resume on the same heap, which is how the parallel solver runs it.
 from __future__ import annotations
 
 import heapq
-import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, integer
 from .subproblem import Subproblem, root_subproblem
 from .bounds import BoundConfig, lower_bound
 from .completion import (
@@ -258,17 +257,6 @@ class Search:
             time_to_optimum=self.t_best,
             threads=threads,
         )
-
-
-def integer(value, name: str) -> int:
-    """`value` through operator.index; ValueError naming `name` when it is
-    not an integer or is a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def solve_sequential(

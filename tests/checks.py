@@ -49,6 +49,35 @@ def random_er(rng, n):
                        rng.choice([1, 1000]), seed=rng.randint(0, 10**9))
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix64(state: int):
+    """The SplitMix64 stream one output at a time: the reference for the
+    package's block-at-a-time stream."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def reference_generate_er(n, p, wmin, wmax, seed) -> WeightedGraph:
+    """generate_er's G(n, p) from the reference stream, its edges checked
+    by build_graph: the definition of the instances generate_er makes."""
+    rng = reference_splitmix64(seed & _MASK64)
+    threshold = int(p * 2.0**64)
+    span = wmax - wmin + 1
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if next(rng) < threshold:
+                w = wmin if span == 1 else wmin + next(rng) % span
+                edges.append((u, v, w))
+    return build_graph(n, edges)
+
+
 def validate_graph(g: WeightedGraph) -> None:
     """Check all structural invariants in O(n + m); raises on violation."""
     unpaired = set()  # (v, u, w) entries whose reverse is not yet seen

@@ -160,3 +160,41 @@ def test_a_directory_without_sources_is_rejected(tmp_path, capfd, workers):
     with pytest.raises(RuntimeError, match=f"worker in {tmp_path} exited"):
         bench_pairs.interleave(TINY, 0, {"parent": ROOT, "change": tmp_path}, 0)
     assert "holds no src/bipart package" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("moved_at", [2, 3, None],
+                         ids=["after-pair-0", "after-last-pair", "never"])
+def test_a_source_edit_during_the_run_writes_no_record(tmp_path, monkeypatch,
+                                                       capsys, moved_at):
+    """src/'s identity is taken at the start and after each pair; when a
+    later hash differs, the run stops with status 2 and writes nothing."""
+    hashes = []
+
+    def identity(parent):
+        hashes.append(parent)
+        return "edited" if moved_at and len(hashes) >= moved_at else "start"
+
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40
+                        if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "src_identity", identity)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: {
+        "host_scale": 1.0, "correct": True, "attempted": 1, "failed": 0,
+        "metrics": dict.fromkeys(METRICS, 1.0)})
+    round_ = {"correct": True, "failed": 0, "errors": [],
+              "metrics": {"solve_s": 1.0, "time_to_best_s": 0.5}}
+    monkeypatch.setattr(bench_pairs, "interleave", lambda *a: {
+        "parent": round_, "change": round_, "differing": []})
+    argv = ["--label", "t", "--workload", "sparse-dfs", "--pairs", "2"]
+    record = tmp_path / "BENCH_t.json"
+    if moved_at is None:
+        assert bench_pairs.main(argv) == 0 and record.exists()
+    else:
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(argv)
+        assert exc.value.code == 2
+        assert f"changed during pair {moved_at - 2}" in capsys.readouterr().err
+        assert not record.exists()
+    assert len(hashes) == (moved_at or 3)

@@ -1,15 +1,18 @@
 import dataclasses
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from checks import irregular_graph, validate_graph
+from checks import (irregular_graph, reference_generate_er,
+                    reference_splitmix64, validate_graph)
 
 import bipart.graph
 from bipart.graph import (
     GraphFormatError,
+    WeightedGraph,
     build_graph,
     cut_value,
     generate_er,
@@ -94,6 +97,74 @@ def test_generate_rejects_bad_parameters():
         generate_er(10, 0.5, 0, 2, seed=0)
     with pytest.raises(ValueError):
         generate_er(10, 0.5, 1.5, 3.5, seed=0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: generate_er(True, 0.5, 1, 1, 0), "n"),
+    (lambda: generate_er(2.5, 0.5, 1, 1, 0), "n"),
+    (lambda: build_graph(2.5, []), "n"),
+    (lambda: build_graph(True, []), "n"),
+    (lambda: generate_er(4, 0.5, 1, 1, 1.5), "seed"),
+    (lambda: generate_er(4, 0.5, 1, 1, True), "seed"),
+    (lambda: generate_er(4, 0.5, True, 2, 0), "wmin"),
+], ids=["generate-n-bool", "generate-n-float", "build-n-float",
+        "build-n-bool", "seed-float", "seed-bool", "wmin-bool"])
+def test_non_integer_count_seed_or_weight_rejected(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got"):
+        call()
+
+
+GRID_SEEDS = (0, 1, 2**64 - 1, 2**70 + 3, -5)
+
+
+@pytest.mark.parametrize("p", [0, 0.2, 0.5, 0.9, 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 22, 80])
+def test_generate_equals_the_reference_generator(n, p):
+    """Every field, for every weight range and seed; n = 80 at p = 0.9
+    draws about 90 blocks of the stream."""
+    for wmin, wmax in ((1, 1), (1, 1000), (1, 2**40)):
+        for seed in GRID_SEEDS:
+            g = generate_er(n, p, wmin, wmax, seed)
+            ref = reference_generate_er(n, p, wmin, wmax, seed)
+            for field in dataclasses.fields(WeightedGraph):
+                assert getattr(g, field.name) == getattr(ref, field.name), (
+                    field.name, wmin, wmax, seed)
+
+
+@pytest.mark.parametrize("seed", GRID_SEEDS)
+def test_block_stream_equals_the_scalar_stream(seed):
+    seed &= (1 << 64) - 1
+    assert (list(islice(bipart.graph._splitmix64(seed), 1000))
+            == list(islice(reference_splitmix64(seed), 1000)))
+
+
+@pytest.mark.parametrize("start", [0, 1, 63, 64, 1000, 2**64 - 1, 2**64 + 7])
+def test_a_block_starts_anywhere_in_the_stream(start):
+    """Outputs start+1 .. start+B: the scalar stream from the state that
+    start steps reach."""
+    seed = 0x1234_5678_9ABC_DEF0
+    state = (seed + start * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+    block = bipart.graph._splitmix64_block(seed, start)
+    assert list(block) == list(islice(reference_splitmix64(state), len(block)))
+    assert len(block) == bipart.graph._BLOCK
+
+
+def test_assembly_with_tied_weights_and_isolated_vertices():
+    """Every field, from an edge list and from its text: ties at vertices
+    0, 1 and 4 fall back to neighbor id; 2 and 5 have no edge."""
+    edges = [(0, 4, 7), (0, 1, 7), (0, 3, 2), (4, 1, 7), (3, 4, 0)]
+    expected = WeightedGraph(
+        n=6,
+        adj_nbr=((3, 1, 4), (0, 4), (), (4, 0), (3, 0, 1), ()),
+        adj_w=((2, 7, 7), (7, 7), (), (0, 2), (0, 7, 7), ()),
+        nbr_mask=(0b11010, 0b10001, 0, 0b10001, 0b01011, 0),
+        total_weight=(16, 14, 0, 2, 14, 0),
+        max_weight=7)
+    text = "6 5\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+    assert build_graph(6, edges) == expected == parse_graph(text)
+    assert build_graph(3, []) == WeightedGraph(
+        3, ((),) * 3, ((),) * 3, (0,) * 3, (0,) * 3, 0) == parse_graph("3 0\n")
+    assert build_graph(0, []) == WeightedGraph(0, (), (), (), (), 0)
 
 
 def test_validate_rejects_an_unpaired_adjacency_entry():

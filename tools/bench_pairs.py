@@ -31,6 +31,10 @@ workload's entry in ``BENCH_<label>.json`` at the repository root.
 It refuses to run, with exit status 2, when ``perfbench/`` or
 ``BENCHMARK.json`` differ from the parent commit, untracked files included:
 a gain measured over a changed benchmark compares two different programs.
+The record names the change by a hash of ``src/``'s diff against the
+parent, taken at the start and again after each pair; if it moves, the run
+stops with exit status 2 and writes no record, since the working tree it
+timed is no longer the one it would name.
 """
 
 from __future__ import annotations
@@ -252,6 +256,13 @@ def main(argv=None) -> int:
     commits = {"parent": git("rev-parse", args.parent), "change": {
         "base": git("rev-parse", "HEAD"),
         "src_diff_vs_parent_sha256": src_identity(args.parent)}}
+
+    def same_sources(pair: int) -> None:
+        if src_identity(args.parent) != commits["change"]["src_diff_vs_parent_sha256"]:
+            parser.error(f"src/ changed during pair {pair}, so no record can "
+                         "name the tree that was timed; rerun on a tree left "
+                         "alone")
+
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     runs, rounds, differing = [], [], []
     try:
@@ -273,6 +284,7 @@ def main(argv=None) -> int:
                       f"{'round' if 'errors' in r else 'run'}: solve_s "
                       f"{r['metrics']['solve_s']:.3f} correct {r['correct']} "
                       f"failed {r['failed']}", flush=True)
+            same_sources(i)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
