@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, integer
 from .completion import Solution
 
 MAX_ORACLE_N = 24
@@ -28,9 +28,11 @@ def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
     """Exhaustive minimum over all bipartitions of sizes (s0, s1).
 
     When s0 == s1, vertex 0 is fixed to side 0 (each partition equals its
-    mirror image, so half the subsets suffice).
+    mirror image, so half the subsets suffice).  s0 and s1 must be positive
+    integers that sum to n, else ValueError.
     """
     n = g.n
+    s0, s1 = integer(s0, "s0"), integer(s1, "s1")
     if n > MAX_ORACLE_N:
         raise ValueError(f"instance too large for the oracle (n={n})")
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:

@@ -31,9 +31,9 @@ Subproblem.fix builds the state with a whole batch of forced vertices
 fixed, in one copy of each array, keeping the sums up to date after each
 vertex; it stops and returns None as soon as fixed cut + basic reaches
 the caller's cutoff, which then holds for the whole batch.  Sharing is safe
-because no array of a subproblem is written after assign, fix or
-recompute_from_scratch builds it; only lb, delta_lo and delta_hi are set
-later, by the bound, on the subproblem's own slots.
+because no array of a subproblem is written after the constructor stores
+it; only lb, delta_lo and delta_hi are set later, by the bound, on the
+subproblem's own slots.
 A subproblem is owned by one worker at a time: the process pool hands open
 subproblems to its forked workers as they are, each in its own copy of the
 memory, with their stored bounds.
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, integer
 
 
 class Subproblem:
@@ -53,10 +53,26 @@ class Subproblem:
         "free_edges", "lb", "delta_lo", "delta_hi",
     )
 
-    # Instances are made in three places: recompute_from_scratch, which
-    # root_subproblem and the tests' oracle call, assign, for the children
-    # of a branching, and fix, for a batch of forced vertices.
+    # Every state is built by this constructor, in three places:
+    # root_subproblem, for the all-free state, assign, for the children of
+    # a branching, and fix, for a batch of forced vertices.  The arguments
+    # are positional, as a keyword call costs several times more per state.
     # Direct construction is not part of the API.
+
+    def __init__(self, graph, a0, free_mask, free_list, f0, f1, d0, d1,
+                 fixed_cut, basic, free_edges):
+        self.graph = graph
+        self.a0 = a0
+        self.free_mask = free_mask
+        self.free_list = free_list
+        self.f0 = f0
+        self.f1 = f1
+        self.d0 = d0
+        self.d1 = d1
+        self.fixed_cut = fixed_cut
+        self.basic = basic
+        self.free_edges = free_edges
+        self.lb = self.delta_lo = self.delta_hi = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -142,39 +158,23 @@ class Subproblem:
         # shares with the parent when that entry is already 0.
         child0 = child1 = None
         if keep0:
-            child0 = c = Subproblem.__new__(Subproblem)
-            c.graph = g
-            c.a0 = self.a0 | bit
-            c.f0, c.f1 = self.f0 - 1, self.f1
-            c.free_mask = free_mask
-            c.free_list = free_list
-            c.free_edges = free_edges
-            c.lb = c.delta_lo = c.delta_hi = None
-            c.fixed_cut = cut0
-            c.basic = basic0
-            c.d0 = own0
             if dv1:
-                c.d1 = other = d1.copy()
+                other = d1.copy()
                 other[v] = 0
             else:
-                c.d1 = d1
+                other = d1
+            child0 = Subproblem(g, self.a0 | bit, free_mask, free_list,
+                                self.f0 - 1, self.f1, own0, other, cut0,
+                                basic0, free_edges)
         if keep1:
-            child1 = c = Subproblem.__new__(Subproblem)
-            c.graph = g
-            c.a0 = self.a0
-            c.f0, c.f1 = self.f0, self.f1 - 1
-            c.free_mask = free_mask
-            c.free_list = free_list
-            c.free_edges = free_edges
-            c.lb = c.delta_lo = c.delta_hi = None
-            c.fixed_cut = cut1
-            c.basic = basic1
-            c.d1 = own1
             if dv0:
-                c.d0 = other = d0.copy()
+                other = d0.copy()
                 other[v] = 0
             else:
-                c.d0 = d0
+                other = d0
+            child1 = Subproblem(g, self.a0, free_mask, free_list, self.f0,
+                                self.f1 - 1, other, own1, cut1, basic1,
+                                free_edges)
         return child0, child1
 
     def fix(self, pairs, cutoff: float = math.inf) -> "Subproblem | None":
@@ -232,28 +232,22 @@ class Subproblem:
                                 basic += w if x + w <= y else y - x
             if fixed_cut + basic >= cutoff:
                 return None
-        c = Subproblem.__new__(Subproblem)
-        c.graph = g
-        c.a0 = a0
         moved0 = (a0 ^ self.a0).bit_count()
-        c.f0 = self.f0 - moved0
-        c.f1 = self.f1 - (free_mask ^ self.free_mask).bit_count() + moved0
-        if c.f0 < 0 or c.f1 < 0:
+        f0 = self.f0 - moved0
+        f1 = self.f1 - (free_mask ^ self.free_mask).bit_count() + moved0
+        if f0 < 0 or f1 < 0:
             raise ValueError("the batch overfills a side")
-        c.free_mask = free_mask
-        c.free_list = [u for u in self.free_list if (free_mask >> u) & 1]
-        c.d0, c.d1 = d0, d1
-        c.fixed_cut, c.basic = fixed_cut, basic
-        c.free_edges = free_edges
-        c.lb = c.delta_lo = c.delta_hi = None
-        return c
+        free_list = [u for u in self.free_list if (free_mask >> u) & 1]
+        return Subproblem(g, a0, free_mask, free_list, f0, f1, d0, d1,
+                          fixed_cut, basic, free_edges)
 
 
 def root_subproblem(
     graph: WeightedGraph, s0: int, s1: int, *, maintain_hd: bool = True
 ) -> Subproblem:
-    """Root of the search tree for target sizes (s0, s1).
+    """Root of the search tree for target sizes (s0, s1): every vertex free.
 
+    s0 and s1 must be positive integers that sum to n, else ValueError.
     When s0 == s1 the two sides are interchangeable, so one vertex is
     pre-assigned to side 0 to avoid enumerating mirrored solutions: the
     heaviest one, ties going to the smallest id, which is the vertex
@@ -261,62 +255,13 @@ def root_subproblem(
     maintain_hd is ignored: no state depends on it any more, and the
     benchmark still passes it.
     """
-    tw = graph.total_weight
-    first = [tw.index(max(tw))] if s0 == s1 else []
-    return recompute_from_scratch(graph, first, [], s0, s1)
-
-
-def recompute_from_scratch(
-    graph: WeightedGraph,
-    u0,
-    u1,
-    s0: int,
-    s1: int,
-) -> Subproblem:
-    """Build the Subproblem for assignment (u0, u1) directly from definitions.
-
-    u0 and u1 are iterables of vertex ids.  This builds the root, and it is
-    the oracle for the incremental maintenance in assign(): every derived
-    quantity is computed by a fresh O(n + m) pass.
-    """
     n = graph.n
+    s0, s1 = integer(s0, "s0"), integer(s1, "s1")
     if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
         raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
-    set0, set1 = set(u0), set(u1)
-    for v in set0 | set1:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
-    if set0 & set1:
-        raise ValueError(f"vertices assigned to both sides: {sorted(set0 & set1)}")
-    if len(set0) > s0 or len(set1) > s1:
-        raise ValueError("assignment exceeds a target size")
-
-    sp = Subproblem.__new__(Subproblem)
-    sp.lb = sp.delta_lo = sp.delta_hi = None
-    sp.graph = graph
-    sp.a0 = sum(1 << v for v in set0)
-    sp.free_mask = ((1 << n) - 1) & ~(sp.a0 | sum(1 << v for v in set1))
-    sp.free_list = [v for v in range(n) if (sp.free_mask >> v) & 1]
-    sp.f0 = s0 - len(set0)
-    sp.f1 = s1 - len(set1)
-
-    d0 = [0] * n
-    d1 = [0] * n
-    fixed_cut = 0
-    free_edges = 0
-    for u, v, w in graph.edges():
-        su = 0 if u in set0 else 1 if u in set1 else None
-        sv = 0 if v in set0 else 1 if v in set1 else None
-        if su is None and sv is None:
-            free_edges += 1
-        elif su is None:
-            (d0 if sv == 0 else d1)[u] += w
-        elif sv is None:
-            (d0 if su == 0 else d1)[v] += w
-        elif su != sv:
-            fixed_cut += w
-    sp.d0, sp.d1 = d0, d1
-    sp.fixed_cut = fixed_cut
-    sp.basic = sum(min(d0[v], d1[v]) for v in sp.free_list)
-    sp.free_edges = free_edges
-    return sp
+    root = Subproblem(graph, 0, (1 << n) - 1, list(range(n)), s0, s1,
+                      [0] * n, [0] * n, 0, 0, graph.m)
+    if s0 == s1:
+        tw = graph.total_weight
+        root = root.fix([(tw.index(max(tw)), 0)])
+    return root

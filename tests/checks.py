@@ -16,7 +16,7 @@ from bipart.bounds import BoundConfig, basic_bound, rebalance_value
 from bipart.completion import Solution, make_solution
 from bipart.graph import WeightedGraph, build_graph, generate_er
 from bipart.parallel import solve_parallel
-from bipart.subproblem import Subproblem, recompute_from_scratch
+from bipart.subproblem import Subproblem
 
 MAX_ORACLE_FREE = 22
 
@@ -186,6 +186,54 @@ def high_degree_pairs(sp: Subproblem) -> list[tuple[int, int]]:
     order: the high-degree terms' second argument, as lower_bound builds it."""
     f_big = max(sp.f0, sp.f1)
     return [(v, d) for v, d in free_degrees(sp).items() if d >= f_big]
+
+
+def recompute_from_scratch(
+    graph: WeightedGraph,
+    u0,
+    u1,
+    s0: int,
+    s1: int,
+) -> Subproblem:
+    """Build the Subproblem for assignment (u0, u1) directly from definitions.
+
+    u0 and u1 are iterables of vertex ids.  This is the oracle for the
+    incremental maintenance in root_subproblem, assign and fix: every
+    derived quantity is computed by a fresh O(n + m) pass.
+    """
+    n = graph.n
+    if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
+        raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
+    set0, set1 = set(u0), set(u1)
+    for v in set0 | set1:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+    if set0 & set1:
+        raise ValueError(f"vertices assigned to both sides: {sorted(set0 & set1)}")
+    if len(set0) > s0 or len(set1) > s1:
+        raise ValueError("assignment exceeds a target size")
+
+    a0 = sum(1 << v for v in set0)
+    free_mask = ((1 << n) - 1) & ~(a0 | sum(1 << v for v in set1))
+    free_list = [v for v in range(n) if (free_mask >> v) & 1]
+    d0 = [0] * n
+    d1 = [0] * n
+    fixed_cut = 0
+    free_edges = 0
+    for u, v, w in graph.edges():
+        su = 0 if u in set0 else 1 if u in set1 else None
+        sv = 0 if v in set0 else 1 if v in set1 else None
+        if su is None and sv is None:
+            free_edges += 1
+        elif su is None:
+            (d0 if sv == 0 else d1)[u] += w
+        elif sv is None:
+            (d0 if su == 0 else d1)[v] += w
+        elif su != sv:
+            fixed_cut += w
+    basic = sum(min(d0[v], d1[v]) for v in free_list)
+    return Subproblem(graph, a0, free_mask, free_list, s0 - len(set0),
+                      s1 - len(set1), d0, d1, fixed_cut, basic, free_edges)
 
 
 def oracle_of(sp: Subproblem, s0: int, s1: int) -> Subproblem:

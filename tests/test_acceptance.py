@@ -18,6 +18,7 @@ from checks import (
     high_degree_pairs,
     random_er,
     random_partial_assignment,
+    recompute_from_scratch,
     side1_mask,
     solve_parallel_checked,
 )
@@ -37,7 +38,7 @@ from bipart.graph import generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.parallel import Incumbent, worker_count
 from bipart.solver import SearchStrategy, solve_sequential
-from bipart.subproblem import recompute_from_scratch, root_subproblem
+from bipart.subproblem import root_subproblem
 
 
 def _report(num, name, ok, detail, t0):

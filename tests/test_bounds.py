@@ -3,7 +3,7 @@ import random
 from checks import (
     assign_walk, brute_force_fixed_free_min, brute_force_free_free_min,
     complete_unweighted, free_degrees, high_degree_pairs, irregular_graph,
-    k3_weighted, random_er, random_partial_assignment,
+    k3_weighted, random_er, random_partial_assignment, recompute_from_scratch,
     reference_component_bound, reference_high_degree_bound,
     reference_high_degree_rebalance, reference_lower_bound, side1_mask,
     subproblem_optimum)
@@ -20,7 +20,7 @@ from bipart.bounds import (
     rebalance_value,
 )
 from bipart.graph import build_graph, generate_er
-from bipart.subproblem import recompute_from_scratch, root_subproblem
+from bipart.subproblem import root_subproblem
 
 
 def random_subproblem(rng, n_max=12):

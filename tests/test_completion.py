@@ -4,7 +4,7 @@ import pytest
 
 from checks import (assign_walk, complete_unweighted, irregular_graph,
                     k3_weighted, random_partial_assignment,
-                    reference_kernighan_lin, reference_max_adjacency_split,
+                    recompute_from_scratch, reference_kernighan_lin, reference_max_adjacency_split,
                     side_of, subproblem_optimum)
 
 from bipart import completion
@@ -21,7 +21,7 @@ from bipart.completion import (
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
 from bipart.solver import expand
-from bipart.subproblem import recompute_from_scratch, root_subproblem
+from bipart.subproblem import root_subproblem
 
 
 def random_subproblem(rng, n_max=10):

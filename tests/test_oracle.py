@@ -3,11 +3,11 @@ import math
 import pytest
 
 from checks import (brute_force_fixed_free_min, brute_force_free_free_min,
-                    complete_unweighted, example_graph, k3_weighted)
+                    complete_unweighted, example_graph, k3_weighted,
+                    recompute_from_scratch)
 
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
-from bipart.subproblem import recompute_from_scratch
 
 
 class TestBruteForceOptimum:
@@ -35,6 +35,12 @@ class TestBruteForceOptimum:
         g = build_graph(25, [])
         with pytest.raises(ValueError, match="too large"):
             brute_force_optimum(g, 12, 13)
+
+    @pytest.mark.parametrize("s0,s1,name", [(True, 5, "s0"), (3.0, 3.0, "s0"),
+                                            ("3", "3", "s0"), (3, 3.0, "s1")])
+    def test_non_integer_sizes_rejected(self, s0, s1, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            brute_force_optimum(complete_unweighted(6), s0, s1)
 
 
 class TestFixedFreeMin:

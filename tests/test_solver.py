@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from checks import (assert_equivalent, complete_unweighted, example_graph,
                     irregular_graph, k3_weighted, oracle_of, random_er,
-                    random_partial_assignment, side1_mask, side_of,
-                    solve_parallel_checked)
+                    random_partial_assignment, recompute_from_scratch,
+                    side1_mask, side_of, solve_parallel_checked)
 
 import bipart.parallel
 import bipart.solver
@@ -27,7 +27,7 @@ from bipart.solver import (
     priority,
     solve_sequential,
 )
-from bipart.subproblem import Subproblem, recompute_from_scratch, root_subproblem
+from bipart.subproblem import Subproblem, root_subproblem
 
 
 def reference_branch_vertex(sp):
@@ -622,9 +622,9 @@ def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
     batches = []
     real_fix = Subproblem.fix
 
-    def recording_fix(sp, pairs, cutoff=None):
+    def recording_fix(sp, pairs, *args, **kwargs):
         batches.append(pairs)
-        return real_fix(sp, pairs, cutoff)
+        return real_fix(sp, pairs, *args, **kwargs)
 
     monkeypatch.setattr(Subproblem, "fix", recording_fix)
     rng = random.Random(929)

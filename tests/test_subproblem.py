@@ -5,7 +5,7 @@ import pytest
 from checks import (
     assert_equivalent, assign_walk, complete_unweighted, free_degrees,
     high_degree_pairs, irregular_graph, k3_weighted, oracle_of, random_er,
-    random_partial_assignment, side1_mask, side_of)
+    random_partial_assignment, recompute_from_scratch, side1_mask, side_of)
 
 from bipart.bounds import (
     CONFIG_PRESETS,
@@ -17,7 +17,7 @@ from bipart.bounds import (
 from bipart.completion import rebalancing_completion_value, try_complete
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.solver import branch_vertex
-from bipart.subproblem import recompute_from_scratch, root_subproblem
+from bipart.subproblem import root_subproblem
 
 
 class TestRoot:
@@ -50,10 +50,32 @@ class TestRoot:
         assert sp.fixed_cut == 0
         assert sp.free_list == [0, 1, 2]
 
-    @pytest.mark.parametrize("s0,s1", [(0, 4), (4, 0), (1, 1), (3, 2)])
+    @pytest.mark.parametrize("s0,s1", [(0, 4), (4, 0), (1, 1), (3, 2),
+                                       (2.0, 2.0), (True, 3), (2, 2.0)])
     def test_bad_sizes_rejected(self, s0, s1):
         with pytest.raises(ValueError):
             root_subproblem(complete_unweighted(4), s0, s1)
+
+    def test_every_root_matches_the_oracle(self):
+        # Equal and unequal sides, 1 | n - 1 and n - 1 | 1, n = 2, and the
+        # irregular graphs' zero weights, isolated vertices and components.
+        # On equal sides the heaviest vertex, smallest id on a tie, is fixed.
+        rng = random.Random(34)
+        ties = 0
+        for i in range(120):
+            n = rng.randint(2, 14)
+            g = irregular_graph(rng, n) if i % 2 else random_er(rng, n)
+            tw = g.total_weight
+            for s0 in {1, n // 2, n - 1, rng.randint(1, n - 1)}:
+                u0 = []
+                if 2 * s0 == n:
+                    u0 = [max(range(n), key=lambda v: (tw[v], -v))]
+                    ties += tw.count(max(tw)) > 1
+                sp = root_subproblem(g, s0, n - s0)
+                assert_equivalent(sp, recompute_from_scratch(g, u0, [], s0,
+                                                             n - s0))
+                assert (sp.lb, sp.delta_lo, sp.delta_hi) == (None, None, None)
+        assert ties > 0
 
 
 class TestAssign:
