@@ -75,9 +75,9 @@ def rebalance_value(sp: Subproblem) -> int:
     side 1 and each pays -delta.  basic + this value is tight for the
     fixed-free term.  When both sides have room, the f0-th and (f0+1)-th
     smallest deltas, the last on side 0 and the first on side 1, are
-    recorded on sp as delta_lo and delta_hi: moving a free v across that
-    split costs the difference between its delta and one of them, which
-    the search reads to find forced vertices.
+    recorded on sp as delta_lo and delta_hi, over basic's split at 0:
+    moving a free v across it costs the difference between its delta and
+    one of them, which the search reads to find forced vertices.
     """
     d0, d1 = sp.d0, sp.d1
     deltas = [d1[v] - d0[v] for v in sp.free_list]
@@ -205,22 +205,19 @@ def component_bound(sp: Subproblem) -> int:
 
 
 def lower_bound(
-    sp: Subproblem, cfg: BoundConfig, cutoff: float | None = None
+    sp: Subproblem, cfg: BoundConfig, cutoff: float = math.inf
 ) -> int:
     """Combined lower bound on any completion of the subproblem.
 
     Terms are added cheapest first: fixed cut and basic, rebalancing,
     high-degree (skipped when no free vertex can make it nonzero),
-    component.  Without a cutoff the result is the full bound.  With one,
-    the partial sum is returned as soon as it reaches the cutoff, as a
-    certificate that the full bound is >= cutoff.  Below the cutoff the
-    result is sound and at most the full bound: the component search, a
-    term never above the heaviest edge weight, runs only if that weight
-    could lift the sum to the cutoff.
+    component.  With the default cutoff, infinity, the result is the full
+    bound.  With a number, the partial sum is returned as soon as it
+    reaches the cutoff, as a certificate that the full bound is >= cutoff.
+    Below the cutoff the result is sound and at most the full bound: the
+    component search, a term never above the heaviest edge weight, runs
+    only if that weight could lift the sum to the cutoff.
     """
-    full = cutoff is None
-    if full:
-        cutoff = math.inf
     lb = sp.fixed_cut + basic_bound(sp)
     if cfg.enable_rebalance and lb < cutoff:
         lb += rebalance_value(sp)
@@ -242,7 +239,8 @@ def lower_bound(
             extra = (half + 1) // 2
             if lb + extra >= cutoff:
                 return lb + extra
-    if cfg.enable_component and (full or lb + sp.graph.max_weight >= cutoff):
+    if cfg.enable_component and (cutoff == math.inf
+                                 or lb + sp.graph.max_weight >= cutoff):
         c = component_bound(sp)
         if c > extra:
             extra = c

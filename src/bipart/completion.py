@@ -179,10 +179,7 @@ def kernighan_lin(graph: WeightedGraph, sol: Solution) -> Solution:
         for _ in range(steps):
             unlocked0.sort(key=key, reverse=True)
             unlocked1.sort(key=key, reverse=True)
-            a, b = unlocked0[0], unlocked1[0]
-            best, pair = d[a] + d[b], (a, b)
-            if (nbr_mask[a] >> b) & 1:
-                best -= 2 * adj_w[a][adj_nbr[a].index(b)]
+            best = -math.inf
             for a in unlocked0:
                 da = d[a]
                 if da + d[unlocked1[0]] <= best:

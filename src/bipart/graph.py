@@ -190,12 +190,15 @@ def generate_er(n: int, p: float, wmin: int, wmax: int, seed: int) -> WeightedGr
     Deterministic for fixed (n, p, wmin, wmax, seed): the edge decision and
     weight draws come from a single SplitMix64 stream over pairs (u, v),
     u < v, in lexicographic order.  A vertex count, weights or seed that
-    are not integers raise ValueError, as do p outside [0, 1], a negative
-    vertex count and weights outside 1 <= wmin <= wmax.
+    are not integers raise ValueError, as do a p that is not an int or
+    float in [0, 1] (a bool is neither), a negative vertex count and
+    weights outside 1 <= wmin <= wmax.
     """
     n = _vertex_count(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0,1], got {p}")
+    if (isinstance(p, bool) or not isinstance(p, (int, float))
+            or not 0.0 <= p <= 1.0):
+        raise ValueError(f"edge probability p must be an int or float in "
+                         f"[0,1], got {p!r}")
     wmin, wmax = integer(wmin, "wmin"), integer(wmax, "wmax")
     if not 1 <= wmin <= wmax:
         raise ValueError(f"need 1 <= wmin <= wmax, got [{wmin},{wmax}]")

@@ -7,19 +7,20 @@ with the fewest free vertices first.  It pops the best subproblem, drops it
 when its stored lower bound no longer beats the incumbent (counted
 separately as an irrelevant task), otherwise tries the completion rules.
 Failing those, it fixes in one batch every free vertex that the stored
-bound and the rebalancing order already force to one side (see expand), and
-branches on the free vertex of largest |d1 - d0| plus twice its weight to
-free vertices, the weight the cheap bound terms cannot see yet (see
-branch_vertex).  One Subproblem.assign call gives both children and never
-builds one whose fixed cut + basic already reaches the incumbent.  The
-bounds of the others are computed once, cheapest term first against the
-incumbent, and stored with the child; a child whose bound reaches the
-incumbent is dropped on the spot, before its high-degree terms, component
-search or gap estimate are computed.  The surviving children are pushed
-lower stored bound first, side 0 first on a tie, so dfs dives into the more
-promising child.  A completion that beats the incumbent is refined by
-Kernighan-Lin before it replaces it.  The loop can stop after a node budget
-and resume on the same heap, which is how the parallel solver runs it.
+bound and its split of the free vertices already force to one side (see
+expand), and branches on the free vertex of largest |d1 - d0| plus twice
+its weight to free vertices, the weight the cheap bound terms cannot see
+yet (see branch_vertex).  One Subproblem.assign call gives both children
+and never builds one whose fixed cut + basic already reaches the
+incumbent.  The bounds of the others are computed once, cheapest term
+first against the incumbent, and stored with the child; a child whose
+bound reaches the incumbent is dropped on the spot, before its high-degree
+terms, component search or gap estimate are computed.  The surviving
+children are pushed lower stored bound first, side 0 first on a tie, so
+dfs dives into the more promising child.  A completion that beats the
+incumbent is refined by Kernighan-Lin before it replaces it.  The loop can
+stop after a node budget and resume on the same heap, which is how the
+parallel solver runs it.
 """
 
 from __future__ import annotations
@@ -105,72 +106,68 @@ def priority(sp: Subproblem, strategy: SearchStrategy) -> float:
 def expand(sp, cfg, cutoff):
     """Completion-or-branch step of the search loop.
 
-    Returns (solution, None) when a completion rule fired on a completion
-    below `cutoff`, (None, []) when one fired on a completion that cannot
-    beat it or when no completion can (a leaf), otherwise (None, children)
-    with each child's lower bound stored on it, in non-decreasing stored
-    bound (side 0 first on a tie).  `cutoff` is the incumbent value, and
-    sp.lb must be below it.  A child whose fixed cut + basic reaches it is
-    not built and not returned; a returned child whose stored bound is >=
-    cutoff holds only that certificate, since the bound terms after the
-    one that reached the cutoff were skipped.
+    Returns the improving Solution when a completion rule fired on a
+    completion below `cutoff`, else the list of children to push, each
+    with its lower bound stored on it and below `cutoff`, in non-decreasing
+    stored bound (side 0 first on a tie).  The list is empty when a rule
+    fired on a completion that cannot beat the cutoff, or when no child
+    can (a leaf).  `cutoff` is the incumbent value, and sp.lb must be below
+    it.  A child whose fixed cut + basic reaches it is not built; one whose
+    stored bound reaches it is dropped before its later terms are computed.
 
     Before branching, every free vertex whose other side would lift the
     stored bound to the cutoff is fixed, all in one Subproblem.fix, and
     the children are those of that state.  With gap = cutoff - sp.lb and
-    delta = d1 - d0, under rebalancing v is forced to side 0 when delta
-    <= delta_hi - gap and to side 1 when delta >= delta_lo + gap (the
-    (f0+1)-th and f0-th smallest delta, recorded by the bound's sort);
-    without it, to its cheaper side when |delta| >= gap.  This is sound:
-    the price of v on its wrong side, the difference to delta_hi or
-    delta_lo (or |delta| alone), is exactly what the fixed-free part of the
-    bound rises by when v must go there.  The high-degree and component
-    terms inside sp.lb bound only the free-free edges, which every
-    completion pays however v is placed.  So sp.lb plus that price bounds
-    every completion with v on its wrong side, each forced vertex holds in
-    every completion below the cutoff, and so does the batch jointly.  A
-    batch that puts more vertices on a side than it has room for leaves no
-    such completion; that is checked before the batch is built, since fix
-    does not examine the pairs after it stops.  fix gets the cutoff and
-    returns None as soon as fixed cut + basic reaches it, which closes the
-    node.  That sum never falls during a batch, so this closes exactly the
-    nodes whose fully built batch reaches the cutoff, without building the
-    rest of the batch.
+    delta = d1 - d0, v is forced to side 0 when delta <= delta_hi - gap and
+    to side 1 when delta >= delta_lo + gap, the split the stored bound
+    recorded (see Subproblem): under `trivial`, to its cheaper side when
+    |delta| >= gap.  This is sound: the price of v on its wrong side, the
+    difference between its delta and delta_hi or delta_lo, is exactly what
+    the fixed-free part of the bound rises by when v must go there.  The
+    high-degree and component terms inside sp.lb bound only the free-free
+    edges, which every completion pays however v is placed.  So sp.lb plus
+    that price bounds every completion with v on its wrong side, each
+    forced vertex holds in every completion below the cutoff, and so does
+    the batch jointly.  A batch that puts more vertices on a side than it
+    has room for leaves no such completion; that is checked before the
+    batch is built, since fix does not examine the pairs after it stops.
+    fix gets the cutoff and returns None as soon as fixed cut + basic
+    reaches it, which closes the node.  That sum never falls during a
+    batch, so this closes exactly the nodes whose fully built batch reaches
+    the cutoff, without building the rest of the batch.
     """
     sol = try_complete(sp, cutoff)
-    if sol is not None:
-        return (sol, None) if isinstance(sol, Solution) else (None, [])
-    gap = cutoff - sp.lb
-    if cfg.enable_rebalance:
+    if sol is None:
+        gap = cutoff - sp.lb
         lo, hi = sp.delta_hi - gap, sp.delta_lo + gap
-    else:
-        lo, hi = -gap, gap
-    d0, d1 = sp.d0, sp.d1
-    forced = []
-    to0 = 0
-    for v in sp.free_list:
-        delta = d1[v] - d0[v]
-        if delta <= lo:
-            forced.append((v, 0))
-            to0 += 1
-        elif delta >= hi:
-            forced.append((v, 1))
-    if forced:
-        if to0 > sp.f0 or len(forced) - to0 > sp.f1:
-            return None, []
-        sp = sp.fix(forced, cutoff)
-        if sp is None:
-            return None, []
-        sol = try_complete(sp, cutoff)
-        if sol is not None:
-            return (sol, None) if isinstance(sol, Solution) else (None, [])
-    children = [c for c in sp.assign(branch_vertex(sp), cutoff)
-                if c is not None]
-    for child in children:
-        child.lb = lower_bound(child, cfg, cutoff)
+        d0, d1 = sp.d0, sp.d1
+        forced = []
+        to0 = 0
+        for v in sp.free_list:
+            delta = d1[v] - d0[v]
+            if delta <= lo:
+                forced.append((v, 0))
+                to0 += 1
+            elif delta >= hi:
+                forced.append((v, 1))
+        if forced:
+            if to0 > sp.f0 or len(forced) - to0 > sp.f1:
+                return []
+            sp = sp.fix(forced, cutoff)
+            if sp is None:
+                return []
+            sol = try_complete(sp, cutoff)
+    if sol is not None:
+        return sol if isinstance(sol, Solution) else []
+    children = []
+    for child in sp.assign(branch_vertex(sp), cutoff):
+        if child is not None:
+            child.lb = lower_bound(child, cfg, cutoff)
+            if child.lb < cutoff:
+                children.append(child)
     if len(children) == 2 and children[1].lb < children[0].lb:
         children.reverse()
-    return None, children
+    return children
 
 
 class Search:
@@ -181,9 +178,10 @@ class Search:
     unless an integer `initial_value` is given: that is then the cutoff, no
     heuristic runs, best is None, and the search proves that nothing beats
     `initial_value` unless it finds something that does.  The root carries
-    its full lower bound.  A `strategy` that is not a SearchStrategy or its
-    value, side sizes that are not integers >= 1 summing to graph.n and a
-    non-integer `initial_value` raise ValueError before any work.
+    its full lower bound.  A `cfg` that is not a BoundConfig, a `strategy`
+    that is not a SearchStrategy or its value, side sizes that are not
+    integers >= 1 summing to graph.n and a non-integer `initial_value`
+    raise ValueError before any work.
 
     `run` pops and expands until the frontier is empty or a node budget is
     spent, and a later `run` resumes on the same heap, so a search run in
@@ -195,6 +193,8 @@ class Search:
 
     def __init__(self, graph, s0, s1, cfg, strategy, initial_value=None):
         self.t_start = time.perf_counter()
+        if not isinstance(cfg, BoundConfig):
+            raise ValueError(f"cfg must be a BoundConfig, got {cfg!r}")
         self.cfg = cfg
         self.strategy = SearchStrategy(strategy)
         s0, s1 = integer(s0, "s0"), integer(s1, "s1")
@@ -228,20 +228,19 @@ class Search:
                 irrelevant += 1
                 continue
             explored += 1
-            sol, children = expand(sp, cfg, best_value)
-            if sol is not None:
-                if sol.value < best_value:
-                    best = kernighan_lin(sp.graph, sol)
+            step = expand(sp, cfg, best_value)
+            if isinstance(step, Solution):
+                if step.value < best_value:
+                    best = kernighan_lin(sp.graph, step)
                     best_value = best.value
                     self.solutions_found += 1
                     self.t_best = time.perf_counter() - self.t_start
                 continue
-            for child in children:
-                if child.lb < best_value:
-                    pushes += 1
-                    heapq.heappush(
-                        frontier, (-priority(child, strategy), pushes, child)
-                    )
+            for child in step:
+                pushes += 1
+                heapq.heappush(
+                    frontier, (-priority(child, strategy), pushes, child)
+                )
         self.pushes, self.explored, self.irrelevant = pushes, explored, irrelevant
         self.best, self.best_value = best, best_value
         return not frontier

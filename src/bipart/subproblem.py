@@ -10,9 +10,10 @@ maintained quantities the lower bounds read:
   term reads and the rebalancing term corrects.
 * free_edges: the number of edges with both ends free.  Free degrees are
   not kept; a bound reads them from graph.nbr_mask and free_mask.
-* delta_lo and delta_hi: the f0-th and (f0+1)-th smallest delta = d1 - d0
-  over the free vertices, recorded by the rebalancing sort when the lower
-  bound is computed; the search reads them to find forced vertices.
+* delta_lo and delta_hi: the bound's split of the free deltas d1 - d0,
+  which the search reads to find forced vertices.  Both are 0, basic's
+  split at the sign change, until the rebalancing sort records the f0-th
+  and (f0+1)-th smallest delta.
 
 The high-degree terms keep no state here.  The paper maintains per-vertex
 seen counters for them; measured here, that upkeep cost more than the term
@@ -72,7 +73,8 @@ class Subproblem:
         self.fixed_cut = fixed_cut
         self.basic = basic
         self.free_edges = free_edges
-        self.lb = self.delta_lo = self.delta_hi = None
+        self.lb = None
+        self.delta_lo = self.delta_hi = 0
 
     # -- basic queries ---------------------------------------------------
 

@@ -162,8 +162,8 @@ def subproblem_optimum(sp: Subproblem) -> int:
 NOT_MAINTAINED = {
     "graph": "the instance itself, shared by both states, not derived",
     "lb": "stored by the search, which the oracle does not run",
-    "delta_lo": "recorded by rebalance_value when the bound is read",
-    "delta_hi": "recorded by rebalance_value when the bound is read",
+    "delta_lo": "0 until rebalance_value records it when the bound is read",
+    "delta_hi": "0 until rebalance_value records it when the bound is read",
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 from checks import (
@@ -148,7 +149,7 @@ class TestMaintainedTerms:
 class TestDeltaSplit:
     """rebalance_value records the split that expand's forcing reads: with
     0 < f0 < f, delta_lo and delta_hi are the f0-th and (f0+1)-th smallest
-    delta = d1 - d0 over the f free vertices; otherwise both stay None."""
+    delta = d1 - d0 over the f free vertices; otherwise both stay 0."""
 
     def test_random_partial_assignments(self):
         rng = random.Random(3131)
@@ -168,7 +169,7 @@ class TestDeltaSplit:
                 assert sp.delta_lo == deltas[f0 - 1]
                 assert sp.delta_hi == deltas[f0]
             else:
-                assert sp.delta_lo is None and sp.delta_hi is None
+                assert sp.delta_lo == 0 and sp.delta_hi == 0
             seen["f0 = 0"] += f0 == 0 < f
             seen["f0 = 1"] += f0 == 1 < f
             seen["f0 = f - 1"] += 1 < f0 == f - 1
@@ -476,6 +477,19 @@ class TestLowerBound:
                     else:
                         assert cutoff <= got <= full
         assert skipped > 0
+
+    def test_an_infinite_cutoff_is_the_default(self):
+        """Passing infinity as the cutoff gives the full bound, as the
+        default does, on a corpus where the component term decides."""
+        rng = random.Random(1222)
+        cfg = CONFIG_PRESETS["component"]
+        decisive = 0
+        for _ in range(300):
+            sp = random_subproblem(rng)
+            full = lower_bound(sp, cfg)
+            assert lower_bound(sp, cfg, math.inf) == full
+            decisive += full > lower_bound(sp, CONFIG_PRESETS["highdegree"])
+        assert decisive >= 20, decisive
 
     def test_integer_bounds(self):
         rng = random.Random(1020)

@@ -146,10 +146,10 @@ class TestCompletionCutoff:
                 assert value == sol.value and not cut_calls
                 assert not isinstance(value, Solution)
                 assert expand(sp, CONFIG_PRESETS["component"],
-                              sol.value) == (None, [])
+                              sol.value) == []
                 assert try_complete(sp, sol.value + 1) == sol
                 assert expand(sp, CONFIG_PRESETS["component"],
-                              sol.value + 1) == (sol, None)
+                              sol.value + 1) == sol
         assert min(hits.values()) >= 20, hits
 
 

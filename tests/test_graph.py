@@ -114,6 +114,14 @@ def test_non_integer_count_seed_or_weight_rejected(call, name):
         call()
 
 
+@pytest.mark.parametrize("p", ["0.5", None, True])
+def test_edge_probability_that_is_not_a_number_rejected(p):
+    """p must be an int or float, not a bool, as every other parameter is
+    checked: a string or None raises ValueError, and True is not 1."""
+    with pytest.raises(ValueError, match=r"^edge probability p must be"):
+        generate_er(5, p, 1, 1, 0)
+
+
 GRID_SEEDS = (0, 1, 2**64 - 1, 2**70 + 3, -5)
 
 

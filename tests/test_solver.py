@@ -14,8 +14,8 @@ from checks import (assert_equivalent, complete_unweighted, example_graph,
 import bipart.parallel
 import bipart.solver
 from bipart.bounds import CONFIG_PRESETS, lower_bound
-from bipart.completion import (greedy_initial_solution, make_solution,
-                               max_adjacency_split,
+from bipart.completion import (Solution, greedy_initial_solution,
+                               make_solution, max_adjacency_split,
                                rebalancing_completion_value, try_complete)
 from bipart.graph import build_graph, cut_value, generate_er
 from bipart.oracle import brute_force_optimum
@@ -248,6 +248,21 @@ class TestSolveSequential:
                 solve_sequential(g, 11, 11, cfg, bad)
             with pytest.raises(ValueError, match="SearchStrategy"):
                 solve_parallel_checked(g, 11, 11, cfg, bad, threads=2)
+
+    def test_cfg_is_checked_before_any_work(self, monkeypatch):
+        """A preset name or None in place of a BoundConfig raises
+        ValueError from both entry points before the heuristic seed runs."""
+        g = generate_er(12, 0.4, 1, 1000, seed=2)
+
+        def no_seed(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(bipart.solver, "greedy_initial_solution", no_seed)
+        for bad in ("rebalance", None):
+            with pytest.raises(ValueError, match="BoundConfig"):
+                solve_sequential(g, 6, 6, bad)
+            with pytest.raises(ValueError, match="BoundConfig"):
+                solve_parallel_checked(g, 6, 6, bad, threads=2)
 
 
 # (optimum, subproblems_explored, popped, irrelevant_tasks) of
@@ -549,9 +564,9 @@ def test_search_keeps_only_fully_maintained_children(preset, monkeypatch):
             sp = stack.pop()
             if sp.lb >= best:
                 continue
-            sol, children = expand(sp, cfg, best)
-            if sol is not None:
-                best = min(best, sol.value)
+            children = expand(sp, cfg, best)
+            if isinstance(children, Solution):
+                best = min(best, children.value)
                 continue
             for child in reversed(children):
                 if child.lb >= best:
@@ -584,9 +599,9 @@ def test_expand_returns_children_lower_bound_first(preset):
             sp = stack.pop()
             if sp.lb >= best:
                 continue
-            sol, children = expand(sp, cfg, best)
-            if sol is not None:
-                best = min(best, sol.value)
+            children = expand(sp, cfg, best)
+            if isinstance(children, Solution):
+                best = min(best, children.value)
                 continue
             if len(children) == 2:
                 first, second = children
@@ -598,6 +613,106 @@ def test_expand_returns_children_lower_bound_first(preset):
                 order["tie"] += first.lb == second.lb
             stack.extend(reversed(children))
     assert all(order.values()), order
+
+
+@pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
+def test_expand_returns_only_children_below_the_cutoff(preset, monkeypatch):
+    """Every child expand returns stores a bound below the cutoff, and the
+    children it drops are exactly those whose bound reached it, so the
+    search loop pushes the list as it comes."""
+    cfg = CONFIG_PRESETS[preset]
+    bounded = []
+    real_lower_bound = bipart.solver.lower_bound
+
+    def recording_lower_bound(sp, cfg, cutoff=math.inf):
+        lb = real_lower_bound(sp, cfg, cutoff)
+        bounded.append((sp, lb < cutoff))
+        return lb
+
+    monkeypatch.setattr(bipart.solver, "lower_bound", recording_lower_bound)
+    rng = random.Random(1313)
+    dropped = 0
+    for i in range(40):
+        n = rng.randint(4, 14)
+        g = irregular_graph(rng, n) if i % 2 else random_er(rng, n)
+        s0 = rng.randint(1, n - 1)
+        best = max_adjacency_split(g, s0, n - s0).value
+        root = root_subproblem(g, s0, n - s0)
+        root.lb = lower_bound(root, cfg)
+        stack = [root]
+        while stack:
+            sp = stack.pop()
+            if sp.lb >= best:
+                continue
+            bounded.clear()
+            children = expand(sp, cfg, best)
+            if isinstance(children, Solution):
+                best = min(best, children.value)
+                continue
+            assert all(child.lb < best for child in children)
+            assert ({id(c) for c, below in bounded if below}
+                    == {id(c) for c in children})
+            dropped += sum(not below for _, below in bounded)
+            stack.extend(reversed(children))
+    # Under trivial the bound is fixed cut + basic, which assign tests.
+    assert dropped == 0 if preset == "trivial" else dropped >= 20, dropped
+
+
+@pytest.mark.parametrize("preset", sorted(CONFIG_PRESETS))
+def test_states_start_at_the_basic_split(preset, monkeypatch):
+    """Every state root_subproblem, assign and fix build has delta_lo ==
+    delta_hi == 0, basic's split.  Under trivial, which never records
+    another, each batch expand forces is exactly {v : |delta| >= gap},
+    each v on its cheaper side."""
+    cfg = CONFIG_PRESETS[preset]
+    real_assign, real_fix = Subproblem.assign, Subproblem.fix
+    seen = {"assign": 0, "fix": 0, "batch": 0}
+
+    def at_basic_split(state, kind):
+        if state is not None:
+            assert (state.delta_lo, state.delta_hi) == (0, 0)
+            seen[kind] += 1
+
+    def checked_assign(sp, v, cutoff=math.inf):
+        children = real_assign(sp, v, cutoff)
+        for child in children:
+            at_basic_split(child, "assign")
+        return children
+
+    def checked_fix(sp, pairs, cutoff=math.inf):
+        if preset == "trivial" and cutoff < math.inf:  # a batch of expand
+            gap = cutoff - sp.lb
+            deltas = [(v, sp.d1[v] - sp.d0[v]) for v in sp.free_list]
+            assert pairs == [(v, int(d > 0)) for v, d in deltas
+                             if abs(d) >= gap]
+            seen["batch"] += 1
+        state = real_fix(sp, pairs, cutoff)
+        at_basic_split(state, "fix")
+        return state
+
+    monkeypatch.setattr(Subproblem, "assign", checked_assign)
+    monkeypatch.setattr(Subproblem, "fix", checked_fix)
+    rng = random.Random(1414)
+    for i in range(40):
+        n = rng.randint(2, 14)
+        g = irregular_graph(rng, n) if i % 2 else random_er(rng, n)
+        s0 = rng.randint(1, n - 1)
+        root = root_subproblem(g, s0, n - s0)
+        assert (root.delta_lo, root.delta_hi) == (0, 0)
+        best = max_adjacency_split(g, s0, n - s0).value
+        root.lb = lower_bound(root, cfg)
+        stack = [root]
+        while stack:
+            sp = stack.pop()
+            if sp.lb >= best:
+                continue
+            children = expand(sp, cfg, best)
+            if isinstance(children, Solution):
+                best = min(best, children.value)
+                continue
+            stack.extend(reversed(children))
+    assert seen["assign"] and seen["fix"], seen
+    assert seen["batch"] or preset != "trivial", seen
 
 
 def balanced_completions(g, s0):
@@ -646,13 +761,13 @@ def test_forced_vertices_hold_in_every_completion_below_the_cutoff(
             below = [m for m, cut in completions if cut < best
                      and not sp.a0 & ~m and not side1_mask(sp) & m]
             batches.clear()
-            sol, children = expand(sp, cfg, best)
+            children = expand(sp, cfg, best)
             for pairs in batches:
                 seen["forced"] += len(pairs)
                 for v, side in pairs:
                     assert all((m >> v & 1) == (side == 0) for m in below)
-            if sol is not None:
-                best = min(best, sol.value)
+            if isinstance(children, Solution):
+                best = min(best, children.value)
                 continue
             if not children:
                 assert not below

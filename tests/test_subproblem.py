@@ -74,7 +74,7 @@ class TestRoot:
                 sp = root_subproblem(g, s0, n - s0)
                 assert_equivalent(sp, recompute_from_scratch(g, u0, [], s0,
                                                              n - s0))
-                assert (sp.lb, sp.delta_lo, sp.delta_hi) == (None, None, None)
+                assert (sp.lb, sp.delta_lo, sp.delta_hi) == (None, 0, 0)
         assert ties > 0
 
 
