@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import WeightedGraph, cut_value
+from .graph import WeightedGraph, cut_value, side_sizes
 from .subproblem import Subproblem
 from .bounds import rebalance_bound, rebalance_value
 
@@ -225,10 +225,10 @@ def max_adjacency_split(graph: WeightedGraph, s0: int, s1: int) -> Solution:
     largest total edge weight into the ordered set (ties by vertex id);
     the first s0 ordered vertices form side 0, so the ordering stops there.
     conn[v] is that weight for an unordered v, and -1 once v is ordered.
+    s0 and s1 must be integers >= 1 that sum to n, else ValueError.
     """
     n = graph.n
-    if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
-        raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
+    s0, s1 = side_sizes(s0, s1, n)
     conn = [0] * n
     sides = [1] * n
     best = 0

@@ -89,6 +89,16 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def side_sizes(s0, s1, n: int) -> tuple[int, int]:
+    """(s0, s1) as ints; ValueError naming them unless both are integers
+    (not bools) of at least 1 that sum to n."""
+    s0, s1 = integer(s0, "s0"), integer(s1, "s1")
+    if s0 < 1 or s1 < 1 or s0 + s1 != n:
+        raise ValueError(f"s0 and s1 must be at least 1 and sum to n = {n}, "
+                         f"got s0 = {s0}, s1 = {s1}")
+    return s0, s1
+
+
 def _vertex_count(n) -> int:
     n = integer(n, "n")
     if n < 0:

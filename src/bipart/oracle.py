@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import WeightedGraph, integer
+from .graph import WeightedGraph, side_sizes
 from .completion import Solution
 
 MAX_ORACLE_N = 24
@@ -32,11 +32,9 @@ def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
     integers that sum to n, else ValueError.
     """
     n = g.n
-    s0, s1 = integer(s0, "s0"), integer(s1, "s1")
+    s0, s1 = side_sizes(s0, s1, n)
     if n > MAX_ORACLE_N:
         raise ValueError(f"instance too large for the oracle (n={n})")
-    if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
-        raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
     edges = list(g.edges())
     best = None
     best_sides = None

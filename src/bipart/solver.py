@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import WeightedGraph, integer
+from .graph import WeightedGraph, integer, side_sizes
 from .subproblem import Subproblem, root_subproblem
 from .bounds import BoundConfig, lower_bound
 from .completion import (
@@ -197,10 +197,7 @@ class Search:
             raise ValueError(f"cfg must be a BoundConfig, got {cfg!r}")
         self.cfg = cfg
         self.strategy = SearchStrategy(strategy)
-        s0, s1 = integer(s0, "s0"), integer(s1, "s1")
-        if s0 < 1 or s1 < 1 or s0 + s1 != graph.n:
-            raise ValueError(f"s0 and s1 must be at least 1 and sum to "
-                             f"n = {graph.n}, got s0 = {s0}, s1 = {s1}")
+        s0, s1 = side_sizes(s0, s1, graph.n)
         if initial_value is None:
             self.best = greedy_initial_solution(graph, s0, s1)
             self.best_value = self.best.value

@@ -5,6 +5,8 @@ set (free_mask, free_list), U1 being the rest, plus all the incrementally
 maintained quantities the lower bounds read:
 
 * D arrays: d0[v]/d1[v] = total edge weight from free v into U0/U1.
+  They are defined for free v only: a fixed vertex's entries hold
+  whatever they held when it was fixed, and nothing reads them.
 * fixed_cut: crossing weight between U0 and U1.
 * basic: the sum over free v of min(d0[v], d1[v]), which the basic bound
   term reads and the rebalancing term corrects.
@@ -25,9 +27,9 @@ Subproblem.assign is the branching kernel: one call builds both children
 of a branching in one loop over v's adjacency, and skips a child whose
 side is full or whose fixed cut + basic already reaches the caller's
 cutoff.  The two siblings share one copy of the free set (free_list and
-free_mask) and the free-edge count.  Each child gets a
-fresh copy of its own side's D array, which holds v's free edges, and
-shares the parent's other-side D array when v's entry there is already 0.
+free_mask) and the free-edge count.  Each child gets a fresh copy of its
+own side's D array, which holds v's free edges, and shares the parent's
+other-side D array, whose free entries v's fixing leaves as they are.
 Subproblem.fix builds the state with a whole batch of forced vertices
 fixed, in one copy of each array, keeping the sums up to date after each
 vertex; it stops and returns None as soon as fixed cut + basic reaches
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import WeightedGraph, integer
+from .graph import WeightedGraph, side_sizes
 
 
 class Subproblem:
@@ -112,11 +114,13 @@ class Subproblem:
         belongs to, and writes the edge weight into both children's
         own-side D copies; it is skipped when v has no free neighbour.  Both
         own-side copies are made before the cutoff test, since a copy costs
-        far less than a loop.  The children share one copy of the free set
-        (free list and mask) and the free-edge count, which falls by v's
-        free degree, so a branching costs O(deg v) plus at most five O(n)
-        copies.  No array of a subproblem is written after it is
-        built, which makes the sharing safe; the parent is not modified.
+        far less than a loop.  Each child shares the parent's other-side D
+        array, and the children share one copy of the free set (free list
+        and mask) and the free-edge count, which falls by v's free degree.
+        So a branching costs O(deg v) plus three O(n) copies, the free
+        list's skipped when neither child is built.  No array of a
+        subproblem is written after it is built, which makes the sharing
+        safe; the parent is not modified.
         """
         if not self.is_free(v):
             raise ValueError(f"vertex {v} is not free")
@@ -129,7 +133,6 @@ class Subproblem:
         # of the two children.
         basic0 = basic1 = self.basic - (dv0 if dv0 < dv1 else dv1)
         own0, own1 = d0.copy(), d1.copy()
-        own0[v] = own1[v] = 0
         free_nbrs = g.nbr_mask[v] & free_mask
         if free_nbrs:
             for u, w in zip(g.adj_nbr[v], g.adj_w[v]):
@@ -156,26 +159,16 @@ class Subproblem:
         free_edges = self.free_edges - free_nbrs.bit_count()
 
         # Each child takes the D array of its own side, where v's free
-        # edges landed, and clears v's entry in the other one, which it
-        # shares with the parent when that entry is already 0.
+        # edges landed, and shares the parent's other one, which v's edges
+        # leave unchanged on every free vertex.
         child0 = child1 = None
         if keep0:
-            if dv1:
-                other = d1.copy()
-                other[v] = 0
-            else:
-                other = d1
             child0 = Subproblem(g, self.a0 | bit, free_mask, free_list,
-                                self.f0 - 1, self.f1, own0, other, cut0,
+                                self.f0 - 1, self.f1, own0, d1, cut0,
                                 basic0, free_edges)
         if keep1:
-            if dv0:
-                other = d0.copy()
-                other[v] = 0
-            else:
-                other = d0
             child1 = Subproblem(g, self.a0, free_mask, free_list, self.f0,
-                                self.f1 - 1, other, own1, cut1, basic1,
+                                self.f1 - 1, d0, own1, cut1, basic1,
                                 free_edges)
         return child0, child1
 
@@ -213,7 +206,6 @@ class Subproblem:
             free_nbrs = nbr_mask[v] & free_mask
             free_edges -= free_nbrs.bit_count()
             x, y = d0[v], d1[v]
-            d0[v] = d1[v] = 0
             basic -= x if x < y else y
             if side:
                 fixed_cut += x
@@ -258,9 +250,7 @@ def root_subproblem(
     benchmark still passes it.
     """
     n = graph.n
-    s0, s1 = integer(s0, "s0"), integer(s1, "s1")
-    if s0 <= 0 or s1 <= 0 or s0 + s1 != n:
-        raise ValueError(f"invalid sizes ({s0},{s1}) for n={n}")
+    s0, s1 = side_sizes(s0, s1, n)
     root = Subproblem(graph, 0, (1 << n) - 1, list(range(n)), s0, s1,
                       [0] * n, [0] * n, 0, 0, graph.m)
     if s0 == s1:

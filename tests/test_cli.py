@@ -60,6 +60,13 @@ class TestGenerate:
         assert "usage error" in err and "-n" in err
         assert out == ""
 
+    def test_weight_range_below_its_minimum_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "-n", "5", "-p", "0.5",
+                                 "-w", "5", "-W", "2")
+        assert code == 1
+        assert "usage error" in err
+        assert out == ""
+
 
 class TestSolve:
     @pytest.fixture

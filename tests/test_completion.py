@@ -209,6 +209,16 @@ class TestGreedyInitial:
         sol = greedy_initial_solution(g, 2, 3)
         assert sol.value == 0
 
+    @pytest.mark.parametrize("s0,s1", [(True, 3), (2.0, 2.0), ("2", "2"),
+                                       (2, 2.0), (0, 4), (3, 2)])
+    @pytest.mark.parametrize("heuristic",
+                             [max_adjacency_split, greedy_initial_solution])
+    def test_bad_sizes_rejected(self, heuristic, s0, s1):
+        # A bool used to pass as 1 and build a 1 | 3 split, and a float or
+        # a string raised TypeError.
+        with pytest.raises(ValueError, match=r"\bs[01]\b"):
+            heuristic(complete_unweighted(4), s0, s1)
+
     def test_feasible_on_random_instances(self):
         rng = random.Random(4044)
         for _ in range(40):

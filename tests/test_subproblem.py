@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,11 +14,13 @@ from bipart.bounds import (
     high_degree_bound,
     high_degree_rebalance,
     lower_bound,
+    rebalance_bound,
 )
-from bipart.completion import rebalancing_completion_value, try_complete
+from bipart.completion import (Solution, rebalancing_completion_value,
+                               try_complete)
 from bipart.graph import build_graph, cut_value, generate_er
-from bipart.solver import branch_vertex
-from bipart.subproblem import root_subproblem
+from bipart.solver import branch_vertex, expand
+from bipart.subproblem import Subproblem, root_subproblem
 
 
 class TestRoot:
@@ -372,9 +375,30 @@ def read_everything(sp):
 
 
 class TestSiblingSharing:
-    """Siblings share their free set, and a child may share a D array with
-    its parent.  Every reader run on one child must leave its sibling and
-    the parent equal to their from-scratch oracles."""
+    """Siblings share their free set, and each child shares its parent's
+    other-side D array.  Every reader run on one child must leave its
+    sibling and the parent equal to their from-scratch oracles."""
+
+    def test_each_child_holds_its_parents_other_side_array(self):
+        # v's entry in that array is nonzero when v has a fixed neighbour
+        # on that side across an edge of positive weight; the child shares
+        # the array all the same, since nothing reads a fixed entry.
+        rng = random.Random(66)
+        children = nonzero = 0
+        for irregular in (False, True):
+            for g, s0 in walk_inputs(rng, irregular):
+                for sp in assign_walk(rng, g, s0):
+                    for v in sp.free_list:
+                        child0, child1 = sp.assign(v)
+                        if child0 is not None:
+                            assert child0.d1 is sp.d1
+                            children += 1
+                            nonzero += sp.d1[v] != 0
+                        if child1 is not None:
+                            assert child1.d0 is sp.d0
+                            children += 1
+                            nonzero += sp.d0[v] != 0
+        assert children > 2000 and nonzero > 500, (children, nonzero)
 
     def test_readers_leave_sibling_and_parent_intact(self):
         rng = random.Random(63)
@@ -394,3 +418,82 @@ class TestSiblingSharing:
                         assert_equivalent(sp, oracle_of(sp, *sizes))
                         checked += 1
         assert checked > 500
+
+
+def with_entries(sp, d0, d1):
+    """A fresh state with sp's slots but the D arrays d0 and d1, and no
+    stored bound or split."""
+    return Subproblem(sp.graph, sp.a0, sp.free_mask, sp.free_list.copy(),
+                      sp.f0, sp.f1, d0, d1, sp.fixed_cut, sp.basic,
+                      sp.free_edges)
+
+
+def assert_same_state(a, b):
+    """Two states built from the clean and the poisoned copy: both None, or
+    equal on every maintained slot and on the stored bound and split."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert_equivalent(a, b)
+        assert (a.lb, a.delta_lo, a.delta_hi) == (b.lb, b.delta_lo, b.delta_hi)
+
+
+class TestFixedEntries:
+    """D entries are defined on free vertices only, so no reader may read a
+    fixed vertex's entries: a copy of a state whose fixed entries hold random
+    integers, negative ones included, gives every reader's answer, under
+    every preset, at infinity and at a finite cutoff."""
+
+    def test_fixed_entries_are_never_read(self):
+        rng = random.Random(67)
+        seen = {"states": 0, "finite cutoff pruned": 0, "expand solution": 0,
+                "expand children": 0, "expand closed": 0}
+        while seen["states"] < 320:
+            n = rng.randint(3, 12)
+            irregular = seen["states"] % 2
+            g = irregular_graph(rng, n) if irregular else random_er(rng, n)
+            s0 = rng.randint(1, n - 1)
+            sp = random_partial_assignment(rng, g, s0, n - s0)
+            if not sp.free_list or len(sp.free_list) == n:
+                continue
+            seen["states"] += 1
+            p0, p1 = sp.d0.copy(), sp.d1.copy()
+            for v in range(n):
+                if not sp.is_free(v):
+                    p0[v] = rng.randint(-1000, 1000)
+                    p1[v] = rng.randint(-1000, 1000)
+
+            def pair():
+                return with_entries(sp, sp.d0, sp.d1), with_entries(sp, p0, p1)
+
+            clean, dirty = pair()
+            assert rebalance_bound(clean) == rebalance_bound(dirty)
+            upper = rebalancing_completion_value(clean)
+            assert upper == rebalancing_completion_value(dirty)
+            assert branch_vertex(clean) == branch_vertex(dirty)
+            finite = rng.randint(sp.fixed_cut + sp.basic, upper + 1)
+            for cutoff in (math.inf, finite):
+                assert try_complete(clean, cutoff) == try_complete(dirty, cutoff)
+                for v in sp.free_list:
+                    kids = clean.assign(v, cutoff), dirty.assign(v, cutoff)
+                    for a, b in zip(*kids):
+                        assert_same_state(a, b)
+                for cfg in CONFIG_PRESETS.values():
+                    clean, dirty = pair()
+                    for state in clean, dirty:
+                        state.lb = lower_bound(state, cfg, cutoff)
+                    assert_same_state(clean, dirty)
+                    if clean.lb >= cutoff:
+                        seen["finite cutoff pruned"] += 1
+                        continue
+                    step = expand(clean, cfg, cutoff)
+                    other = expand(dirty, cfg, cutoff)
+                    if isinstance(step, Solution):
+                        seen["expand solution"] += 1
+                        assert step == other
+                    else:
+                        seen["expand children" if step else
+                             "expand closed"] += 1
+                        assert len(step) == len(other)
+                        for a, b in zip(step, other):
+                            assert_same_state(a, b)
+        assert all(seen.values()), seen
