@@ -14,6 +14,7 @@ import sys
 import traceback
 from contextlib import nullcontext
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .graph import GraphFormatError, generate_er, parse_graph, serialize_graph
 from .bounds import CONFIG_PRESETS, BoundConfig
@@ -165,105 +166,100 @@ def cmd_solve(args) -> int:
 
 # -- bench -------------------------------------------------------------------
 
-_LIST_KEYS = {"n", "p", "wmax", "seeds", "configs", "strategies", "threads"}
-_CAMPAIGN_DEFAULTS = {
-    "p": [0.5],
-    "wmax": [1],
-    "wmin": 1,
-    "seeds": [0],
-    "configs": ["trivial"],
-    "strategies": ["dfs"],
-    "threads": [1],
-    "reps": 1,
-    "with_optimal": False,
+def _switch(text: str) -> bool:
+    """with_optimal's value: yes/true/1/on or no/false/0/off, in any case."""
+    on = text.lower() in ("yes", "true", "1", "on")
+    if not on and text.lower() not in ("no", "false", "0", "off"):
+        raise ValueError(text)
+    return on
+
+
+class _Key(NamedTuple):
+    """One campaign key's row in _KEYS."""
+    default: object  # None: the campaign must give the key
+    many: bool  # takes a comma-separated list of distinct values
+    read: Callable  # one value's text to the value; ValueError if bad
+    kind: str = ""  # what `read` accepts, for that error's message
+    ok: Callable = lambda value: True  # the range test of one value
+    bad: str = ""  # the message for a value out of range, formatted with it
+
+
+_KEYS = {
+    "n": _Key(None, True, int, "an integer", lambda n: n >= 2,
+              "vertex count n must be at least 2, got {}"),
+    "p": _Key([0.5], True, float, "a number", lambda p: 0.0 <= p <= 1.0,
+              "edge probability p must be in [0, 1], got {}"),
+    "wmax": _Key([1], True, int, "an integer"),  # >= wmin: after the last line
+    "wmin": _Key(1, False, int, "an integer", lambda w: w >= 1,
+                 "minimum weight wmin must be at least 1, got {}"),
+    "seeds": _Key([0], True, int, "an integer"),
+    "configs": _Key(["trivial"], True, str, ok=lambda c: c in CONFIG_PRESETS,
+                    bad="unknown config {!r}; choose from "
+                        + str(sorted(CONFIG_PRESETS))),
+    "strategies": _Key(["dfs"], True, str, ok=lambda s: s in _STRATEGY_NAMES,
+                       bad="unknown strategy {!r}; choose from "
+                           + str(_STRATEGY_NAMES)),
+    "threads": _Key([1], True, int, "an integer",
+                    lambda t: 1 <= t <= MAX_THREADS,
+                    f"thread count must be in 1..{MAX_THREADS}, got {{}}"),
+    "reps": _Key(1, False, int, "an integer", lambda r: r >= 1,
+                 "reps must be at least 1, got {}"),
+    "with_optimal": _Key(False, False, _switch,
+                         "yes/true/1/on or no/false/0/off"),
 }
-_SWITCH_VALUES = {"yes": True, "true": True, "1": True, "on": True,
-                  "no": False, "false": False, "0": False, "off": False}
-
-
-def _number(convert, text: str, lineno: int, key: str):
-    """convert(text), or a ValueError naming the campaign line and key."""
-    try:
-        return convert(text)
-    except ValueError:
-        kind = "a number" if convert is float else "an integer"
-        raise ValueError(f"campaign line {lineno}: {key} must be {kind}, "
-                         f"got {text!r}") from None
 
 
 def parse_campaign(text: str) -> dict:
-    """Campaign file: 'key = value' lines, list values comma-separated,
-    each key at most once and each value at most once in its list."""
-    campaign = dict(_CAMPAIGN_DEFAULTS)
+    """Campaign file: 'key = value' lines, each key at most once; see _KEYS.
+
+    Each line's checks run in this order: the key is known, each value
+    reads, no value repeats in its list, the key is new, each value is in
+    range.  Each error names its line.  After the last line, n must have
+    been given and every wmax must be at least wmin."""
+    campaign = {key: row.default for key, row in _KEYS.items()
+                if row.default is not None}
     seen = {}  # key: the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"campaign line {lineno}: "
         if "=" not in line:
-            raise ValueError(f"campaign line {lineno}: expected 'key = value'")
+            raise ValueError(f"{where}expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key in _LIST_KEYS:
-            items = [x.strip() for x in value.split(",") if x.strip()]
-            if not items:
-                raise ValueError(f"campaign line {lineno}: empty list for {key}")
-            if key in ("p",):
-                campaign[key] = [_number(float, x, lineno, key) for x in items]
-            elif key in ("configs", "strategies"):
-                campaign[key] = items
-            else:
-                campaign[key] = [_number(int, x, lineno, key) for x in items]
-            for i, x in enumerate(campaign[key]):
-                if x in campaign[key][:i]:
-                    raise ValueError(f"campaign line {lineno}: {key} lists "
-                                     f"{x!r} more than once")
-        elif key in ("wmin", "reps"):
-            campaign[key] = _number(int, value, lineno, key)
-        elif key == "with_optimal":
-            if value.lower() not in _SWITCH_VALUES:
+        row = _KEYS.get(key)
+        if row is None:
+            raise ValueError(f"{where}unknown key {key!r}")
+        items = ([x.strip() for x in value.split(",") if x.strip()]
+                 if row.many else [value])
+        if not items:
+            raise ValueError(f"{where}empty list for {key}")
+        values = []
+        for x in items:
+            try:
+                values.append(row.read(x))
+            except ValueError:
                 raise ValueError(
-                    f"campaign line {lineno}: with_optimal must be yes/true/1/on"
-                    f" or no/false/0/off, got {value!r}")
-            campaign[key] = _SWITCH_VALUES[value.lower()]
-        else:
-            raise ValueError(f"campaign line {lineno}: unknown key {key!r}")
+                    f"{where}{key} must be {row.kind}, got {x!r}") from None
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ValueError(f"{where}{key} lists {x!r} more than once")
         if key in seen:
-            raise ValueError(f"campaign line {lineno}: {key} is already set "
-                             f"on line {seen[key]}")
+            raise ValueError(f"{where}{key} is already set on line {seen[key]}")
         seen[key] = lineno
+        for x in values:
+            if not row.ok(x):
+                raise ValueError(where + row.bad.format(x))
+        campaign[key] = values if row.many else values[0]
     if "n" not in seen:
         raise ValueError("campaign must list at least one value for n")
-    for n in campaign["n"]:
-        if n < 2:
-            raise ValueError(f"vertex count n must be at least 2, got {n}")
-    for p in campaign["p"]:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability p must be in [0, 1], got {p}")
     wmin = campaign["wmin"]
-    if wmin < 1:
-        raise ValueError(f"minimum weight wmin must be at least 1, got {wmin}")
     for wmax in campaign["wmax"]:
         if wmax < wmin:
             raise ValueError(
                 f"maximum weight wmax must be at least wmin = {wmin}, got {wmax}")
-    if campaign["reps"] < 1:
-        raise ValueError(f"reps must be at least 1, got {campaign['reps']}")
-    for threads in campaign["threads"]:
-        if not 1 <= threads <= MAX_THREADS:
-            raise ValueError(
-                f"thread count must be in 1..{MAX_THREADS}, got {threads}")
-    for cfg in campaign["configs"]:
-        if cfg not in CONFIG_PRESETS:
-            raise ValueError(
-                f"unknown config {cfg!r}; choose from {sorted(CONFIG_PRESETS)}"
-            )
-    for strat in campaign["strategies"]:
-        if strat not in _STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown strategy {strat!r}; choose from {_STRATEGY_NAMES}"
-            )
     return campaign
 
 

@@ -21,7 +21,6 @@ MAX_ORACLE_N = 24
 class OracleResult:
     optimum: int
     witness: Solution
-    enumerated: int
 
 
 def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
@@ -38,13 +37,11 @@ def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
     edges = list(g.edges())
     best = None
     best_sides = None
-    count = 0
     if s0 == s1:
         candidates = ((0,) + rest for rest in combinations(range(1, n), s0 - 1))
     else:
         candidates = combinations(range(n), s0)
     for subset in candidates:
-        count += 1
         sides = [1] * n
         for v in subset:
             sides[v] = 0
@@ -56,4 +53,4 @@ def brute_force_optimum(g: WeightedGraph, s0: int, s1: int) -> OracleResult:
             best = value
             best_sides = tuple(sides)
     witness = Solution(assignment=best_sides, value=best)
-    return OracleResult(optimum=best, witness=witness, enumerated=count)
+    return OracleResult(optimum=best, witness=witness)

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import io
 import multiprocessing
+import re
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +16,8 @@ from bipart.cli import BENCH_COLUMNS, main, parse_campaign
 from bipart.parallel import MAX_THREADS, worker_count
 from bipart.graph import parse_graph
 from bipart.solver import SearchStrategy, solve_sequential
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -470,3 +474,45 @@ threads = 1
     def test_campaign_requires_n(self):
         with pytest.raises(ValueError, match="n"):
             parse_campaign("p = 0.5\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("seeds = 0\nn = 8, 1\n", "vertex count n must be at least 2, got 1"),
+        ("n = 8\np = 1.5\n", "edge probability p must be in [0, 1], got 1.5"),
+        ("n = 8\nwmin = 0\n", "minimum weight wmin must be at least 1, got 0"),
+        ("n = 8\nthreads = 2, 0\n",
+         f"thread count must be in 1..{MAX_THREADS}, got 0"),
+        ("n = 8\nreps = 0\n", "reps must be at least 1, got 0"),
+        ("n = 8\nconfigs = trivial, bogus\n",
+         f"unknown config 'bogus'; choose from {sorted(CONFIG_PRESETS)}"),
+        ("n = 8\nstrategies = bfs\n",
+         "unknown strategy 'bfs'; choose from "
+         f"{sorted(s.value for s in SearchStrategy)}"),
+    ])
+    def test_out_of_range_value_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            parse_campaign(text)
+        assert str(caught.value) == f"campaign line 2: {message}"
+
+    def test_first_faulty_line_is_named(self):
+        # A range fault on line 2 comes before a bad literal on line 3.
+        with pytest.raises(ValueError, match="^campaign line 2: reps"):
+            parse_campaign("n = 8\nreps = 0\nthreads = x\n")
+
+    def test_parse_campaign_defaults_of_every_key(self):
+        assert parse_campaign("n = 6\n") == {
+            "n": [6], "p": [0.5], "wmax": [1], "wmin": 1, "seeds": [0],
+            "configs": ["trivial"], "strategies": ["dfs"], "threads": [1],
+            "reps": 1, "with_optimal": False,
+        }
+
+    def test_readme_campaign_example_parses_to_what_it_shows(self):
+        section = README.read_text(encoding="utf-8").split(
+            "### Campaign file format", 1)[1]
+        example = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        assert parse_campaign(example) == {
+            "n": [20, 30], "p": [1.0], "wmax": [1, 1000], "wmin": 1,
+            "seeds": [0, 1, 2, 3, 4],
+            "configs": ["trivial", "rebalance", "highdegree", "component"],
+            "strategies": ["dfs"], "threads": [1], "reps": 3,
+            "with_optimal": True,
+        }

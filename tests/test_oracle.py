@@ -1,10 +1,8 @@
-import math
-
 import pytest
 
 from checks import (brute_force_fixed_free_min, brute_force_free_free_min,
                     complete_unweighted, example_graph, k3_weighted,
-                    recompute_from_scratch)
+                    recompute_from_scratch, subproblem_optimum)
 
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
@@ -14,22 +12,26 @@ class TestBruteForceOptimum:
     def test_example_graph(self):
         r = brute_force_optimum(example_graph(), 2, 2)
         assert r.optimum == 7
-        assert r.enumerated == 3  # symmetry-halved from C(4,2)=6
         assert r.witness.value == 7
+        assert r.witness.assignment[0] == 0  # equal sides: vertex 0 pinned
 
     def test_complete_k8(self):
         r = brute_force_optimum(complete_unweighted(8), 4, 4)
         assert r.optimum == 16
-        assert r.enumerated == math.comb(7, 3)
+        assert r.witness.assignment[0] == 0
 
     def test_empty_graph(self):
         g = build_graph(6, [])
         assert brute_force_optimum(g, 2, 4).optimum == 0
 
     def test_unequal_sizes_enumerate_fully(self):
-        g = generate_er(7, 0.5, 1, 10, seed=4)
-        r = brute_force_optimum(g, 3, 4)
-        assert r.enumerated == math.comb(7, 3)
+        # Unequal sides have no mirror symmetry, so no vertex may be pinned.
+        for seed in range(6):
+            g = generate_er(7, 0.5, 1, 10, seed=seed)
+            for s0 in (2, 3, 4):
+                sp = recompute_from_scratch(g, [], [], s0, 7 - s0)
+                assert brute_force_optimum(g, s0, 7 - s0).optimum == (
+                    subproblem_optimum(sp))
 
     def test_size_guard(self):
         g = build_graph(25, [])

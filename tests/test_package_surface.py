@@ -4,18 +4,17 @@ Every module-level function, class and constant in src/bipart must be named
 somewhere that is not a test: elsewhere in src/bipart, in perfbench/ or in
 tools/.  Every method or property must appear there as `.name` or as a
 quoted "name".  A name that only tests read belongs in tests/checks.py.
-Every Subproblem slot, WeightedGraph field and SolveResult field must be
-read there as `.name`:
+Every Subproblem slot and every field of a dataclass defined in src/bipart
+must be read there as `.name`:
 state that is only written, or only read by tests, is not kept.
 """
 
 import ast
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
-from bipart.graph import WeightedGraph
-from bipart.solver import SolveResult
 from bipart.subproblem import Subproblem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,8 +75,14 @@ def test_every_state_field_is_read_outside_the_tests():
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     fields = {"Subproblem": Subproblem.__slots__}
-    for owner in (WeightedGraph, SolveResult):
-        fields[owner.__name__] = [f.name for f in dataclasses.fields(owner)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "bipart" if path.stem == "__init__" else f"bipart.{path.stem}")
+        for owner in vars(module).values():
+            if (isinstance(owner, type) and dataclasses.is_dataclass(owner)
+                    and owner.__module__ == module.__name__):
+                fields[owner.__name__] = [f.name for f in
+                                          dataclasses.fields(owner)]
     unread = [f"{owner}.{name}" for owner, names in fields.items()
               for name in names if name not in read]
     assert not unread, unread
