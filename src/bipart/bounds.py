@@ -93,11 +93,12 @@ def rebalance_value(sp: Subproblem) -> int:
 def rebalance_bound(sp: Subproblem) -> list[int]:
     """The completion that realizes rebalance_value.
 
-    Free vertices sorted by ascending delta (ties by vertex id); the first
-    f0 belong to side 0 in the implied completion, the rest to side 1.
+    Free vertices sorted by ascending delta; the first f0 belong to side 0
+    in the implied completion, the rest to side 1.  Ties go to the smaller
+    vertex id: free_list is ascending and the sort is stable.
     """
     d0, d1 = sp.d0, sp.d1
-    return sorted(sp.free_list, key=lambda v: (d1[v] - d0[v], v))
+    return sorted(sp.free_list, key=lambda v: d1[v] - d0[v])
 
 
 def high_degree_bound(sp: Subproblem, high: list[tuple[int, int]]) -> int:

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Callable, NamedTuple
 
 from .graph import GraphFormatError, generate_er, parse_graph, serialize_graph
-from .bounds import CONFIG_PRESETS, BoundConfig
+from .bounds import CONFIG_PRESETS
 from .solver import SearchStrategy
 from .parallel import MAX_THREADS, solve_parallel
 
@@ -30,14 +30,6 @@ BENCH_COLUMNS = [
 ]
 
 _STRATEGY_NAMES = sorted(s.value for s in SearchStrategy)
-
-# Each bound flag of `solve`: its label in a 'trivial+...' config name and
-# the BoundConfig field it turns on.
-_BOUND_FLAGS = [
-    ("--rebalance", "rebalance", "enable_rebalance"),
-    ("--high-degree", "highdegree", "enable_high_degree"),
-    ("--component", "component", "enable_component"),
-]
 
 
 class UsageError(Exception):
@@ -103,18 +95,6 @@ def cmd_generate(args) -> int:
 
 # -- solve -------------------------------------------------------------------
 
-def _config_from_args(args) -> tuple[str, BoundConfig]:
-    """The flags' BoundConfig and its label: a preset's name, or else
-    'trivial' and each flag turned on, joined by '+'."""
-    cfg = BoundConfig(**{field: getattr(args, field)
-                         for _, _, field in _BOUND_FLAGS})
-    for name, preset in CONFIG_PRESETS.items():
-        if preset == cfg:
-            return name, cfg
-    labels = [label for _, label, field in _BOUND_FLAGS if getattr(cfg, field)]
-    return "+".join(["trivial"] + labels), cfg
-
-
 def _solve_row(graph, s0, s1, cfg, strategy, threads, reps, with_optimal,
                columns):
     """The CSV row of one solve cell: `columns`, the strategy and the
@@ -146,10 +126,9 @@ def _solve_row(graph, s0, s1, cfg, strategy, threads, reps, with_optimal,
 
 
 def cmd_solve(args) -> int:
-    name, cfg = _config_from_args(args)
     threads = args.threads if args.threads is not None else _default_threads()
-    if not 1 <= threads <= MAX_THREADS:
-        raise UsageError(f"thread count must be in 1..{MAX_THREADS}, got {threads}")
+    if not _KEYS["threads"].ok(threads):
+        raise UsageError(_KEYS["threads"].bad.format(threads))
     with open(args.graph, "r", encoding="utf-8") as fh:
         graph = parse_graph(fh.read())
     s0, s1 = args.s0, args.s1
@@ -157,9 +136,10 @@ def cmd_solve(args) -> int:
         s0 = graph.n // 2 if s1 is None else graph.n - s1
     if s1 is None:
         s1 = graph.n - s0
-    row = _solve_row(graph, s0, s1, cfg, SearchStrategy(args.strategy),
-                     threads, reps=1, with_optimal=args.with_optimal,
-                     columns={"n": graph.n, "config": name})
+    row = _solve_row(graph, s0, s1, CONFIG_PRESETS[args.config],
+                     SearchStrategy(args.strategy), threads, reps=1,
+                     with_optimal=args.with_optimal,
+                     columns={"n": graph.n, "config": args.config})
     _write_rows(sys.stdout, [row])
     return 0
 
@@ -325,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s0", type=int, default=None,
                    help="side-0 size (default n-s1 if --s1 is given, else n//2)")
     s.add_argument("--s1", type=int, default=None, help="side-1 size (default n-s0)")
-    for flag, _, field in _BOUND_FLAGS:
-        s.add_argument(flag, dest=field, action="store_true")
+    s.add_argument("--config", choices=CONFIG_PRESETS, default="trivial")
     s.add_argument("--strategy", choices=_STRATEGY_NAMES, default="dfs")
     s.add_argument("--threads", type=int, default=None,
                    help=f"worker processes, 1..{MAX_THREADS}, at most one "

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import multiprocessing
 import re
+import shlex
 import threading
 from pathlib import Path
 from unittest import mock
@@ -82,7 +83,7 @@ class TestSolve:
     def test_solve_emits_csv_row(self, example_file, capsys):
         code, out, _ = run_cli(
             capsys, "solve", example_file, "--s0", "2", "--s1", "2",
-            "--rebalance",
+            "--config", "rebalance",
         )
         assert code == 0
         rows = read_rows(out)
@@ -94,13 +95,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags,label", [
         ((), "trivial"),
-        (("--rebalance",), "rebalance"),
-        (("--rebalance", "--high-degree"), "highdegree"),
-        (("--rebalance", "--high-degree", "--component"), "component"),
-        (("--high-degree",), "trivial+highdegree"),
-        (("--component",), "trivial+component"),
-        (("--rebalance", "--component"), "trivial+rebalance+component"),
-        (("--high-degree", "--component"), "trivial+highdegree+component"),
+        (("--config", "rebalance"), "rebalance"),
+        (("--config", "highdegree"), "highdegree"),
+        (("--config", "component"), "component"),
     ])
     def test_each_flag_set_has_its_own_label(self, example_file, capsys,
                                              flags, label):
@@ -110,8 +107,8 @@ class TestSolve:
 
     def test_flags_do_not_change_cut(self, example_file, capsys):
         cuts = set()
-        for flags in ([], ["--rebalance"], ["--rebalance", "--high-degree",
-                                            "--component"]):
+        for flags in ([], ["--config", "rebalance"],
+                      ["--config", "component"]):
             code, out, _ = run_cli(
                 capsys, "solve", example_file, "--s0", "2", "--s1", "2", *flags
             )
@@ -127,8 +124,8 @@ class TestSolve:
         path = tmp_path / "g16.g"
         assert run_cli(capsys, "generate", "-n", "16", "-p", "0.5", "-W", "9",
                        "--seed", "5", "-o", str(path))[0] == 0
-        code, out, _ = run_cli(capsys, "solve", str(path), "--rebalance",
-                               "--with-optimal")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--config",
+                               "rebalance", "--with-optimal")
         assert code == 0
         [row] = read_rows(out)
         seeded = solve_sequential(
@@ -152,9 +149,8 @@ class TestSolve:
         assert run_cli(capsys, "generate", "-n", "14", "-p", "0.4", "-W", "50",
                        "--seed", "2", "-o", str(path))[0] == 0
         code, out, _ = run_cli(
-            capsys, "solve", str(path), "--rebalance", "--high-degree",
-            "--component", "--strategy", strategy, "--threads", threads,
-            "--with-optimal")
+            capsys, "solve", str(path), "--config", "component",
+            "--strategy", strategy, "--threads", threads, "--with-optimal")
         assert code == 0
         [solved] = read_rows(out)
         campaign = tmp_path / "c.txt"
@@ -191,8 +187,8 @@ class TestSolve:
         monkeypatch.setattr(bipart.parallel, "_search_in_pool", pool)
         rows = {}
         for threads in ("1", "2"):
-            code, out, _ = run_cli(capsys, "solve", str(graph), "--rebalance",
-                                   "--threads", threads)
+            code, out, _ = run_cli(capsys, "solve", str(graph), "--config",
+                                   "rebalance", "--threads", threads)
             assert code == 0
             [rows[threads]] = read_rows(out)
         assert rows["1"]["cut"] == rows["2"]["cut"]
@@ -250,6 +246,28 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--bogus")
         assert code == 1
         assert "usage error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--rebalance",), ("--high-degree",), ("--component",),
+        ("--config", "bogus"), ("--config", "trivial+component"),
+    ])
+    def test_removed_flag_or_unknown_config_is_usage_error(
+        self, example_file, capsys, argv
+    ):
+        code, out, err = run_cli(capsys, "solve", example_file, *argv)
+        assert code == 1 and "usage error" in err and out == ""
+
+    def test_readme_command_line_examples_parse(self):
+        """Every `bipart` line of README's "Command line" block parses, so
+        the examples cannot drift from the flags."""
+        section = README.read_text(encoding="utf-8").split(
+            "## Command line", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = [line for line in block.splitlines()
+                 if line.startswith("bipart ")]
+        assert len(lines) == 6
+        for line in lines:
+            bipart.cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestBench:

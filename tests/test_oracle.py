@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from checks import (brute_force_fixed_free_min, brute_force_free_free_min,
                     complete_unweighted, example_graph, k3_weighted,
                     recompute_from_scratch, subproblem_optimum)
 
+import bipart.oracle
 from bipart.graph import build_graph, generate_er
 from bipart.oracle import brute_force_optimum
 
@@ -32,6 +35,22 @@ class TestBruteForceOptimum:
                 sp = recompute_from_scratch(g, [], [], s0, 7 - s0)
                 assert brute_force_optimum(g, s0, 7 - s0).optimum == (
                     subproblem_optimum(sp))
+
+    @pytest.mark.parametrize("n,s0,subsets", [
+        (10, 5, 126),  # C(9, 4): vertex 0 pinned, half the C(10, 5)
+        (7, 3, 35),  # C(7, 3): unequal sides, every subset
+    ])
+    def test_subsets_enumerated(self, monkeypatch, n, s0, subsets):
+        yielded = []
+
+        def counting(items, k):
+            for subset in itertools.combinations(items, k):
+                yielded.append(subset)
+                yield subset
+
+        monkeypatch.setattr(bipart.oracle, "combinations", counting)
+        brute_force_optimum(generate_er(n, 0.5, 1, 10, seed=0), s0, n - s0)
+        assert len(yielded) == subsets
 
     def test_size_guard(self):
         g = build_graph(25, [])
