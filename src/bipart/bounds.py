@@ -35,29 +35,29 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from enum import Enum
 
 from .subproblem import Subproblem
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    """Which optional contributions the solver applies."""
+class BoundConfig(Enum):
+    """The bound terms the solver applies: four levels, each adding one
+    term to the level before."""
 
-    enable_rebalance: bool = False
-    enable_high_degree: bool = False
-    enable_component: bool = False
+    TRIVIAL, REBALANCE, HIGHDEGREE, COMPONENT = range(4)
+
+    def __init__(self, level: int) -> None:
+        # Plain attributes, as lower_bound reads them at every subproblem:
+        # a read costs what a dataclass field's did, and a property or a
+        # comparison of levels many times as much.
+        self.enable_rebalance = level >= 1
+        self.enable_high_degree = level >= 2
+        self.enable_component = level >= 3
 
 
-# Cumulative presets matching the usual benchmark progression.
-CONFIG_PRESETS: dict[str, BoundConfig] = {
-    "trivial": BoundConfig(),
-    "rebalance": BoundConfig(enable_rebalance=True),
-    "highdegree": BoundConfig(enable_rebalance=True, enable_high_degree=True),
-    "component": BoundConfig(
-        enable_rebalance=True, enable_high_degree=True, enable_component=True
-    ),
-}
+# The levels by the names the CLI, campaigns and perfbench use, in order.
+CONFIG_PRESETS: dict[str, BoundConfig] = {c.name.lower(): c
+                                          for c in BoundConfig}
 
 
 def basic_bound(sp: Subproblem) -> int:

@@ -16,7 +16,8 @@ from contextlib import nullcontext
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .graph import GraphFormatError, generate_er, parse_graph, serialize_graph
+from .graph import (GraphFormatError, generate_er, parse_graph, read_float,
+                    read_int, serialize_graph)
 from .bounds import CONFIG_PRESETS
 from .solver import SearchStrategy
 from .parallel import MAX_THREADS, solve_parallel
@@ -55,10 +56,9 @@ def _default_threads() -> int:
     if raw is None:
         return 1
     try:
-        value = int(raw)
+        return read_int(raw)
     except ValueError:
         raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return value
 
 
 def _output(path: str):
@@ -165,24 +165,24 @@ class _Key(NamedTuple):
 
 
 _KEYS = {
-    "n": _Key(None, True, int, "an integer", lambda n: n >= 2,
+    "n": _Key(None, True, read_int, "an integer", lambda n: n >= 2,
               "vertex count n must be at least 2, got {}"),
-    "p": _Key([0.5], True, float, "a number", lambda p: 0.0 <= p <= 1.0,
+    "p": _Key([0.5], True, read_float, "a number", lambda p: 0.0 <= p <= 1.0,
               "edge probability p must be in [0, 1], got {}"),
-    "wmax": _Key([1], True, int, "an integer"),  # >= wmin: after the last line
-    "wmin": _Key(1, False, int, "an integer", lambda w: w >= 1,
+    "wmax": _Key([1], True, read_int, "an integer"),  # >= wmin: after the last line
+    "wmin": _Key(1, False, read_int, "an integer", lambda w: w >= 1,
                  "minimum weight wmin must be at least 1, got {}"),
-    "seeds": _Key([0], True, int, "an integer"),
+    "seeds": _Key([0], True, read_int, "an integer"),
     "configs": _Key(["trivial"], True, str, ok=lambda c: c in CONFIG_PRESETS,
                     bad="unknown config {!r}; choose from "
                         + str(sorted(CONFIG_PRESETS))),
     "strategies": _Key(["dfs"], True, str, ok=lambda s: s in _STRATEGY_NAMES,
                        bad="unknown strategy {!r}; choose from "
                            + str(_STRATEGY_NAMES)),
-    "threads": _Key([1], True, int, "an integer",
+    "threads": _Key([1], True, read_int, "an integer",
                     lambda t: 1 <= t <= MAX_THREADS,
                     f"thread count must be in 1..{MAX_THREADS}, got {{}}"),
-    "reps": _Key(1, False, int, "an integer", lambda r: r >= 1,
+    "reps": _Key(1, False, read_int, "an integer", lambda r: r >= 1,
                  "reps must be at least 1, got {}"),
     "with_optimal": _Key(False, False, _switch,
                          "yes/true/1/on or no/false/0/off"),
@@ -212,10 +212,9 @@ def parse_campaign(text: str) -> dict:
         row = _KEYS.get(key)
         if row is None:
             raise ValueError(f"{where}unknown key {key!r}")
-        items = ([x.strip() for x in value.split(",") if x.strip()]
-                 if row.many else [value])
-        if not items:
-            raise ValueError(f"{where}empty list for {key}")
+        items = [x.strip() for x in value.split(",")] if row.many else [value]
+        if row.many and "" in items:
+            raise ValueError(f"{where}empty item in the list for {key}")
         values = []
         for x in items:
             try:
@@ -291,23 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a seeded random instance")
-    g.add_argument("-n", type=int, required=True, help="vertex count")
-    g.add_argument("-p", type=float, required=True, help="edge probability")
-    g.add_argument("-w", "--wmin", type=int, default=1, help="minimum weight")
-    g.add_argument("-W", "--wmax", type=int, default=None,
+    g.add_argument("-n", type=read_int, required=True, help="vertex count")
+    g.add_argument("-p", type=read_float, required=True, help="edge probability")
+    g.add_argument("-w", "--wmin", type=read_int, default=1, help="minimum weight")
+    g.add_argument("-W", "--wmax", type=read_int, default=None,
                    help="maximum weight (default: wmin)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=read_int, default=0)
     g.add_argument("-o", "--out", default="-", help="output path ('-' = stdout)")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="solve one instance from a file")
     s.add_argument("graph", help="edge-list file")
-    s.add_argument("--s0", type=int, default=None,
+    s.add_argument("--s0", type=read_int, default=None,
                    help="side-0 size (default n-s1 if --s1 is given, else n//2)")
-    s.add_argument("--s1", type=int, default=None, help="side-1 size (default n-s0)")
+    s.add_argument("--s1", type=read_int, default=None, help="side-1 size (default n-s0)")
     s.add_argument("--config", choices=CONFIG_PRESETS, default="trivial")
     s.add_argument("--strategy", choices=_STRATEGY_NAMES, default="dfs")
-    s.add_argument("--threads", type=int, default=None,
+    s.add_argument("--threads", type=read_int, default=None,
                    help=f"worker processes, 1..{MAX_THREADS}, at most one "
                         f"per CPU; a small solve starts none "
                         f"(default ${THREADS_ENV_VAR} or 1)")

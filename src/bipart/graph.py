@@ -15,6 +15,7 @@ narrower lane the product would carry into the lane above.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -87,6 +88,28 @@ def integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9.]+")
+
+
+def _decimal(kind: type):
+    """A reader of `kind`, int or float, that takes ASCII decimal only: a
+    sign, digits and, for a float, one point.  int() and float() alone also
+    read underscores, other scripts' digits, spaces, exponents, inf and nan;
+    _DECIMAL turns those away and kind() the misplaced points.  The reader
+    bears kind's name, which argparse's message shows."""
+
+    def read(text: str):
+        if not _DECIMAL.fullmatch(text):
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
+read_int, read_float = _decimal(int), _decimal(float)
 
 
 def side_sizes(s0, s1, n: int) -> tuple[int, int]:
@@ -264,7 +287,7 @@ def parse_graph(text: str) -> WeightedGraph:
             if len(parts) != 2:
                 raise GraphFormatError("expected header 'n m'", lineno)
             try:
-                header = (int(parts[0]), int(parts[1]))
+                header = (read_int(parts[0]), read_int(parts[1]))
             except ValueError:
                 raise GraphFormatError("non-integer header", lineno) from None
             if header[0] < 0 or header[1] < 0:
@@ -273,7 +296,7 @@ def parse_graph(text: str) -> WeightedGraph:
         if len(parts) != 3:
             raise GraphFormatError("expected edge 'u v w'", lineno)
         try:
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
+            u, v, w = map(read_int, parts)
         except ValueError:
             raise GraphFormatError("non-integer edge fields", lineno) from None
         if len(edges) >= header[1]:

@@ -166,7 +166,7 @@ def solve_parallel(
     graph: WeightedGraph,
     s0: int,
     s1: int,
-    cfg: BoundConfig = BoundConfig(),
+    cfg: BoundConfig = BoundConfig.TRIVIAL,
     strategy: SearchStrategy = SearchStrategy.DFS,
     threads: int = 1,
     initial_value: int | None = None,

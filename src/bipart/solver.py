@@ -259,7 +259,7 @@ def solve_sequential(
     graph: WeightedGraph,
     s0: int,
     s1: int,
-    cfg: BoundConfig = BoundConfig(),
+    cfg: BoundConfig = BoundConfig.TRIVIAL,
     strategy: SearchStrategy = SearchStrategy.DFS,
     initial_value: int | None = None,
 ) -> SolveResult:

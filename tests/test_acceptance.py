@@ -5,7 +5,6 @@ lines; each test prints its verdict before asserting so the line appears
 even when a criterion fails.
 """
 
-import itertools
 import random
 import statistics
 import threading
@@ -47,12 +46,6 @@ def _report(num, name, ok, detail, t0):
     return ok
 
 
-def distinct_configs():
-    """All 8 flag combinations, each a distinct behaviour."""
-    return [BoundConfig(reb, hd, comp)
-            for reb, hd, comp in itertools.product((False, True), repeat=3)]
-
-
 def exactness_corpus():
     for n in range(4, 15):
         for p in (0.1, 0.5, 1.0):
@@ -83,11 +76,11 @@ def test_criterion_1_oracle_exactness(monkeypatch):
     every one would spend minutes starting processes.
     """
     t0 = time.time()
-    configs = distinct_configs()
     budget = bipart.parallel.NODE_BUDGET
     monkeypatch.setattr(bipart.parallel, "TASKS_PER_WORKER", 1)
     pool_runs = count_pool_runs(monkeypatch)
-    combos = [(cfg, strategy) for cfg in configs for strategy in SearchStrategy]
+    combos = [(cfg, strategy)
+              for cfg in BoundConfig for strategy in SearchStrategy]
     instances = 0
     runs = 0
     pooled = 0

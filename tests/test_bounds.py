@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from checks import (
     assign_walk, brute_force_fixed_free_min, brute_force_free_free_min,
     complete_unweighted, free_degrees, high_degree_pairs, irregular_graph,
@@ -195,8 +197,8 @@ class TestHighDegree:
         high = high_degree_pairs(sp)
         assert high_degree_bound(sp, high) == 3
         assert high_degree_rebalance(sp, high) == 1
-        cfg = BoundConfig(enable_high_degree=True)
-        assert lower_bound(sp, cfg) == 2  # ceil(4/2)
+        # rebalance is 0 on this all-free state: the bound is ceil(4/2)
+        assert lower_bound(sp, CONFIG_PRESETS["highdegree"]) == 2
         assert brute_force_free_free_min(sp) == 2
 
     def test_sparse_graph_no_high_degree_vertices(self):
@@ -423,6 +425,18 @@ class TestComponent:
 
 
 class TestLowerBound:
+    def test_configs_are_a_ladder_of_four_levels(self):
+        # Each level adds one term to the one before; no other mix exists.
+        assert list(CONFIG_PRESETS) == [
+            "trivial", "rebalance", "highdegree", "component"]
+        assert list(CONFIG_PRESETS.values()) == list(BoundConfig)
+        switches = [(c.enable_rebalance, c.enable_high_degree,
+                     c.enable_component) for c in BoundConfig]
+        assert switches == [(False, False, False), (True, False, False),
+                            (True, True, False), (True, True, True)]
+        with pytest.raises(TypeError):
+            BoundConfig(enable_high_degree=True)
+
     def test_empty_graph_all_configs(self):
         g = build_graph(6, [])
         sp = root_subproblem(g, 3, 3)

@@ -257,6 +257,56 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", example_file, *argv)
         assert code == 1 and "usage error" in err and out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (("generate", "-n", "1_2", "-p", "0.5"),
+         "argument -n: invalid int value: '1_2'"),
+        (("generate", "-n", "5", "-p", "0.2_5"),
+         "argument -p: invalid float value: '0.2_5'"),
+        (("generate", "-n", "5", "-p", "1e-1"),
+         "argument -p: invalid float value: '1e-1'"),
+        (("generate", "-n", "5", "-p", "nan"),
+         "argument -p: invalid float value: 'nan'"),
+        (("generate", "-n", "5", "-p", "0.5", "--seed", "\u0663"),
+         "argument --seed: invalid int value: '\u0663'"),
+        (("solve", "{file}", "--threads", " 2"),
+         "argument --threads: invalid int value: ' 2'"),
+        (("solve", "{file}", "--s0", "2.0"),
+         "argument --s0: invalid int value: '2.0'"),
+    ])
+    def test_number_flag_must_be_ascii_decimal(
+        self, example_file, capsys, argv, message
+    ):
+        argv = [a.format(file=example_file) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.strip() == f"bipart: usage error: {message}"
+
+    @pytest.mark.parametrize("raw", ["1_0", "\u0662", " 2", "2.0", ""])
+    def test_threads_env_var_must_be_ascii_decimal(
+        self, example_file, capsys, monkeypatch, raw
+    ):
+        monkeypatch.setenv("BIPART_THREADS", raw)
+        code, out, err = run_cli(capsys, "solve", example_file)
+        assert code == 1 and out == ""
+        assert err.strip() == ("bipart: usage error: BIPART_THREADS must be "
+                               f"an integer, got {raw!r}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_2 1\n0 1_1 \u0665\n", "line 1: non-integer header"),
+        ("4 1\n0 1_1 5\n", "line 2: non-integer edge fields"),
+        ("4 1\n0 1 \u0665\n", "line 2: non-integer edge fields"),
+        ("4 1\n0 1 5.0\n", "line 2: non-integer edge fields"),
+        ("4 1\n0 1 1e1\n", "line 2: non-integer edge fields"),
+    ])
+    def test_graph_file_numbers_must_be_ascii_decimal(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "bad.g"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == f"bipart: input error: {message}"
+
     def test_readme_command_line_examples_parse(self):
         """Every `bipart` line of README's "Command line" block parses, so
         the examples cannot drift from the flags."""
@@ -466,6 +516,13 @@ threads = 1
         ("n = 8, eight", "campaign line 2: n must be an integer, got 'eight'"),
         ("p = 0.5, half", "campaign line 2: p must be a number, got 'half'"),
         ("reps = 2.5", "campaign line 2: reps must be an integer, got '2.5'"),
+        ("n = 8, 1_0", "campaign line 2: n must be an integer, got '1_0'"),
+        ("seeds = \u0663",
+         "campaign line 2: seeds must be an integer, got '\u0663'"),
+        ("p = 0.2_5", "campaign line 2: p must be a number, got '0.2_5'"),
+        ("p = 1e-1", "campaign line 2: p must be a number, got '1e-1'"),
+        ("wmin = +\u0661", "campaign line 2: wmin must be an integer, "
+                          "got '+\u0661'"),
     ])
     def test_non_numeric_value_names_its_line_and_key(
         self, tmp_path, capsys, line, message
@@ -495,6 +552,10 @@ threads = 1
 
     @pytest.mark.parametrize("text, message", [
         ("seeds = 0\nn = 8, 1\n", "vertex count n must be at least 2, got 1"),
+        ("seeds = 0\nn = 10,,12\n", "empty item in the list for n"),
+        ("seeds = 0\nn = 10,\n", "empty item in the list for n"),
+        ("n = 8\nconfigs = , trivial\n",
+         "empty item in the list for configs"),
         ("n = 8\np = 1.5\n", "edge probability p must be in [0, 1], got 1.5"),
         ("n = 8\nwmin = 0\n", "minimum weight wmin must be at least 1, got 0"),
         ("n = 8\nthreads = 2, 0\n",

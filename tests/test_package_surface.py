@@ -15,6 +15,7 @@ import importlib
 import re
 from pathlib import Path
 
+import bipart
 from bipart.subproblem import Subproblem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +87,17 @@ def test_every_state_field_is_read_outside_the_tests():
     unread = [f"{owner}.{name}" for owner, names in fields.items()
               for name in names if name not in read]
     assert not unread, unread
+
+
+def test_readme_library_use_runs_and_lists_the_exports():
+    """README's "Library use" block runs as written, and its sentence
+    "The package exports N names: ..." names exactly bipart.__all__."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Library use", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    sentence = re.search(r"The package exports (\d+) names: (.*?)\. ",
+                         section, re.S)
+    names = re.findall(r"`(\w+)`", sentence.group(2))
+    assert names == sorted(bipart.__all__)
+    assert int(sentence.group(1)) == len(names)
