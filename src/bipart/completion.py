@@ -1,5 +1,6 @@
 """Completion rules, feasible solutions, the initial heuristic and the
-Kernighan-Lin refinement applied to it and to each improving completion.
+Kernighan-Lin refinement applied to it.  The search takes an improving
+completion as built: refining it too cost more time than it saved.
 
 A Solution is always re-evaluated by direct edge enumeration when built,
 so an incumbent can never be corrupted by a bug in the incremental

@@ -18,9 +18,9 @@ bound reaches the incumbent is dropped on the spot, before its high-degree
 terms, component search or gap estimate are computed.  The surviving
 children are pushed lower stored bound first, side 0 first on a tie, so
 dfs dives into the more promising child.  A completion that beats the
-incumbent is refined by Kernighan-Lin before it replaces it.  The loop can
-stop after a node budget and resume on the same heap, which is how the
-parallel solver runs it.
+incumbent replaces it as try_complete built it.  The loop can stop after a
+node budget and resume on the same heap, which is how the parallel solver
+runs it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .bounds import BoundConfig, lower_bound
 from .completion import (
     Solution,
     greedy_initial_solution,
-    kernighan_lin,
     rebalancing_completion_value,
     try_complete,
 )
@@ -174,14 +173,14 @@ class Search:
     """One search from incumbent to result: its frontier heap, its
     incumbent and its counts.
 
-    The incumbent is the greedy heuristic's split refined by Kernighan-Lin,
-    unless an integer `initial_value` is given: that is then the cutoff, no
-    heuristic runs, best is None, and the search proves that nothing beats
-    `initial_value` unless it finds something that does.  The root carries
-    its full lower bound.  A `cfg` that is not a BoundConfig, a `strategy`
-    that is not a SearchStrategy or its value, side sizes that are not
-    integers >= 1 summing to graph.n and a non-integer `initial_value`
-    raise ValueError before any work.
+    The incumbent starts as the greedy heuristic's split refined by
+    Kernighan-Lin, unless an integer `initial_value` is given: that is then
+    the cutoff, no heuristic runs, best is None, and the search proves that
+    nothing beats `initial_value` unless it finds something that does.  The
+    root carries its full lower bound.  A `cfg` that is not a BoundConfig, a
+    `strategy` that is not a SearchStrategy or its value, side sizes that
+    are not integers >= 1 summing to graph.n and a non-integer
+    `initial_value` raise ValueError before any work.
 
     `run` pops and expands until the frontier is empty or a node budget is
     spent, and a later `run` resumes on the same heap, so a search run in
@@ -228,8 +227,7 @@ class Search:
             step = expand(sp, cfg, best_value)
             if isinstance(step, Solution):
                 if step.value < best_value:
-                    best = kernighan_lin(sp.graph, step)
-                    best_value = best.value
+                    best, best_value = step, step.value
                     self.solutions_found += 1
                     self.t_best = time.perf_counter() - self.t_start
                 continue

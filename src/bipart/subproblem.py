@@ -245,9 +245,10 @@ def root_subproblem(
     When s0 == s1 the two sides are interchangeable, so one vertex is
     pre-assigned to side 0 to avoid enumerating mirrored solutions: the
     heaviest one, ties going to the smallest id, which is the vertex
-    solver.branch_vertex would branch on first in the empty state.
-    maintain_hd is ignored: no state depends on it any more, and the
-    benchmark still passes it.
+    solver.branch_vertex would branch on first in the empty state (vertex
+    0 explored 12-17% more subproblems on the benchmark, at 1.10-1.13x the
+    solve time).  maintain_hd is ignored: no state depends on it any more,
+    and the benchmark still passes it.
     """
     n = graph.n
     s0, s1 = side_sizes(s0, s1, n)

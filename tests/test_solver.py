@@ -364,10 +364,10 @@ PINNED_COUNTS_IRREGULAR = {
         "component": {"dfs": (1234, 9, 10, 1), "lb": (1234, 10, 12, 2), "gap": (1234, 9, 10, 1)},
     },
     "components 9+6+4+1, sides 6|14": {
-        "trivial": {"dfs": (0, 45, 53, 8), "lb": (0, 53, 95, 42), "gap": (0, 36, 50, 14)},
-        "rebalance": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 21, 30, 9)},
-        "highdegree": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 21, 30, 9)},
-        "component": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 21, 30, 9)},
+        "trivial": {"dfs": (0, 59, 72, 13), "lb": (0, 53, 95, 42), "gap": (0, 42, 58, 16)},
+        "rebalance": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 24, 33, 9)},
+        "highdegree": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 24, 33, 9)},
+        "component": {"dfs": (0, 16, 30, 14), "lb": (0, 17, 32, 15), "gap": (0, 24, 33, 9)},
     },
     "G(18, 0.5, 0), sides 6|12": {
         "trivial": {"dfs": (11798, 406, 406, 0), "lb": (11798, 406, 406, 0), "gap": (11798, 406, 406, 0)},
@@ -382,6 +382,43 @@ PINNED_COUNTS_IRREGULAR = {
 def test_pinned_node_counts_irregular(name):
     g, s0, s1 = IRREGULAR_INSTANCES[name]()
     assert search_counts(g, s0, s1) == PINNED_COUNTS_IRREGULAR[name]
+
+
+def two_hubs():
+    """n = 22: hubs 0 and 1 joined by weight 5000, and leaves 2..21, each
+    joined to both hubs, w(0, i) = 501 + i mod 7 and w(1, i) = 500.  No
+    leaf-leaf edge, and weights past the generator's 1..1000."""
+    edges = [(0, 1, 5000)]
+    for i in range(2, 22):
+        edges += [(0, i, 501 + i % 7), (1, i, 500)]
+    return build_graph(22, edges)
+
+
+# (s0, s1) -> preset -> subproblems explored by solve_sequential on
+# two_hubs(), the same under every strategy.
+TWO_HUBS_COUNTS = {
+    (11, 11): {"trivial": 2, "rebalance": 1, "highdegree": 1, "component": 1},
+    (7, 15): {"trivial": 5, "rebalance": 2, "highdegree": 2, "component": 2},
+}
+
+
+@pytest.mark.parametrize("s0,s1", sorted(TWO_HUBS_COUNTS))
+def test_degree_zero_rule_completes_once_the_hubs_are_fixed(s0, s1):
+    """Once both hubs are fixed no free-free edge is left, so try_complete's
+    degree-zero rule solves the node outright.  Every leaf weighs about the
+    same to each hub, so the trivial bound barely separates the leaves:
+    without the rule, trivial/dfs explores 87,516 (11|11) and 37,549 (7|15)
+    subproblems here, where it explores 2 and 5."""
+    g = two_hubs()
+    expected = brute_force_optimum(g, s0, s1).optimum
+    explored = {}
+    for preset, cfg in CONFIG_PRESETS.items():
+        for strategy in SearchStrategy:
+            r = solve_sequential(g, s0, s1, cfg, strategy)
+            assert r.optimum == r.best.value == expected
+            explored.setdefault(preset, set()).add(r.subproblems_explored)
+    assert explored == {preset: {count} for preset, count
+                        in TWO_HUBS_COUNTS[s0, s1].items()}
 
 
 def pinned_tables():

@@ -1,6 +1,7 @@
 """The report of tools/tree_sizes.py on each benchmark workload's instances."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +14,13 @@ from perfbench import reference  # noqa: E402  (on the path through the tool)
 # The seed-0 rows: subproblems explored per operation, their total, and the
 # sum of the reference optima that every operation must reach.
 SEED_0 = {
-    "sparse-dfs": ({"trivial/dfs/1t": 36030, "rebalance/dfs/1t": 10192,
-                    "component/dfs/1t": 10053}, "56,275", 1015625),
-    "dense-dfs": ({"rebalance/dfs/1t": 17260, "highdegree/dfs/1t": 16999,
-                   "component/dfs/1t": 16877}, "51,136", 2118194),
-    "frontier-2t": ({"rebalance/dfs/1t": 5890, "rebalance/lb/1t": 5984,
-                     "rebalance/gap/1t": 5940, "rebalance/dfs/2t": 5890,
-                     "rebalance/lb/2t": 5984}, "29,688", 776678),
+    "sparse-dfs": ({"trivial/dfs/1t": 36400, "rebalance/dfs/1t": 10301,
+                    "component/dfs/1t": 10163}, "56,864", 1015625),
+    "dense-dfs": ({"rebalance/dfs/1t": 17294, "highdegree/dfs/1t": 17034,
+                   "component/dfs/1t": 16910}, "51,238", 2118194),
+    "frontier-2t": ({"rebalance/dfs/1t": 5945, "rebalance/lb/1t": 5986,
+                     "rebalance/gap/1t": 6026, "rebalance/dfs/2t": 5945,
+                     "rebalance/lb/2t": 5986}, "29,888", 776678),
 }
 
 
@@ -44,3 +45,17 @@ def test_reports_each_configuration_and_the_total(workload, capsys):
     assert {m[1]: number(m[2]) for m in matches} == counts
     assert {number(m[3]) for m in matches} == {optima}
     assert last == f"{workload} seed 0 total: {total} subproblems"
+
+
+def test_readme_quotes_the_pinned_totals():
+    """README's "Branching" section quotes the seed-0 totals pinned above."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Branching", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(
+        r"`python3 tools/tree_sizes.py` counts ([0-9,]+) explored subproblems"
+        r" on `sparse-dfs`, ([0-9,]+) on `dense-dfs` and ([0-9,]+) on"
+        r" `frontier-2t`", " ".join(section.split()))
+    assert sentence, "README no longer quotes the tree sizes"
+    assert list(sentence.groups()) == [
+        SEED_0[w][1] for w in ("sparse-dfs", "dense-dfs", "frontier-2t")]
